@@ -79,7 +79,6 @@ def _fail(message: str) -> int:
 
 def _cmd_motifs(args: argparse.Namespace) -> int:
     N, m, n = args.sites, args.m, args.n
-    jobs = args.jobs if args.jobs is not None else int(os.environ.get("MOTIFSPECTRA_JOBS", "1"))
     if args.list:
         rows = []
         for k, mot in enumerate(motif.enumerate_motifs(N, m, n)):
@@ -98,7 +97,7 @@ def _cmd_motifs(args: argparse.Namespace) -> int:
         return 0
     val = motif.count(N, m, n)
     if args.brute:
-        brute = motif.count_by_enumeration(N, m, n, jobs=jobs)
+        brute = motif.count_by_enumeration(N, m, n)
         if brute != val:
             return _fail(f"count {val} != enumerated {brute}")
         _emit(args, ["sites", "m", "n", "count", "enumerated"], [(N, m, n, val, brute)])
@@ -221,7 +220,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         qp = partition.hs_partition(N)
     else:
         if args.alpha is None:
-            return _fail("the recursion needs a rational coupling parameter")
+            return _fail("the partition function needs a rational coupling parameter")
         qp = partition.fi_partition(N, args.alpha)
     if args.dump_terms:
         with open(args.dump_terms, "wb") as fh:
@@ -278,7 +277,10 @@ def _cmd_anyon(args: argparse.Namespace) -> int:
         if args.k is None or args.orbitals is None:
             print("error: --fit-g needs --k and --orbitals", file=sys.stderr)
             return 2
-        counts = tuple(int(t) for t in args.orbitals.split(","))
+        try:
+            counts = tuple(int(t) for t in args.orbitals.split(","))
+        except ValueError:
+            counts = ()
         if len(counts) != 2:
             print("error: --orbitals wants two comma-separated counts", file=sys.stderr)
             return 2
@@ -361,7 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--count", action="store_true")
     g.add_argument("--half-count", action="store_true")
     p.add_argument("--brute", action="store_true", help="cross-check against enumeration")
-    p.add_argument("--jobs", type=int, default=None, help="processes for --brute (env MOTIFSPECTRA_JOBS)")
 
     p = add("tableau", _cmd_tableau, "spin configurations, motifs and fiber dimensions")
     p.add_argument("--spins", type=_parse_spins, default=None, help="comma-separated spin values")
@@ -394,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--avg-deg", action="store_true")
     g.add_argument("--bounds", action="store_true")
 
-    p = add("partition", _cmd_partition, "level polynomials from the two-term recursion")
+    p = add("partition", _cmd_partition, "level polynomials from the transfer-matrix kernel")
     p.add_argument("--chain", choices=("hs", "fi"), required=True)
     p.add_argument("--alpha", type=_parse_alpha, default=None)
     p.add_argument("--sites", type=int, required=True)

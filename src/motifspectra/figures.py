@@ -229,7 +229,7 @@ def degeneracy_growth(max_sites: int = 30) -> list[Series]:
     """Average degeneracies of the su(2) chains against both lower bounds.
 
     All series are exact: level counts come from the q-polynomial
-    recursions, the closed rational level-count formula, or direct motif
+    partition functions, the closed rational level-count formula, or direct motif
     enumeration for the size-independent dispersion.
     """
     sizes = list(range(4, max_sites + 1))

@@ -15,7 +15,6 @@ word ranges.  No floating point is used anywhere in this module.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -216,25 +215,12 @@ def enumerate_motifs(
             yield Motif(word, N)
 
 
-def _count_range(args: tuple[int, int, int, int, int]) -> int:
-    N, m, n, start, stop = args
-    return sum(arr.size for arr in _valid_word_blocks(N, m, n, start, stop))
-
-
-def count_by_enumeration(N: int, m: int, n: int, jobs: int = 1) -> int:
+def count_by_enumeration(N: int, m: int, n: int) -> int:
     """Brute-force count by filtering all 2^(N-1) candidate words.
 
-    Oracle-grade cross-check for count(); `jobs > 1` fans the word range out
-    over a process pool and sums the per-range tallies.
+    Oracle-grade cross-check for count().
     """
-    total = 1 << (N - 1)
-    jobs = max(1, min(jobs, total))
-    if jobs == 1:
-        return _count_range((N, m, n, 0, total))
-    step = -(-total // jobs)
-    ranges = [(N, m, n, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return sum(pool.map(_count_range, ranges))
+    return sum(arr.size for arr in _valid_word_blocks(N, m, n))
 
 
 _MU_LOCK = threading.Lock()

@@ -1,10 +1,11 @@
 """Exact partition functions of two-state fermionic chains as sparse q-polynomials.
 
-Both recursions below produce the full partition function with exact integer
-coefficients; rational couplings a/b are handled by scaling every exponent by
-the common denominator b, recorded in QPolynomial.scale.  The enumeration
-oracle assembles the same polynomial term by term from motif energies and
-fiber dimensions, which is what the recursions are tested against.
+The partition functions come from the transfer-matrix kernel in `spectrum`
+with exact integer coefficients; rational couplings a/b are handled by
+scaling every exponent by the common denominator b, recorded in
+QPolynomial.scale.  The enumeration oracle assembles the same polynomial term
+by term from motif energies and fiber dimensions, which is what the kernel is
+tested against.
 """
 
 from __future__ import annotations
@@ -71,31 +72,14 @@ class QPolynomial:
         return QPolynomial(flipped, self.scale)
 
 
-def _shift_add(dst: dict, src: dict, shift: int, mult: int) -> None:
-    for e, c in src.items():
-        k = e + shift
-        dst[k] = dst.get(k, 0) + mult * c
-
-
-def _two_term_recursion(N: int, exponents) -> dict:
-    # Z_{j+1} = 2 q^{e1} Z_j + (1 - q^{e1}) q^{e0} Z_{j-1}
-    prev: dict = {}
-    cur: dict = {0: 1}
-    for j in range(N):
-        e0, e1 = exponents(j)
-        nxt: dict = {}
-        _shift_add(nxt, cur, e1, 2)
-        _shift_add(nxt, prev, e0, 1)
-        _shift_add(nxt, prev, e0 + e1, -1)
-        prev, cur = cur, {e: c for e, c in nxt.items() if c}
-    return cur
+def _su02_polynomial(disp) -> QPolynomial:
+    band, scale, _ = spectrum._band(disp)
+    return QPolynomial(spectrum._level_polynomial(disp.sites, 0, 2, band), scale)
 
 
 def hs_partition(N: int) -> QPolynomial:
     """Partition function of the N-site two-state fermionic trigonometric chain."""
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
-    return QPolynomial(_two_term_recursion(N, lambda k: ((k - 1) * (N - k + 1), k * (N - k))))
+    return _su02_polynomial(spectrum.HSDispersion(N))
 
 
 def fi_partition(N: int, alpha) -> QPolynomial:
@@ -103,16 +87,7 @@ def fi_partition(N: int, alpha) -> QPolynomial:
 
     Exponents are scaled by the denominator of alpha so they stay integral.
     """
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ValueError(f"need alpha > 0, got {alpha}")
-    a, b = alpha.numerator, alpha.denominator
-    terms = _two_term_recursion(
-        N, lambda j: ((j - 1) * (a + b * (j - 2)), j * (a + b * (j - 1)))
-    )
-    return QPolynomial(terms, b)
+    return _su02_polynomial(spectrum.FIDispersion(N, alpha))
 
 
 def enumerated_partition(
@@ -179,9 +154,16 @@ def dump_terms(qp: QPolynomial, fh: BinaryIO) -> None:
         fh.write(struct.pack("<I", len(eb)) + eb + struct.pack("<I", len(cb)) + cb)
 
 
+def _read_exact(fh: BinaryIO, size: int) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"truncated term dump: wanted {size} bytes, got {len(data)}")
+    return data
+
+
 def load_terms(fh: BinaryIO) -> QPolynomial:
-    """Inverse of dump_terms."""
-    head = fh.read(4 + struct.calcsize("<BQQ"))
+    """Inverse of dump_terms; raises ValueError on a truncated or overlong dump."""
+    head = _read_exact(fh, 4 + struct.calcsize("<BQQ"))
     if head[:4] != _MAGIC:
         raise ValueError("bad magic")
     version, count, scale = struct.unpack("<BQQ", head[4:])
@@ -189,8 +171,10 @@ def load_terms(fh: BinaryIO) -> QPolynomial:
         raise ValueError(f"unsupported version {version}")
     terms: dict = {}
     for _ in range(count):
-        (elen,) = struct.unpack("<I", fh.read(4))
-        e = int.from_bytes(fh.read(elen), "little", signed=True)
-        (clen,) = struct.unpack("<I", fh.read(4))
-        terms[e] = int.from_bytes(fh.read(clen), "little")
+        (elen,) = struct.unpack("<I", _read_exact(fh, 4))
+        e = int.from_bytes(_read_exact(fh, elen), "little", signed=True)
+        (clen,) = struct.unpack("<I", _read_exact(fh, 4))
+        terms[e] = int.from_bytes(_read_exact(fh, clen), "little")
+    if fh.read(1):
+        raise ValueError("trailing bytes after the last term")
     return QPolynomial(terms, scale)

@@ -7,6 +7,10 @@ constant alpha, carried as an exact integer pair (E0, E1) = coefficients of
 (alpha, 1)) and a floating-point table flavour for couplings only known
 numerically.  Exact energies hash and sort exactly; float energies are
 deduplicated by a relative gap rule.
+
+Every exact level polynomial, the sum over motifs of dim(V) q^E, comes from
+one transfer-matrix kernel over the spins of the chain, fed with the
+dispersion's band scaled to integers.
 """
 
 from __future__ import annotations
@@ -14,17 +18,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from . import tableau
-from .motif import Motif
+from .motif import Motif, _check_context
 
 __all__ = [
     "HSDispersion",
     "PFDispersion",
     "FIDispersion",
     "SymbolicAlphaDispersion",
-    "PolyDispersion",
     "NumericDispersion",
     "energy",
     "ground_state_energy",
@@ -98,26 +103,6 @@ class SymbolicAlphaDispersion:
 
 
 @dataclass(frozen=True)
-class PolyDispersion:
-    """eps(j) = sum of weight * N^r * j^s over the given (r, s, weight) terms."""
-
-    sites: int
-    coeffs: tuple[tuple[int, int, Fraction], ...]
-
-    exact = True
-
-    def __post_init__(self) -> None:
-        terms = tuple((int(r), int(s), Fraction(w)) for r, s, w in self.coeffs)
-        if any(r < 0 or s < 0 for r, s, _ in terms):
-            raise ValueError("powers must be nonnegative")
-        object.__setattr__(self, "coeffs", terms)
-
-    def eps(self, j: int) -> Fraction:
-        _check_rapidity(j, self.sites)
-        return sum((w * self.sites**r * j**s for r, s, w in self.coeffs), Fraction(0))
-
-
-@dataclass(frozen=True)
 class NumericDispersion:
     """Tabulated float band; table[j - 1] holds eps(j) for j = 1..N-1."""
 
@@ -180,27 +165,84 @@ def _merge_float_levels(
     return merged
 
 
+def _band(disp) -> tuple[list[int], int, Callable[[int], object]]:
+    """Integer band of an exact dispersion, its energy scale and exponent decoder.
+
+    A motif's scaled energy is the sum of the band over its rapidities, and
+    `decode` turns that sum back into the value `energy` gives the motif.
+    Rational alpha scales the band by its denominator; symbolic alpha packs
+    (E0, E1) as E0 * K + E1, with K one above the largest E1.
+    """
+    N = disp.sites
+    js = range(1, N)
+    if isinstance(disp, (HSDispersion, PFDispersion)):
+        return [disp.eps(j) for j in js], 1, int
+    if isinstance(disp, FIDispersion):
+        b = disp.alpha.denominator
+        # energy() adds Fractions onto an int 0, so only the empty motif stays int
+        return [int(b * disp.eps(j)) for j in js], b, lambda e: Fraction(e, b) if e else 0
+    if isinstance(disp, SymbolicAlphaDispersion):
+        K = (N - 2) * (N - 1) * N // 3 + 1
+        return [j * K + j * (j - 1) for j in js], 1, lambda e: divmod(e, K)
+    raise TypeError(f"no integer band for {type(disp).__name__}")
+
+
+def _level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> dict[int, int]:
+    """Exact sum over valid motifs of dim(V) q^E as {E: total dimension}.
+
+    E sums the nonnegative integer band over the motif's rapidities.  Column
+    i of `z` holds the exponent support[i], and row t the configurations of
+    the sites seen so far that end in spin t - n.  A step into spin t' is a
+    descent, and multiplies by q^eps, from every spin above t' and from t'
+    itself when it is fermionic: the rule of tableau.motif_of_spins.  Only
+    exponents that occur are kept, so the cost follows the number of
+    distinct partial energies, not the band's size.
+    """
+    _check_context(m, n)
+    if N < 1:
+        raise ValueError(f"need N >= 1, got {N}")
+    k = m + n
+    cut = [t + (t >= n) for t in range(k)]  # rows below cut[t] enter t without a descent
+    # exponents stay machine integers unless the largest sum would overflow
+    support = np.zeros(1, dtype=np.int64 if sum(band) <= np.iinfo(np.int64).max else object)
+    z = np.ones((k, 1), dtype=object)
+    for e in band:
+        below = np.zeros((k + 1, support.size), dtype=object)
+        np.cumsum(z, axis=0, out=below[1:])
+        stay = below[cut]
+        shifted = support + e
+        merged = np.concatenate((support, shifted))
+        merged.sort(kind="stable")  # a merge of the two sorted runs
+        merged = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
+        z = np.zeros((k, merged.size), dtype=object)
+        z[:, np.searchsorted(merged, support)] = stay
+        z[:, np.searchsorted(merged, shifted)] += below[k] - stay
+        support = merged
+        occupied = (z != 0).any(axis=0)
+        if not occupied.all():
+            support, z = support[occupied], z[:, occupied]
+    return dict(zip(support.tolist(), z.sum(axis=0).tolist()))
+
+
 def level_set(
     N: int,
     m: int,
     n: int,
     disp,
     merge_tol: float = MERGE_TOL,
-    cap: int = tableau.FIBER_CAP,
 ) -> list[tuple[int | Fraction | float | tuple[int, int], int]]:
-    """Sorted distinct energies with their total degeneracies.
+    """Sorted distinct energies with their total degeneracies, summing to (m+n)^N.
 
-    Degeneracies come from fiber dimensions, so they sum to (m+n)^N.
+    Exact dispersions go through the transfer-matrix kernel, which never
+    lists spin configurations; float tables weight each motif's energy by
+    its fiber dimension and merge levels by the relative gap rule.
     """
     if disp.sites != N:
         raise ValueError(f"dispersion is for {disp.sites} sites, not {N}")
-    fibers = tableau._fiber_cache(N, m, n, cap)
     if disp.exact:
-        levels: dict = {}
-        for word, dim in fibers.items():
-            e = energy(Motif(word, N), disp)
-            levels[e] = levels.get(e, 0) + dim
-        return sorted(levels.items())
+        band, _, decode = _band(disp)
+        return [(decode(e), d) for e, d in sorted(_level_polynomial(N, m, n, band).items())]
+    fibers = tableau._fiber_cache(N, m, n, tableau.FIBER_CAP)
     pairs = [(float(energy(Motif(word, N), disp)), dim) for word, dim in fibers.items()]
     return _merge_float_levels(pairs, merge_tol)
 
@@ -208,34 +250,30 @@ def level_set(
 def level_count_by_enumeration(N: int, m: int, n: int, disp, merge_tol: float = MERGE_TOL) -> int:
     """Number of distinct energies over the valid motifs (no degeneracies).
 
-    Unlike level_set this never touches the (m+n)^N spin space, so it reaches
-    the feasibility limit of the motif enumeration instead.
+    Exact dispersions sum their integer band over each block of motif words
+    in int64; rational alpha counts the symbolic (E0, E1) keys, which fit
+    int64 whatever alpha is, and then distinct alpha E0 + E1.  Float tables
+    merge levels by the relative gap rule.
     """
-    import numpy as np
-
     from . import motif as _motif
 
     if disp.sites != N:
         raise ValueError(f"dispersion is for {disp.sites} sites, not {N}")
-    if isinstance(disp, SymbolicAlphaDispersion):
-        # pack the integer pair into one key; E1 < N^3 bounds the low field
-        low = N**3
-        int_keys = [j * low + j * (j - 1) for j in range(1, N)]
-    else:
-        vals = [disp.eps(j) for j in range(1, N)]
-        int_keys = vals if all(isinstance(v, int) for v in vals) else None
-    if int_keys is not None:
-        seen: set[int] = set()
-        for words in _motif._valid_word_blocks(N, m, n):
-            acc = np.zeros(words.shape, dtype=np.int64)
-            for j in range(1, N):
-                acc += ((words >> (N - 1 - j)) & 1) * int_keys[j - 1]
-            seen.update(np.unique(acc).tolist())
-        return len(seen)
-    if disp.exact:
-        return len({energy(mot, disp) for mot in _motif.enumerate_motifs(N, m, n)})
-    pairs = [(float(energy(mot, disp)), 1) for mot in _motif.enumerate_motifs(N, m, n)]
-    return len(_merge_float_levels(pairs, merge_tol))
+    if not disp.exact:
+        pairs = [(float(energy(mot, disp)), 1) for mot in _motif.enumerate_motifs(N, m, n)]
+        return len(_merge_float_levels(pairs, merge_tol))
+    fi = isinstance(disp, FIDispersion)
+    band, _, decode = _band(SymbolicAlphaDispersion(N) if fi else disp)
+    seen: set[int] = set()
+    for words in _motif._valid_word_blocks(N, m, n):
+        acc = np.zeros(words.shape, dtype=np.int64)
+        for j, e in enumerate(band, 1):
+            acc += ((words >> (N - 1 - j)) & 1) * e
+        seen.update(np.unique(acc).tolist())
+    if fi:
+        a, b = disp.alpha.numerator, disp.alpha.denominator
+        return len({a * e0 + b * e1 for e0, e1 in map(decode, seen)})
+    return len(seen)
 
 
 def average_degeneracy(levels: Sequence[tuple[object, int]]) -> Fraction:
@@ -272,15 +310,11 @@ def dispersion_from_coupling(h: Sequence[float], tol: float = 1e-12) -> NumericD
     return NumericDispersion(N, tuple(eps))
 
 
-def _power_sum(N: int, s: int) -> int:
-    return sum(j**s for j in range(1, N))
-
-
 def level_bounds(disp, m: int, n: int) -> int:
     """Upper bound on the number of distinct levels for the given context.
 
     Closed formulas exist for the two-state chains (exact for the linear
-    band); polynomial bands get the generic counting bound.
+    band).
     """
     N = disp.sites
     su2like = (m, n) in ((2, 0), (0, 2))
@@ -311,27 +345,5 @@ def level_bounds(disp, m: int, n: int) -> int:
         if not su2like:
             raise ValueError("closed bound requires a two-state pure context")
         return N**5 // 6
-    if isinstance(disp, PolyDispersion):
-        denom = math.lcm(*(w.denominator for _, _, w in disp.coeffs)) if disp.coeffs else 1
-        amp = sum(abs(w) for _, _, w in disp.coeffs)
-        k = max((r + s for r, s, _ in disp.coeffs), default=0)
-        scaled = 2 * denom * amp
-        assert scaled.denominator == 1
-        return (int(scaled) + 1) * N ** (k + 1)
     raise ValueError(f"no closed bound for dispersion {type(disp).__name__}")
 
-
-def poly_level_bound_generic(disp: PolyDispersion) -> int:
-    """Coefficient-free product bound for a polynomial band.
-
-    Each power s contributes at most S_N(s) + 1 distinct values per distinct
-    exponent r it appears with, independent of the coefficients.
-    """
-    N = disp.sites
-    powers: dict[int, set[int]] = {}
-    for r, s, _ in disp.coeffs:
-        powers.setdefault(s, set()).add(r)
-    bound = 1
-    for s, rs in powers.items():
-        bound *= (_power_sum(N, s) + 1) ** len(rs)
-    return bound

@@ -90,7 +90,7 @@ def test_criterion_04_trigonometric_partition_recursion(capsys):
     for N in range(2, 13):
         brute = partition.enumerated_partition(N, 0, 2, spectrum.HSDispersion(N))
         if partition.hs_partition(N).terms != brute.terms:
-            problems.append(f"N={N}: recursion support differs from enumeration")
+            problems.append(f"N={N}: partition support differs from enumeration")
     window = range(30, 51)
     poly_slope = np.polyfit([math.log(N) for N in window], [math.log(counts[N]) for N in window], 1)[0]
     if not 2.7 <= poly_slope <= 3.3:

@@ -193,6 +193,9 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         run_cli("motifs")
     assert exc.value.code == 2
+    code, _, err = run_cli("anyon", "--m", "2", "--fit-g", "--k", "3", "--orbitals", "4,x")
+    assert code == 2
+    assert "--orbitals" in err
 
 
 def test_computational_failure_exits_one():

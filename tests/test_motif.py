@@ -73,10 +73,6 @@ def test_count_mixed_is_free():
         assert motif.count(N, 3, 2) == 2 ** (N - 1)
 
 
-def test_count_parallel_matches_serial():
-    assert motif.count_by_enumeration(14, 2, 0, jobs=4) == motif.count(14, 2, 0)
-
-
 def test_bad_context_rejected():
     with pytest.raises(ValueError):
         motif.count(5, 0, 0)

@@ -1,9 +1,11 @@
-"""Two-term level-polynomial recursions and the binary term format."""
+"""Two-state partition functions, the enumeration oracle and the binary term format."""
 
 import io
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from motifspectra import partition, spectrum
 from motifspectra.partition import QPolynomial
@@ -43,7 +45,8 @@ def test_recursion_matches_enumeration():
     for N in range(1, 13):
         disp = spectrum.HSDispersion(N)
         assert partition.hs_partition(N).terms == partition.enumerated_partition(N, 0, 2, disp).terms
-    for alpha in (3, Fraction(5, 2)):
+    # a large alpha numerator or denominator spreads few terms over a wide range
+    for alpha in (3, Fraction(5, 2), 10**9, Fraction(10**9 + 7, 1000), Fraction(3183, 10000)):
         for N in range(1, 13):
             disp = spectrum.FIDispersion(N, alpha)
             got = partition.fi_partition(N, alpha)
@@ -111,6 +114,39 @@ def test_dump_rejects_tuple_exponents():
     qp = QPolynomial({(1, 2): 1})
     with pytest.raises(TypeError):
         partition.dump_terms(qp, io.BytesIO())
+
+
+def _dump(qp):
+    buf = io.BytesIO()
+    partition.dump_terms(qp, buf)
+    return buf.getvalue()
+
+
+@given(
+    st.dictionaries(st.integers(-(2**70), 2**70), st.integers(1, 2**130), max_size=20),
+    st.integers(1, 2**64 - 1),
+)
+def test_dump_load_round_trip_random(terms, scale):
+    qp = QPolynomial(terms, scale)
+    assert partition.load_terms(io.BytesIO(_dump(qp))) == qp
+
+
+_DUMP = _dump(QPolynomial({0: 1, 4362: 296}))
+_HEADER = 4 + 17  # magic plus <BQQ
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        pytest.param(_DUMP[:10], id="short-header"),
+        pytest.param(_DUMP[: _HEADER + 2], id="cut-length-prefix"),
+        pytest.param(_DUMP[:-1], id="cut-record"),  # 296 would load as 40
+        pytest.param(_DUMP + b"\x00", id="trailing-bytes"),
+    ],
+)
+def test_load_rejects_corrupt_dump(data):
+    with pytest.raises(ValueError):
+        partition.load_terms(io.BytesIO(data))
 
 
 def test_load_rejects_bad_magic():

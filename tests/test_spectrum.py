@@ -3,14 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from motifspectra import motif, spectrum
+from motifspectra import motif, partition, spectrum, tableau
 from motifspectra.spectrum import (
     FIDispersion,
     HSDispersion,
     NumericDispersion,
     PFDispersion,
-    PolyDispersion,
     SymbolicAlphaDispersion,
 )
 
@@ -164,18 +165,72 @@ def test_level_bounds_need_two_state_context():
         spectrum.level_bounds(HSDispersion(6), 1, 1)
 
 
-def test_poly_bounds():
-    pd = PolyDispersion(6, ((0, 2, Fraction(1)),))
-    assert [pd.eps(j) for j in range(1, 6)] == [1, 4, 9, 16, 25]
-    assert spectrum.level_bounds(pd, 2, 0) == 648
-    assert spectrum.poly_level_bound_generic(pd) == 56
-    count = spectrum.level_count_by_enumeration(6, 2, 0, pd)
-    assert count <= 56
+def test_level_count_for_alpha_beyond_int64():
+    disp = FIDispersion(6, Fraction(10**18, 7))  # scaled energies overflow int64
+    plain = {spectrum.energy(mt, disp) for mt in motif.enumerate_motifs(6, 2, 0)}
+    assert spectrum.level_count_by_enumeration(6, 2, 0, disp) == len(plain)
 
 
-def test_poly_dispersion_can_mimic_hs():
-    N = 7
-    pd = PolyDispersion(N, ((1, 1, Fraction(1)), (0, 2, Fraction(-1))))
-    hs = HSDispersion(N)
-    for j in range(1, N):
-        assert pd.eps(j) == hs.eps(j)
+@st.composite
+def exact_cases(draw):
+    """(N, m, n, dispersion) with m + n <= 4 and N <= 8, over every exact band."""
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(1 if m == 0 else 0, 4 - m))
+    N = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(("hs", "pf", "fi", "symbolic")))
+    if kind == "hs":
+        disp = HSDispersion(N)
+    elif kind == "pf":
+        disp = PFDispersion(N)
+    elif kind == "fi":
+        disp = FIDispersion(N, draw(st.fractions(Fraction(1, 4), 4, max_denominator=4)))
+    else:
+        disp = SymbolicAlphaDispersion(N)
+    return N, m, n, disp
+
+
+# wide, sparse bands: a large alpha numerator or denominator, and a band whose
+# scaled sums overflow int64
+WIDE_BANDS = [
+    (10, 0, 2, FIDispersion(10, 10**9)),
+    (9, 2, 1, FIDispersion(9, Fraction(10**9 + 7, 1000))),
+    (8, 1, 2, FIDispersion(8, Fraction(3183, 10000))),
+    (6, 2, 0, FIDispersion(6, Fraction(10**18, 7))),
+]
+
+
+@given(exact_cases())
+@example(WIDE_BANDS[0])
+@example(WIDE_BANDS[1])
+@example(WIDE_BANDS[2])
+@example(WIDE_BANDS[3])
+def test_kernel_matches_enumerated_partition(case):
+    N, m, n, disp = case
+    band, scale, decode = spectrum._band(disp)
+    got = spectrum._level_polynomial(N, m, n, band)
+    want = partition.enumerated_partition(N, m, n, disp)
+    if isinstance(disp, SymbolicAlphaDispersion):
+        got = {decode(e): c for e, c in got.items()}
+    assert got == want.terms
+    assert scale == want.scale
+
+
+def fiber_level_set(N, m, n, disp):
+    """Reference: every motif's energy weighted by its fiber dimension."""
+    levels: dict = {}
+    for word, dim in tableau.fiber_sizes(N, m, n).items():
+        e = spectrum.energy(motif.Motif(word, N), disp)
+        levels[e] = levels.get(e, 0) + dim
+    return sorted(levels.items())
+
+
+@given(exact_cases())
+@example((8, 2, 0, FIDispersion(8, Fraction(5, 2))))
+@example(WIDE_BANDS[0])
+@example(WIDE_BANDS[3])
+def test_level_set_matches_fiber_assembly(case):
+    N, m, n, disp = case
+    got = spectrum.level_set(N, m, n, disp)
+    want = fiber_level_set(N, m, n, disp)
+    assert got == want
+    assert [(type(e), type(d)) for e, d in got] == [(type(e), type(d)) for e, d in want]
