@@ -265,7 +265,7 @@ def _cmd_diag(args: argparse.Namespace) -> int:
         if not report.matched:
             return _fail(report.mismatch or "levels do not match")
         return 0
-    lam = oracle.eigenvalues(oracle.build_hamiltonian(chain))
+    lam = oracle.chain_eigenvalues(chain)
     rows = [(e, d) for e, d in oracle.cluster_levels(lam, args.cluster_tol)]
     _emit(args, ["energy", "multiplicity"], rows)
     return 0
@@ -402,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels-only", action="store_true")
     p.add_argument("--dump-terms", metavar="FILE", default=None)
 
-    p = add("diag", _cmd_diag, "dense diagonalization and formula comparison")
+    p = add("diag", _cmd_diag, "diagonalization by occupation block and formula comparison")
     p.add_argument("--chain", choices=("hs", "pf", "fi", "elliptic"), required=True)
     p.add_argument("--sites", type=int, required=True)
     p.add_argument("--m", type=int, default=2)

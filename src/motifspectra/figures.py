@@ -202,8 +202,8 @@ def render_svg(
 def elliptic_average_vs_minimum(max_sites: int = 10, ksq: float = 0.5) -> list[Series]:
     """Numerical average degeneracy of elliptic chains against the motif floor.
 
-    Dense diagonalization keeps the su(3|0) and su(2|1) families at 6 and 7
-    sites; the su(2|0) family runs over even sizes up to max_sites.
+    The su(3|0) and su(2|1) families stay at 6 and 7 sites; the su(2|0)
+    family runs over even sizes up to max_sites.
     """
     out: list[Series] = []
     families = [

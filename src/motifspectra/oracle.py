@@ -1,11 +1,13 @@
-"""Numerical oracle: exchange Hamiltonians, dense spectra, formula comparison.
+"""Numerical oracle: exchange Hamiltonians, block spectra, formula comparison.
 
 Chains are specified by their site couplings J_ij and act on the full
 (m+n)^N product basis through graded transpositions: swapping two fermionic
 spins picks up a minus sign, and swapping a bosonic with a fermionic spin
 picks one up when an odd number of fermionic spins sits strictly between
-them.  H = sum_{i<j} J_ij (1 - S_ij) is assembled densely and diagonalized
-exactly, which is what every closed-form level set is checked against.
+them.  A transposition keeps how many sites hold each local state, so
+H = sum_{i<j} J_ij (1 - S_ij) is block diagonal by occupation vector.  Each
+block is assembled and diagonalized on its own, exactly, and the union of
+the block spectra is what every closed-form level set is checked against.
 
 The coupling kinds: trigonometric (hs), rational through oscillator nodes
 (pf), hyperbolic through log-scaled Laguerre nodes (fi), and the elliptic
@@ -36,6 +38,7 @@ __all__ = [
     "graded_permutation",
     "build_hamiltonian",
     "eigenvalues",
+    "chain_eigenvalues",
     "cluster_levels",
     "formula_dispersion",
     "compare",
@@ -215,16 +218,71 @@ def graded_permutation(state: int, i: int, j: int, m: int, n: int) -> tuple[int,
     return new, sign
 
 
-def build_hamiltonian(chain: ChainSpec, cap: int = DIMENSION_CAP) -> np.ndarray:
-    """Dense H = sum_{i<j} J_ij (1 - S_ij) on the full product basis."""
+def _check_size(N: int, base: int, cap: int) -> None:
+    """Raise InfeasibleSizeError, before anything is allocated, when H would not fit.
+
+    With budget = max(cap, DIMENSION_CAP), the side of the one dense matrix
+    the cap allows, three bounds hold, checked in this order so that each
+    needs only small integers once the one before it has passed:
+
+    * steps: assembly makes one vectorized pass per site pair, N(N-1)/2, and
+      diagonalization one eigensolve per sector, C(N + base - 1, N); together
+      at most `budget`;
+    * words: the basis arrays take at most 4N + 16 int64 words per state
+      ((m+n)^N states), the couplings N^2, and the blocks one entry per pair
+      of states with equal occupation, P_d(j) = sum_k C(j, k)^2 P_{d-1}(j - k)
+      over the first d local states; together at most budget^2;
+    * the largest block, the balanced multinomial N!/prod k_d!, at most `cap`.
+
+    Checking and diagonalizing a block adds a few transient copies of that
+    one block.
+    """
+    budget = max(cap, DIMENSION_CAP)
+    pairs = N * (N - 1) // 2
+    if pairs > budget or pairs + math.comb(N + base - 1, N) > budget:
+        raise InfeasibleSizeError(f"more than {budget} site pairs and occupation sectors")
+    words = budget**2
+    basis = base**N * (4 * N + 16) + N * N
+    if basis > words:
+        raise InfeasibleSizeError(f"basis arrays take more than {words} words")
+    entries = [1] * (N + 1)
+    for _ in range(base - 1):
+        entries = [sum(math.comb(j, k) ** 2 * entries[j - k] for k in range(j + 1)) for j in range(N + 1)]
+    if basis + entries[N] > words:
+        raise InfeasibleSizeError(f"basis arrays and occupation blocks take more than {words} words")
+    q, r = divmod(N, base)
+    largest = math.factorial(N) // (math.factorial(q + 1) ** r * math.factorial(q) ** (base - r))
+    if largest > cap:
+        raise InfeasibleSizeError(f"largest occupation block {largest} exceeds cap {cap}")
+
+
+def build_hamiltonian(chain: ChainSpec, cap: int = DIMENSION_CAP) -> list[np.ndarray]:
+    """Diagonal blocks of H = sum_{i<j} J_ij (1 - S_ij), one per occupation sector.
+
+    Blocks are ordered by the smallest state of their sector, and the states
+    of a block ascend.  `cap` bounds the side of the largest block.
+    """
     base = chain.m + chain.n
     N = chain.sites
-    dim = base**N
-    if dim > cap:
-        raise InfeasibleSizeError(f"(m+n)^N = {dim} exceeds cap {cap}")
+    _check_size(N, base, cap)
     J = coupling_matrix(chain)
+    dim = base**N
     idx = np.arange(dim, dtype=np.int64)
     digits = [(idx // base**p) % base for p in range(N)]
+    # a sector's key is its smallest state, the one whose digits descend from site 1
+    powers = base ** np.arange(N, dtype=np.int64)
+    key = np.sort(np.stack(digits, axis=1), axis=1)[:, ::-1] @ powers
+    order = np.argsort(key, kind="stable")
+    _, start, size = np.unique(key[order], return_index=True, return_counts=True)
+    sector = np.empty(dim, np.int64)
+    sector[order] = np.repeat(np.arange(size.size), size)
+    rank = np.empty(dim, np.int64)
+    rank[order] = idx - np.repeat(start, size)
+    # the blocks share one flat buffer; row[s] is where the row of state s starts
+    offset = np.concatenate(([0], np.cumsum(size * size)[:-1]))
+    row = offset[sector] + rank * size[sector]
+    flat = np.zeros(int((size * size).sum()))
+    flat[row + rank] = J[np.triu_indices(N, 1)].sum()
     if chain.n:
         ferm = [d < chain.n for d in digits]
         prefix = []
@@ -232,7 +290,6 @@ def build_hamiltonian(chain: ChainSpec, cap: int = DIMENSION_CAP) -> np.ndarray:
         for p in range(N):
             run = run + ferm[p]
             prefix.append(run)
-    H = np.zeros((dim, dim))
     for i in range(N):
         for j in range(i + 1, N):
             Jij = J[i, j]
@@ -247,13 +304,19 @@ def build_hamiltonian(chain: ChainSpec, cap: int = DIMENSION_CAP) -> np.ndarray:
                 between = prefix[j - 1] - prefix[i]
                 neg = (fi & fj) | ((fi ^ fj) & ((between & 1) == 1))
                 sign = np.where(neg, -1.0, 1.0)
-            H[idx, idx] += Jij
-            H[swapped, idx] -= Jij * sign
-    scale = max(1.0, float(np.abs(H).max()))
-    skew = float(np.abs(H - H.T).max())
-    if skew > 1e-12 * scale:
-        raise AssertionError(f"assembled matrix not symmetric: |H - H^T| = {skew}")
-    return (H + H.T) / 2
+            flat[row[swapped] + rank] -= Jij * sign
+    blocks = [flat[o : o + k * k].reshape(k, k) for o, k in zip(offset, size)]
+    for block in blocks:
+        scale = max(1.0, float(np.abs(block).max()))
+        skew = float(np.abs(block - block.T).max())
+        if skew > 1e-12 * scale:
+            raise AssertionError(f"assembled block not symmetric: |H - H^T| = {skew}")
+    return blocks
+
+
+def chain_eigenvalues(chain: ChainSpec, cap: int = DIMENSION_CAP) -> np.ndarray:
+    """All eigenvalues of the chain's H, ascending: the union of its block spectra."""
+    return np.sort(np.concatenate([eigenvalues(block) for block in build_hamiltonian(chain, cap)]))
 
 
 def eigenvalues(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -332,10 +395,9 @@ def compare(
     `offset` is subtracted from the numerical levels before matching, for
     spectra that only agree up to an additive constant.
     """
-    lam = eigenvalues(build_hamiltonian(chain, cap))
-    numeric = cluster_levels(lam, cluster_tol)
     if disp is None:
         disp = formula_dispersion(chain)
+    numeric = cluster_levels(chain_eigenvalues(chain, cap), cluster_tol)
     formula = [
         (float(e), d)
         for e, d in spectrum.level_set(chain.sites, chain.m, chain.n, disp)
@@ -370,6 +432,5 @@ def numeric_average_degeneracy(
     chain: ChainSpec, cluster_tol: float = 1e-7, cap: int = DIMENSION_CAP
 ) -> Fraction:
     """(m+n)^N over the number of distinct numerical levels."""
-    lam = eigenvalues(build_hamiltonian(chain, cap))
-    count = len(cluster_levels(lam, cluster_tol))
+    count = len(cluster_levels(chain_eigenvalues(chain, cap), cluster_tol))
     return Fraction((chain.m + chain.n) ** chain.sites, count)

@@ -143,7 +143,7 @@ def test_criterion_07_supersymmetric_elliptic_counts(capsys):
             problems.append(f"N={N}: enumeration gives {got}, closed form {want}")
     for N in range(4, 11):
         chain = oracle.ChainSpec("elliptic", N, 1, 1, ksq=0.5)
-        levels = oracle.cluster_levels(oracle.eigenvalues(oracle.build_hamiltonian(chain)))
+        levels = oracle.cluster_levels(oracle.chain_eigenvalues(chain))
         want = motif.count_half(N, 1, 1)
         if len(levels) != want:
             problems.append(f"N={N}: diagonalization gives {len(levels)} levels, not {want}")

@@ -147,6 +147,9 @@ def test_diag_compare_exit_codes():
     assert out.splitlines()[1].split(",")[4] == "true"
     code, _, err = run_cli("diag", "--chain", "elliptic", "--sites", "5", "--compare")
     assert code == 2  # missing --ksq
+    code, _, err = run_cli("diag", "--chain", "elliptic", "--ksq", "0.5", "--sites", "8", "--compare")
+    assert code == 1
+    assert "closed dispersion only for (m, n) = (1, 1)" in err
 
 
 def test_anyon_subcommand():
@@ -202,6 +205,14 @@ def test_computational_failure_exits_one():
     code, _, err = run_cli("spectrum", "--chain", "hs", "--sites", "6", "--m", "3", "--bounds")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("sites,m", [("2", "14000"), ("10000000", "2")])
+def test_diag_refuses_oversized_chain(sites, m):
+    code, out, err = run_cli("diag", "--chain", "hs", "--sites", sites, "--m", m)
+    assert code == 1
+    assert out == ""
+    assert "sectors" in err
 
 
 def test_version_flag():

@@ -1,6 +1,7 @@
 """Special functions, Hamiltonian assembly and the diagonalization oracle."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -151,6 +152,16 @@ def _scalar_hamiltonian(chain: ChainSpec) -> np.ndarray:
     return H
 
 
+def _sectors(chain: ChainSpec) -> list[list[int]]:
+    """Basis states grouped by occupation, sectors by smallest state, states ascending."""
+    base = chain.m + chain.n
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for state in range(base**chain.sites):
+        digits = [(state // base**p) % base for p in range(chain.sites)]
+        groups.setdefault(tuple(digits.count(d) for d in range(base)), []).append(state)
+    return sorted(groups.values())
+
+
 @pytest.mark.parametrize(
     "chain",
     [
@@ -159,20 +170,93 @@ def _scalar_hamiltonian(chain: ChainSpec) -> np.ndarray:
         ChainSpec("pf", 4, 2, 1),
         ChainSpec("fi", 4, 0, 2, alpha=3),
         ChainSpec("elliptic", 4, 1, 2, ksq=0.5),
+        ChainSpec("elliptic", 5, 3, 0, ksq=0.5),
     ],
 )
 def test_vectorized_assembly_matches_scalar(chain):
-    fast = oracle.build_hamiltonian(chain)
     slow = _scalar_hamiltonian(chain)
-    assert np.abs(fast - slow).max() < 1e-12
+    sectors = _sectors(chain)
+    label = np.empty(slow.shape[0], int)
+    for k, states in enumerate(sectors):
+        label[states] = k
+    # graded transpositions conserve the occupation vector
+    assert np.count_nonzero(slow[label[:, None] != label[None, :]]) == 0
+    blocks = oracle.build_hamiltonian(chain)
+    assert [b.shape for b in blocks] == [(len(s), len(s)) for s in sectors]
+    for block, states in zip(blocks, sectors):
+        assert np.abs(block - slow[np.ix_(states, states)]).max() < 1e-12
+
+
+@pytest.mark.parametrize("m,n,N", [(2, 0, 10), (0, 2, 9), (1, 1, 8), (2, 1, 6), (3, 0, 6)])
+@pytest.mark.parametrize("kind", ["hs", "pf", "fi", "elliptic"])
+def test_sector_union_matches_dense_spectrum(kind, m, n, N):
+    alpha = Fraction(5, 2) if kind == "fi" else None
+    ksq = 0.5 if kind == "elliptic" else None
+    chain = ChainSpec(kind, N, m, n, alpha=alpha, ksq=ksq)
+    dense = np.linalg.eigvalsh(_scalar_hamiltonian(chain))
+    union = oracle.chain_eigenvalues(chain)
+    assert union.shape == dense.shape
+    assert np.abs(union - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 def test_dimension_cap():
+    # the cap bounds the largest occupation block, C(8, 4) = 70 for su(2|0) at N = 8
+    with pytest.raises(InfeasibleSizeError):
+        oracle.build_hamiltonian(ChainSpec("hs", 8, 2, 0), cap=69)
+    blocks = oracle.build_hamiltonian(ChainSpec("hs", 8, 2, 0), cap=70)
+    assert max(b.shape[0] for b in blocks) == 70
     with pytest.raises(InfeasibleSizeError):
         oracle.build_hamiltonian(ChainSpec("hs", 20, 2, 0))
-    with pytest.raises(InfeasibleSizeError):
-        oracle.build_hamiltonian(ChainSpec("hs", 8, 2, 0), cap=100)
-    oracle.build_hamiltonian(ChainSpec("hs", 8, 2, 0))
+
+
+@pytest.mark.parametrize("chain", [ChainSpec("hs", 8, 2, 0), ChainSpec("pf", 5, 2, 1)])
+def test_block_storage_cap(monkeypatch, chain):
+    # basis arrays (4N + 16 words a state), couplings and block entries
+    # together take at most max(cap, DIMENSION_CAP)^2 words
+    N, base = chain.sites, chain.m + chain.n
+    sectors = _sectors(chain)
+    words = base**N * (4 * N + 16) + N * N + sum(len(s) ** 2 for s in sectors)
+    side = math.isqrt(words - 1) + 1
+    cap = max(len(s) for s in sectors)
+    monkeypatch.setattr(oracle, "DIMENSION_CAP", side)
+    oracle.build_hamiltonian(chain, cap=cap)
+    monkeypatch.setattr(oracle, "DIMENSION_CAP", side - 1)
+    with pytest.raises(InfeasibleSizeError, match="words"):
+        oracle.build_hamiltonian(chain, cap=cap)
+
+
+@pytest.mark.parametrize("chain", [ChainSpec("hs", 20, 1, 0), ChainSpec("hs", 2, 30, 0)])
+def test_step_cap(monkeypatch, chain):
+    # site pairs (one assembly pass each) and sectors (one eigensolve each)
+    # number at most max(cap, DIMENSION_CAP) together
+    steps = math.comb(chain.sites, 2) + len(_sectors(chain))
+    monkeypatch.setattr(oracle, "DIMENSION_CAP", steps)
+    oracle.build_hamiltonian(chain, cap=1 if chain.m == 1 else 2)
+    monkeypatch.setattr(oracle, "DIMENSION_CAP", steps - 1)
+    with pytest.raises(InfeasibleSizeError, match="sectors"):
+        oracle.build_hamiltonian(chain, cap=1 if chain.m == 1 else 2)
+
+
+@pytest.mark.parametrize(
+    "chain,reason",
+    [
+        # 9.8e7 and 1.1e7 sectors, blocks of at most 2 and 6
+        (ChainSpec("hs", 2, 14000, 0), "sectors"),
+        (ChainSpec("hs", 3, 400, 0), "sectors"),
+        # 5e13 site pairs, refused without the factorial of 10^7
+        (ChainSpec("hs", 10**7, 2, 0), "sectors"),
+        # 4.2e6 states of 104 words each
+        (ChainSpec("hs", 22, 2, 0), "basis arrays take"),
+        # blocks of at most C(16, 8) = 12870, but C(32, 16) = 6e8 entries
+        (ChainSpec("hs", 16, 2, 0), "occupation blocks take"),
+    ],
+)
+def test_size_caps_at_default_refuse_before_allocating(monkeypatch, chain, reason):
+    monkeypatch.setattr(oracle, "coupling_matrix", lambda *a: pytest.fail("assembled"))
+    t0 = time.perf_counter()
+    with pytest.raises(InfeasibleSizeError, match=reason):
+        oracle.build_hamiltonian(chain)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_eigenvalues_checks_symmetry():
@@ -219,13 +303,19 @@ def test_compare_detects_wrong_dispersion():
     assert not report.matched
 
 
+def test_compare_rejects_unsupported_formula_before_diagonalizing(monkeypatch):
+    monkeypatch.setattr(oracle, "build_hamiltonian", lambda *a, **k: pytest.fail("diagonalized"))
+    with pytest.raises(ValueError, match=r"\(m, n\) = \(1, 1\)"):
+        oracle.compare(ChainSpec("elliptic", 8, 2, 0, ksq=0.5))
+
+
 def test_graded_mirror_spectra():
     for kind, kw in (("hs", {}), ("elliptic", {"ksq": 0.5})):
         for m, n in ((2, 0), (1, 1), (2, 1)):
             c1 = ChainSpec(kind, 5, m, n, **kw)
             c2 = ChainSpec(kind, 5, n, m, **kw)
-            e1 = oracle.eigenvalues(oracle.build_hamiltonian(c1))
-            e2 = oracle.eigenvalues(oracle.build_hamiltonian(c2))
+            e1 = oracle.chain_eigenvalues(c1)
+            e2 = oracle.chain_eigenvalues(c2)
             J = oracle.coupling_matrix(c1)
             full = float(np.triu(J, 1).sum()) * 2
             assert np.abs(np.sort(full - e1) - e2).max() < 1e-10
