@@ -197,15 +197,16 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         bound = spectrum.level_bounds(disp, m, n)
         _emit(args, ["sites", "m", "n", "bound"], [(N, m, n, bound)])
         return 0
-    lv = spectrum.level_set(N, m, n, disp)
     if args.avg_deg:
-        avg = spectrum.average_degeneracy(lv)
+        count = spectrum.level_count(N, m, n, disp)
+        avg = Fraction((m + n) ** N, count)
         _emit(
             args,
             ["sites", "m", "n", "levels", "average", "value"],
-            [(N, m, n, len(lv), str(avg), float(avg))],
+            [(N, m, n, count, str(avg), float(avg))],
         )
         return 0
+    lv = spectrum.level_set(N, m, n, disp)
     if isinstance(disp, spectrum.SymbolicAlphaDispersion):
         rows = [(e[0], e[1], d) for e, d in lv]
         _emit(args, ["alpha_coeff", "const_coeff", "degeneracy"], rows)

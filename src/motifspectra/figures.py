@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from . import fibnum, oracle, partition, spectrum
+from . import fibnum, oracle, spectrum
 
 __all__ = [
     "Series",
@@ -225,12 +225,16 @@ def elliptic_average_vs_minimum(max_sites: int = 10, ksq: float = 0.5) -> list[S
     return out
 
 
+def _hs_level_count(N: int) -> int:
+    return spectrum.level_count(N, 0, 2, spectrum.HSDispersion(N))
+
+
 def degeneracy_growth(max_sites: int = 30) -> list[Series]:
     """Average degeneracies of the su(2) chains against both lower bounds.
 
-    All series are exact: level counts come from the q-polynomial
-    partition functions, the closed rational level-count formula, or direct motif
-    enumeration for the size-independent dispersion.
+    All series are exact: level counts come from the bitset support kernel
+    `spectrum.level_count` (the generic-alpha series through its symbolic
+    band) or from the closed rational level-count formula.
     """
     sizes = list(range(4, max_sites + 1))
     hs_avg = []
@@ -240,16 +244,16 @@ def degeneracy_growth(max_sites: int = 30) -> list[Series]:
     generic_floor = []
     for N in sizes:
         states = 2**N
-        hs_avg.append(states / partition.hs_partition(N).term_count())
+        hs_avg.append(states / _hs_level_count(N))
         pf_avg.append(states / ((N * N - N % 2) // 4 + 1))
-        fi_avg.append(states / partition.fi_partition(N, 3).term_count())
+        fi_avg.append(states / spectrum.level_count(N, 0, 2, spectrum.FIDispersion(N, 3)))
         trans_floor.append(float(fibnum.min_avg_degeneracy_translational(N, 2, 0)))
         generic_floor.append(float(fibnum.min_avg_degeneracy(N, 2, 0)))
+    # the kernel reaches past 26 sites; the cap keeps fig3's data unchanged
     sym_sizes = [N for N in sizes if N <= 26]
     sym_avg = []
     for N in sym_sizes:
-        count = spectrum.level_count_by_enumeration(N, 2, 0, spectrum.SymbolicAlphaDispersion(N))
-        sym_avg.append(2**N / count)
+        sym_avg.append(2**N / spectrum.level_count(N, 2, 0, spectrum.SymbolicAlphaDispersion(N)))
     xs = tuple(float(N) for N in sizes)
     return [
         Series("trigonometric average", xs, tuple(hs_avg), "circle"),
@@ -293,8 +297,8 @@ def level_count_bounds(max_sites: int = 30) -> list[Series]:
     """Exact trigonometric su(2) level counts against the cubic bounds."""
     even = [N for N in range(4, max_sites + 1) if N % 2 == 0]
     odd = [N for N in range(5, max_sites + 1) if N % 2 == 1]
-    counts_even = [float(partition.hs_partition(N).term_count()) for N in even]
-    counts_odd = [float(partition.hs_partition(N).term_count()) for N in odd]
+    counts_even = [float(_hs_level_count(N)) for N in even]
+    counts_odd = [float(_hs_level_count(N)) for N in odd]
     bound_even = [N * (N * N + 2) / 12 + 1 for N in even]
     bound_odd = [N * (N * N - 1) / 24 + 1 for N in odd]
     return [

@@ -10,12 +10,16 @@ deduplicated by a relative gap rule.
 
 Every exact level polynomial, the sum over motifs of dim(V) q^E, comes from
 one transfer-matrix kernel over the spins of the chain, fed with the
-dispersion's band scaled to integers.
+dispersion's band scaled to integers.  Level counts without degeneracies run
+the same transfer matrix over bitsets of reachable energies.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -34,6 +38,7 @@ __all__ = [
     "energy",
     "ground_state_energy",
     "level_set",
+    "level_count",
     "level_count_by_enumeration",
     "average_degeneracy",
     "dispersion_from_coupling",
@@ -41,6 +46,8 @@ __all__ = [
 ]
 
 MERGE_TOL = 1e-9
+# widest band sum, in bits, that level_count holds as one Python-int bitset per spin
+_BITSET_BOUND = 1 << 24
 
 
 def _check_rapidity(j: int, sites: int) -> None:
@@ -187,6 +194,14 @@ def _band(disp) -> tuple[list[int], int, Callable[[int], object]]:
     raise TypeError(f"no integer band for {type(disp).__name__}")
 
 
+def _transfer_cuts(N: int, m: int, n: int) -> list[int]:
+    """Row t of the spin transfer matrix is entered without a descent from rows below cut[t]."""
+    _check_context(m, n)
+    if N < 1:
+        raise ValueError(f"need N >= 1, got {N}")
+    return [t + (t >= n) for t in range(m + n)]
+
+
 def _level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> dict[int, int]:
     """Exact sum over valid motifs of dim(V) q^E as {E: total dimension}.
 
@@ -198,11 +213,8 @@ def _level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> dict[int, 
     exponents that occur are kept, so the cost follows the number of
     distinct partial energies, not the band's size.
     """
-    _check_context(m, n)
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
-    k = m + n
-    cut = [t + (t >= n) for t in range(k)]  # rows below cut[t] enter t without a descent
+    cut = _transfer_cuts(N, m, n)
+    k = len(cut)
     # exponents stay machine integers unless the largest sum would overflow
     support = np.zeros(1, dtype=np.int64 if sum(band) <= np.iinfo(np.int64).max else object)
     z = np.ones((k, 1), dtype=object)
@@ -222,6 +234,32 @@ def _level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> dict[int, 
         if not occupied.all():
             support, z = support[occupied], z[:, occupied]
     return dict(zip(support.tolist(), z.sum(axis=0).tolist()))
+
+
+def level_count(N: int, m: int, n: int, disp) -> int:
+    """Number of distinct energies over the valid motifs of an exact dispersion.
+
+    The transfer matrix of `_level_polynomial` over the Boolean semiring:
+    row t is a Python-int bitset with bit E set when some configuration of
+    the sites seen so far ends in spin t - n at scaled energy E.  With no
+    subtraction, the rows that enter t through a descent are a suffix OR.
+    A band whose sum passes `_BITSET_BOUND` bits (an alpha with a large
+    numerator or denominator makes one) is counted as the term count of the
+    sparse polynomial kernel, whose size follows the distinct energies
+    rather than the band's width.
+    """
+    if disp.sites != N:
+        raise ValueError(f"dispersion is for {disp.sites} sites, not {N}")
+    band, _, _ = _band(disp)
+    cut = _transfer_cuts(N, m, n)
+    if sum(band) > _BITSET_BOUND:
+        return len(_level_polynomial(N, m, n, band))
+    z = [1] * len(cut)
+    for e in band:
+        below = list(itertools.accumulate(z, operator.or_, initial=0))
+        above = list(itertools.accumulate(reversed(z), operator.or_, initial=0))[::-1]
+        z = [below[c] | (above[c] << e) for c in cut]
+    return functools.reduce(operator.or_, z).bit_count()
 
 
 def level_set(

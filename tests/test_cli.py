@@ -1,8 +1,10 @@
 """Command line interface: formats, determinism, exit codes, file outputs."""
 
+import importlib.util
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -219,3 +221,37 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         run_cli("--version")
     assert exc.value.code == 0
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def readme_examples() -> tuple[str, ...]:
+    """The README's command lines, after the program name and before any comment."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    return tuple(
+        " ".join(line.split("#")[0].split()[1:]) for line in lines if line.startswith("motifspectra ")
+    )
+
+
+def bench_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_readme_examples_run_as_documented(tmp_path, monkeypatch):
+    workloads = bench_workloads()
+    examples = readme_examples()
+    assert examples == workloads.README_EXAMPLES
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        code, out, err = run_cli(*argv.split())
+        if argv == "diag --chain elliptic --ksq 0.5 --sites 8 --m 2 --n 0 --compare":
+            # documented: elliptic --compare outside (1, 1) exits 1 before diagonalizing
+            assert (code, out) == (1, ""), argv
+            assert workloads.KNOWN_DEFECT in err
+        else:
+            assert code == 0, (argv, err)
+            assert out

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from motifspectra import partition, spectrum
+from motifspectra import figures, partition, spectrum
 from motifspectra.partition import QPolynomial
 
 
@@ -162,3 +162,18 @@ def test_big_size_stays_exact():
     partition.dump_terms(qp, buf)
     buf.seek(0)
     assert partition.load_terms(buf).terms == qp.terms
+
+
+def test_figure_level_counts_match_partition_term_counts():
+    sizes = (4, 9, 12)
+    fig3 = {s.label: dict(zip(s.xs, s.ys)) for s in figures.degeneracy_growth(max_sites=12)}
+    fig5 = figures.level_count_bounds(max_sites=12)
+    fig5_counts = {x: y for s in fig5 if s.label.startswith("count") for x, y in zip(s.xs, s.ys)}
+    for N in sizes:
+        hs = partition.hs_partition(N).term_count()
+        fi = partition.fi_partition(N, 3).term_count()
+        assert fig3["trigonometric average"][N] == 2**N / hs
+        assert fig3["hyperbolic average (a = 3)"][N] == 2**N / fi
+        assert fig5_counts[N] == hs
+        sym = spectrum.level_count_by_enumeration(N, 2, 0, spectrum.SymbolicAlphaDispersion(N))
+        assert fig3["hyperbolic average (generic a)"][N] == 2**N / sym

@@ -234,3 +234,61 @@ def test_level_set_matches_fiber_assembly(case):
     want = fiber_level_set(N, m, n, disp)
     assert got == want
     assert [(type(e), type(d)) for e, d in got] == [(type(e), type(d)) for e, d in want]
+
+
+# every wide band but alpha = 3183/10000 sums past the bitset bound, so
+# level_count counts it with the sparse polynomial kernel
+FALLBACK_BANDS = [WIDE_BANDS[0], WIDE_BANDS[1], WIDE_BANDS[3]]
+
+
+@given(exact_cases())
+@example(WIDE_BANDS[0])
+@example(WIDE_BANDS[1])
+@example(WIDE_BANDS[2])
+@example(WIDE_BANDS[3])
+def test_level_count_matches_polynomial_and_enumeration(case):
+    N, m, n, disp = case
+    band, _, _ = spectrum._band(disp)
+    count = spectrum.level_count(N, m, n, disp)
+    assert count == len(spectrum._level_polynomial(N, m, n, band))
+    assert count == spectrum.level_count_by_enumeration(N, m, n, disp)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Arguments of every call level_count makes to the polynomial kernel."""
+    calls = []
+    kernel = spectrum._level_polynomial
+    monkeypatch.setattr(spectrum, "_level_polynomial", lambda *a: calls.append(a) or kernel(*a))
+    return calls
+
+
+@pytest.mark.parametrize("case", FALLBACK_BANDS)
+def test_level_count_of_wide_band_takes_fallback(case, kernel_calls):
+    N, m, n, disp = case
+    band, _, _ = spectrum._band(disp)
+    assert sum(band) > spectrum._BITSET_BOUND
+    plain = {spectrum.energy(mt, disp) for mt in motif.enumerate_motifs(N, m, n)}
+    assert spectrum.level_count(N, m, n, disp) == len(plain)
+    assert len(kernel_calls) == 1
+
+
+def test_level_count_at_bitset_bound_edge(kernel_calls, monkeypatch):
+    N, m, n, disp = 9, 2, 1, FIDispersion(9, Fraction(5, 2))
+    band, _, _ = spectrum._band(disp)
+    monkeypatch.setattr(spectrum, "_BITSET_BOUND", sum(band))
+    at_bound = spectrum.level_count(N, m, n, disp)
+    assert kernel_calls == []
+    monkeypatch.setattr(spectrum, "_BITSET_BOUND", sum(band) - 1)
+    past_bound = spectrum.level_count(N, m, n, disp)
+    assert len(kernel_calls) == 1
+    assert at_bound == past_bound == spectrum.level_count_by_enumeration(N, m, n, disp)
+
+
+def test_level_count_rejects_bad_input():
+    with pytest.raises(ValueError):
+        spectrum.level_count(5, 2, 0, HSDispersion(4))
+    with pytest.raises(ValueError):
+        spectrum.level_count(4, 0, 0, HSDispersion(4))
+    with pytest.raises(TypeError):
+        spectrum.level_count(2, 2, 0, NumericDispersion(2, (1.0,)))

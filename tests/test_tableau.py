@@ -3,6 +3,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from motifspectra import motif, tableau
 from motifspectra.motif import InfeasibleSizeError
@@ -44,6 +46,45 @@ def test_strip_round_trip():
             assert sum(strip) == N
             assert all(k >= 1 for k in strip)
             assert tableau.motif_of_strip(strip) == mot
+
+
+@st.composite
+def motifs(draw):
+    """Any motif word on up to 40 sites, valid or not."""
+    N = draw(st.integers(1, 40))
+    return motif.Motif(draw(st.integers(0, (1 << (N - 1)) - 1)), N)
+
+
+@given(motifs())
+def test_strip_round_trip_random(mot):
+    strip = tableau.strip_of_motif(mot)
+    assert sum(strip) == mot.sites
+    assert len(strip) == mot.ones() + 1
+    assert tableau.motif_of_strip(strip) == mot
+
+
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=12))
+def test_motif_of_strip_round_trip_random(columns):
+    assert tableau.strip_of_motif(tableau.motif_of_strip(columns)) == tuple(columns)
+
+
+@st.composite
+def graded_spins(draw):
+    """(spins, m, n) with m + n <= 5 and up to 12 sites."""
+    m = draw(st.integers(0, 5))
+    n = draw(st.integers(1 if m == 0 else 0, 5 - m))
+    spins = draw(st.lists(st.integers(-n, m - 1), min_size=1, max_size=12))
+    return tuple(spins), m, n
+
+
+@given(graded_spins())
+def test_dual_spins_involution_conjugates_motif(case):
+    spins, m, n = case
+    dual = tableau.dual_spins(spins)
+    assert tableau.dual_spins(dual) == spins
+    mot = tableau.motif_of_spins(spins, m, n)
+    assert tableau.motif_of_spins(dual, n, m) == motif.dual(mot)
+    assert mot.is_valid_for(m, n) and motif.dual(mot).is_valid_for(n, m)
 
 
 def test_dual_spins_is_involution():
