@@ -26,7 +26,11 @@ def _parse_alpha(text: str) -> Fraction | None:
     """Fraction like '3' or '5/2', or None for the symbolic generic value."""
     if text.lower() in ("irrational", "symbolic", "generic"):
         return None
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        # argparse reports a ValueError from a type function as a usage error
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _parse_spins(text: str) -> tuple[int, ...]:

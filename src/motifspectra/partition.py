@@ -5,7 +5,9 @@ with exact integer coefficients; rational couplings a/b are handled by
 scaling every exponent by the common denominator b, recorded in
 QPolynomial.scale.  The enumeration oracle assembles the same polynomial term
 by term from motif energies and fiber dimensions, which is what the kernel is
-tested against.
+tested against.  Its fiber dimensions come from the same kernel over a binary
+band, so the descent rule itself is checked independently by the tests' count
+of spin configurations.
 """
 
 from __future__ import annotations
@@ -90,9 +92,7 @@ def fi_partition(N: int, alpha) -> QPolynomial:
     return _su02_polynomial(spectrum.FIDispersion(N, alpha))
 
 
-def enumerated_partition(
-    N: int, m: int, n: int, disp, cap: int = tableau.FIBER_CAP
-) -> QPolynomial:
+def enumerated_partition(N: int, m: int, n: int, disp) -> QPolynomial:
     """Oracle assembly: sum of dim(V) q^E over the valid motifs.
 
     Works for any exact dispersion; float tables have no exact exponents and
@@ -104,7 +104,7 @@ def enumerated_partition(
         raise ValueError(f"dispersion is for {disp.sites} sites, not {N}")
     scale = disp.alpha.denominator if isinstance(disp, spectrum.FIDispersion) else 1
     terms: dict = {}
-    for word, dim in tableau._fiber_cache(N, m, n, cap).items():
+    for word, dim in tableau._fiber_cache(N, m, n).items():
         e = spectrum.energy(Motif(word, N), disp)
         if isinstance(e, tuple):
             key: object = e

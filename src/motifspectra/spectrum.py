@@ -280,7 +280,7 @@ def level_set(
     if disp.exact:
         band, _, decode = _band(disp)
         return [(decode(e), d) for e, d in sorted(_level_polynomial(N, m, n, band).items())]
-    fibers = tableau._fiber_cache(N, m, n, tableau.FIBER_CAP)
+    fibers = tableau._fiber_cache(N, m, n)
     pairs = [(float(energy(Motif(word, N), disp)), dim) for word, dim in fibers.items()]
     return _merge_float_levels(pairs, merge_tol)
 

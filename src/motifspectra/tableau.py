@@ -4,7 +4,10 @@ A configuration s = (s_1, ..., s_N) takes values in {-n, ..., m-1}; negative
 values are fermionic.  Its motif has d_i = 1 exactly when s_{i+1} < s_i or
 s_i = s_{i+1} < 0.  The number of configurations mapping onto a motif is the
 dimension of the degenerate multiplet attached to it, and summing those
-dimensions over all valid motifs recovers (m+n)^N.
+dimensions over all valid motifs recovers (m+n)^N.  The table of fiber
+dimensions is the level polynomial of `spectrum`'s transfer-matrix kernel
+over a binary band, whose energies are the motif words; no configuration is
+listed.  The tests check it against a count of configurations by descent.
 
 Motifs are equivalent to border strips: the positions of the 1 bits cut
 (1, ..., N) into column heights read right to left.
@@ -15,9 +18,8 @@ from __future__ import annotations
 import functools
 from itertools import pairwise
 
-import numpy as np
-
-from .motif import InfeasibleSizeError, Motif, _check_context
+from . import spectrum
+from .motif import InfeasibleSizeError, Motif
 
 __all__ = [
     "FIBER_CAP",
@@ -32,7 +34,6 @@ __all__ = [
 ]
 
 FIBER_CAP = 1 << 24
-_CHUNK = 1 << 20
 
 
 def validate_spins(spins, m: int, n: int) -> tuple[int, ...]:
@@ -79,44 +80,24 @@ def dual_spins(spins) -> tuple[int, ...]:
     return tuple(-x - 1 for x in spins)
 
 
-def _fiber_counts(N: int, m: int, n: int, cap: int) -> np.ndarray:
-    base = m + n
-    total = base**N
-    if total > cap:
-        raise InfeasibleSizeError(f"(m+n)^N = {total} exceeds cap {cap}")
-    counts = np.zeros(1 << (N - 1), dtype=np.int64)
-    if N == 1:
-        counts[0] = base
-        return counts
-    for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        word = np.zeros(idx.shape, np.int64)
-        prev = idx % base - n
-        for i in range(1, N):
-            cur = (idx // base**i) % base - n
-            bit = (cur < prev) | ((cur == prev) & (cur < 0))
-            word |= bit.astype(np.int64) << (N - 1 - i)
-            prev = cur
-        counts += np.bincount(word, minlength=counts.size)
-    return counts
-
-
 @functools.lru_cache(maxsize=16)
-def _fiber_cache(N: int, m: int, n: int, cap: int) -> dict[int, int]:
-    _check_context(m, n)
-    counts = _fiber_counts(N, m, n, cap)
-    (nz,) = counts.nonzero()
-    return dict(zip(nz.tolist(), counts[nz].tolist()))
+def _fiber_cache(N: int, m: int, n: int) -> dict[int, int]:
+    spectrum._transfer_cuts(N, m, n)  # bad context or N fails before the cap
+    total = (m + n) ** N
+    if total > FIBER_CAP:
+        raise InfeasibleSizeError(f"(m+n)^N = {total} exceeds cap {FIBER_CAP}")
+    # eps(j) = 2^(N-1-j) is rapidity j's bit in the word: a motif's energy is its word
+    return spectrum._level_polynomial(N, m, n, [1 << (N - 1 - j) for j in range(1, N)])
 
 
-def fiber_sizes(N: int, m: int, n: int, cap: int = FIBER_CAP) -> dict[int, int]:
+def fiber_sizes(N: int, m: int, n: int) -> dict[int, int]:
     """Map from motif word to the number of spin configurations above it."""
-    return dict(_fiber_cache(N, m, n, cap))
+    return dict(_fiber_cache(N, m, n))
 
 
-def module_dimension(motif: Motif, m: int, n: int, cap: int = FIBER_CAP) -> int:
+def module_dimension(motif: Motif, m: int, n: int) -> int:
     """Multiplet dimension of a motif; 0 when the motif is invalid for (m, n)."""
-    return _fiber_cache(motif.sites, m, n, cap).get(motif.word, 0)
+    return _fiber_cache(motif.sites, m, n).get(motif.word, 0)
 
 
 def tableau_lines(spins, m: int, n: int, width: int = 4) -> list[str]:

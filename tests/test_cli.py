@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from motifspectra import fibnum, partition
+from motifspectra import fibnum, partition, tableau
 from motifspectra.cli import main
 
 
@@ -90,6 +90,12 @@ def test_tableau_dims_table():
     assert code == 0
     lines = out.strip().splitlines()[1:]
     assert sum(int(line.split(",")[1]) for line in lines) == 2**4
+
+
+def test_tableau_rejects_no_sites():
+    code, out, err = run_cli("tableau", "--sites", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: need N >= 1, got 0\n"
 
 
 def test_dmin_rows():
@@ -201,6 +207,10 @@ def test_usage_errors_exit_two():
     code, _, err = run_cli("anyon", "--m", "2", "--fit-g", "--k", "3", "--orbitals", "4,x")
     assert code == 2
     assert "--orbitals" in err
+    for command in ("spectrum", "partition", "diag"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--chain", "fi", "--alpha", "1/0", "--sites", "4")
+        assert exc.value.code == 2
 
 
 def test_computational_failure_exits_one():
@@ -234,15 +244,24 @@ def readme_examples() -> tuple[str, ...]:
     )
 
 
-def bench_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+def bench_module(name: str):
+    """A module of the bench harness, loaded by path and only read."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def test_tracer_spans_exist():
+    # `bench/run.py --trace 1` patches these attributes and reads the fiber cache's statistics
+    tracer = bench_module("tracer")
+    for module_name, attr, _ in tracer.SPANS:
+        assert callable(getattr(importlib.import_module(f"motifspectra.{module_name}"), attr)), attr
+    assert callable(tableau._fiber_cache.cache_info)
+
+
 def test_readme_examples_run_as_documented(tmp_path, monkeypatch):
-    workloads = bench_workloads()
+    workloads = bench_module("workloads")
     examples = readme_examples()
     assert examples == workloads.README_EXAMPLES
     monkeypatch.chdir(tmp_path)

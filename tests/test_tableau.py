@@ -3,7 +3,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from motifspectra import motif, tableau
@@ -110,14 +110,16 @@ def test_fiber_dimensions_sum_to_state_count(m, n):
             assert motif.Motif(word, N).is_valid_for(m, n)
 
 
-@pytest.mark.parametrize("m,n", [(2, 0), (0, 2), (1, 1), (2, 1)])
-def test_fiber_sizes_against_direct_count(m, n):
-    for N in (3, 4, 6):
-        direct: dict[int, int] = {}
-        for spins in product(range(-n, m), repeat=N):
-            w = tableau.motif_of_spins(spins, m, n).word
-            direct[w] = direct.get(w, 0) + 1
-        assert direct == tableau.fiber_sizes(N, m, n)
+@pytest.mark.parametrize("m,n", [(m, k - m) for k in range(1, 5) for m in range(k + 1)])
+@given(st.integers(1, 7))
+@example(1)
+def test_fiber_sizes_against_direct_count(m, n, N):
+    # the independent check of the descent rule the fiber kernel runs on
+    direct: dict[int, int] = {}
+    for spins in product(range(-n, m), repeat=N):
+        w = tableau.motif_of_spins(spins, m, n).word
+        direct[w] = direct.get(w, 0) + 1
+    assert direct == tableau.fiber_sizes(N, m, n)
 
 
 def test_invalid_motif_has_empty_fiber():
@@ -138,6 +140,19 @@ def test_dimension_duality():
 def test_fiber_cap_enforced():
     with pytest.raises(InfeasibleSizeError):
         tableau.fiber_sizes(30, 2, 0)
+
+
+def test_fiber_cap_edge():
+    sizes = tableau.fiber_sizes(24, 2, 0)  # (m+n)^N = FIBER_CAP
+    assert len(sizes) == motif.count(24, 2, 0) == 75025
+    assert sum(sizes.values()) == tableau.FIBER_CAP
+    for N, m, n in ((25, 2, 0), (16, 3, 0)):
+        with pytest.raises(InfeasibleSizeError, match="exceeds cap"):
+            tableau.fiber_sizes(N, m, n)
+    # the context is checked before (m+n)^N = 2^30 meets the cap
+    with pytest.raises(ValueError, match="need m, n >= 0") as exc:
+        tableau.fiber_sizes(30, -1, 3)
+    assert not isinstance(exc.value, InfeasibleSizeError)
 
 
 def test_tableau_lines_cover_all_spins():
