@@ -10,8 +10,11 @@ deduplicated by a relative gap rule.
 
 Every exact level polynomial, the sum over motifs of dim(V) q^E, comes from
 one transfer-matrix kernel over the spins of the chain, fed with the
-dispersion's band scaled to integers.  Level counts without degeneracies run
-the same transfer matrix over bitsets of reachable energies.
+dispersion's band scaled to integers.  Each spin's row is one Python int
+with a fixed-width slot per scaled energy; level counts without
+degeneracies run the same loop with one-bit slots and OR.  A band too wide
+for packed rows goes through a sparse kernel that keeps only the energies
+that occur.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ __all__ = [
 ]
 
 MERGE_TOL = 1e-9
-# widest band sum, in bits, that level_count holds as one Python-int bitset per spin
-_BITSET_BOUND = 1 << 24
+# widest packed transfer row, in bits: (band sum + 1) slots of the slot width
+_PACKED_BOUND = 1 << 25
 
 
 def _check_rapidity(j: int, sites: int) -> None:
@@ -202,7 +205,7 @@ def _transfer_cuts(N: int, m: int, n: int) -> list[int]:
     return [t + (t >= n) for t in range(m + n)]
 
 
-def _level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> dict[int, int]:
+def _sparse_level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> dict[int, int]:
     """Exact sum over valid motifs of dim(V) q^E as {E: total dimension}.
 
     E sums the nonnegative integer band over the motif's rapidities.  Column
@@ -236,30 +239,78 @@ def _level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> dict[int, 
     return dict(zip(support.tolist(), z.sum(axis=0).tolist()))
 
 
+def _packed_rows(band: Sequence[int], cut: Sequence[int], width: int, op) -> int:
+    """The transfer matrix of `_sparse_level_polynomial` with packed rows, reduced by `op`.
+
+    Row t is one Python int whose `width`-bit slot E holds the configurations
+    of the sites seen so far that end in spin t - n at scaled energy E.  The
+    rows entered without a descent are a prefix of the rows and those entered
+    through one are the matching suffix, shifted by the band entry's slots.
+    `op` is + (slots count configurations; no slot may reach 2^width) or |
+    (one-bit slots mark the energies that occur).
+    """
+    z = [1] * len(cut)
+    for e in band:
+        below = list(itertools.accumulate(z, op, initial=0))
+        above = list(itertools.accumulate(reversed(z), op, initial=0))[::-1]
+        shift = width * e
+        z = [op(below[c], above[c] << shift) for c in cut]
+    return functools.reduce(op, z)
+
+
+def _slot_bytes(N: int, m: int, n: int) -> int:
+    """Bytes per packed slot.
+
+    No slot of a row, or of the rows' prefix and suffix sums, counts more
+    than the (m+n)^N configurations, so none carries into the next.
+    """
+    return (((m + n) ** N).bit_length() + 7) // 8
+
+
+def _level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> dict[int, int]:
+    """Exact sum over valid motifs of dim(V) q^E as {E: total dimension}, by exponent.
+
+    Rows of (band sum + 1) slots of `_slot_bytes` each run `_packed_rows`
+    with +, when they fit in `_PACKED_BOUND` bits, and the coefficients are
+    read back from the total in one pass.  Wider bands (an alpha with a
+    large numerator or denominator) go through `_sparse_level_polynomial`.
+    """
+    cut = _transfer_cuts(N, m, n)
+    nbytes = _slot_bytes(N, m, n)
+    slots = sum(band) + 1
+    if slots * 8 * nbytes > _PACKED_BOUND:
+        return _sparse_level_polynomial(N, m, n, band)
+    total = _packed_rows(band, cut, 8 * nbytes, operator.add)
+    raw = np.frombuffer(total.to_bytes(slots * nbytes, "little"), dtype=np.uint8).reshape(slots, nbytes)
+    exponents = np.flatnonzero(raw.any(axis=1))
+    if nbytes <= 8:
+        wide = np.zeros((exponents.size, 8), dtype=np.uint8)
+        wide[:, :nbytes] = raw[exponents]
+        coeffs = wide.view("<u8").ravel().tolist()
+    else:
+        data = raw[exponents].tobytes()
+        coeffs = [int.from_bytes(data[i : i + nbytes], "little") for i in range(0, len(data), nbytes)]
+    return dict(zip(exponents.tolist(), coeffs))
+
+
 def level_count(N: int, m: int, n: int, disp) -> int:
     """Number of distinct energies over the valid motifs of an exact dispersion.
 
-    The transfer matrix of `_level_polynomial` over the Boolean semiring:
-    row t is a Python-int bitset with bit E set when some configuration of
-    the sites seen so far ends in spin t - n at scaled energy E.  With no
-    subtraction, the rows that enter t through a descent are a suffix OR.
-    A band whose sum passes `_BITSET_BOUND` bits (an alpha with a large
-    numerator or denominator makes one) is counted as the term count of the
-    sparse polynomial kernel, whose size follows the distinct energies
+    `_packed_rows` over the Boolean semiring: row t is a Python-int bitset
+    with bit E set when some configuration of the sites seen so far ends in
+    spin t - n at scaled energy E, and the count is the popcount of their OR.
+    A band whose one-bit rows pass `_PACKED_BOUND` (an alpha with a large
+    numerator or denominator makes one) is counted as the term count of
+    `_sparse_level_polynomial`, whose size follows the distinct energies
     rather than the band's width.
     """
     if disp.sites != N:
         raise ValueError(f"dispersion is for {disp.sites} sites, not {N}")
     band, _, _ = _band(disp)
     cut = _transfer_cuts(N, m, n)
-    if sum(band) > _BITSET_BOUND:
-        return len(_level_polynomial(N, m, n, band))
-    z = [1] * len(cut)
-    for e in band:
-        below = list(itertools.accumulate(z, operator.or_, initial=0))
-        above = list(itertools.accumulate(reversed(z), operator.or_, initial=0))[::-1]
-        z = [below[c] | (above[c] << e) for c in cut]
-    return functools.reduce(operator.or_, z).bit_count()
+    if sum(band) + 1 > _PACKED_BOUND:
+        return len(_sparse_level_polynomial(N, m, n, band))
+    return _packed_rows(band, cut, 1, operator.or_).bit_count()
 
 
 def level_set(
@@ -382,6 +433,6 @@ def level_bounds(disp, m: int, n: int) -> int:
     if isinstance(disp, SymbolicAlphaDispersion):
         if not su2like:
             raise ValueError("closed bound requires a two-state pure context")
-        return N**5 // 6
+        return max(N**5 // 6, 1)  # the lone empty motif of one site
     raise ValueError(f"no closed bound for dispersion {type(disp).__name__}")
 

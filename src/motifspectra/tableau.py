@@ -87,7 +87,8 @@ def _fiber_cache(N: int, m: int, n: int) -> dict[int, int]:
     if total > FIBER_CAP:
         raise InfeasibleSizeError(f"(m+n)^N = {total} exceeds cap {FIBER_CAP}")
     # eps(j) = 2^(N-1-j) is rapidity j's bit in the word: a motif's energy is its word
-    return spectrum._level_polynomial(N, m, n, [1 << (N - 1 - j) for j in range(1, N)])
+    # sparse kernel: valid motifs occupy a vanishing share of the 2^(N-1) packed slots
+    return spectrum._sparse_level_polynomial(N, m, n, [1 << (N - 1 - j) for j in range(1, N)])
 
 
 def fiber_sizes(N: int, m: int, n: int) -> dict[int, int]:

@@ -1,5 +1,6 @@
 """Dispersion relations, exact level sets and level-count bounds."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,16 @@ def test_level_bounds_dominate_counts():
             assert count <= spectrum.level_bounds(disp, 0, 2)
 
 
+@pytest.mark.parametrize("m, n", [(2, 0), (0, 2)])
+def test_level_bounds_dominate_level_counts_from_one_site(m, n):
+    makers = [HSDispersion, PFDispersion, SymbolicAlphaDispersion]
+    makers += [lambda N, a=a: FIDispersion(N, a) for a in (Fraction(5, 2), 3, Fraction(1, 3), Fraction(7, 3))]
+    for N in range(1, 31):
+        for make in makers:
+            disp = make(N)
+            assert spectrum.level_count(N, m, n, disp) <= spectrum.level_bounds(disp, m, n)
+
+
 def test_pf_bound_is_sharp():
     for N in (5, 8, 11):
         count = spectrum.level_count_by_enumeration(N, 2, 0, PFDispersion(N))
@@ -236,8 +247,8 @@ def test_level_set_matches_fiber_assembly(case):
     assert [(type(e), type(d)) for e, d in got] == [(type(e), type(d)) for e, d in want]
 
 
-# every wide band but alpha = 3183/10000 sums past the bitset bound, so
-# level_count counts it with the sparse polynomial kernel
+# every wide band but alpha = 3183/10000 sums past the packed-row bound, so
+# level_count and _level_polynomial take the sparse polynomial kernel
 FALLBACK_BANDS = [WIDE_BANDS[0], WIDE_BANDS[1], WIDE_BANDS[3]]
 
 
@@ -254,35 +265,77 @@ def test_level_count_matches_polynomial_and_enumeration(case):
     assert count == spectrum.level_count_by_enumeration(N, m, n, disp)
 
 
+@given(exact_cases())
+@example(WIDE_BANDS[0])
+@example(WIDE_BANDS[1])
+@example(WIDE_BANDS[2])
+@example(WIDE_BANDS[3])
+@example((66, 0, 2, HSDispersion(66)))  # 9-byte slots: read back slot by slot
+@example((40, 2, 1, HSDispersion(40)))  # 3^40 < 2^64: 8-byte slots through uint64
+@example((30, 0, 2, FIDispersion(30, Fraction(5, 2))))
+def test_packed_kernel_matches_sparse_kernel(case):
+    N, m, n, disp = case
+    band, _, _ = spectrum._band(disp)
+    sparse = spectrum._sparse_level_polynomial(N, m, n, band)
+    assert list(spectrum._level_polynomial(N, m, n, band).items()) == list(sparse.items())
+    assert spectrum.level_count(N, m, n, disp) == len(sparse)
+
+
+def test_fixed_examples_reach_both_read_backs():
+    assert spectrum._slot_bytes(66, 0, 2) == 9
+    assert spectrum._slot_bytes(40, 2, 1) == 8
+    for N, m, n, disp in ((66, 0, 2, HSDispersion(66)), (40, 2, 1, HSDispersion(40))):
+        band, _, _ = spectrum._band(disp)
+        assert (sum(band) + 1) * 8 * spectrum._slot_bytes(N, m, n) <= spectrum._PACKED_BOUND
+
+
 @pytest.fixture
-def kernel_calls(monkeypatch):
-    """Arguments of every call level_count makes to the polynomial kernel."""
+def sparse_calls(monkeypatch):
+    """Arguments of every call to the sparse polynomial kernel."""
     calls = []
-    kernel = spectrum._level_polynomial
-    monkeypatch.setattr(spectrum, "_level_polynomial", lambda *a: calls.append(a) or kernel(*a))
+    kernel = spectrum._sparse_level_polynomial
+    monkeypatch.setattr(spectrum, "_sparse_level_polynomial", lambda *a: calls.append(a) or kernel(*a))
     return calls
 
 
 @pytest.mark.parametrize("case", FALLBACK_BANDS)
-def test_level_count_of_wide_band_takes_fallback(case, kernel_calls):
+def test_level_count_of_wide_band_takes_fallback(case, sparse_calls):
     N, m, n, disp = case
     band, _, _ = spectrum._band(disp)
-    assert sum(band) > spectrum._BITSET_BOUND
+    assert sum(band) + 1 > spectrum._PACKED_BOUND
     plain = {spectrum.energy(mt, disp) for mt in motif.enumerate_motifs(N, m, n)}
     assert spectrum.level_count(N, m, n, disp) == len(plain)
-    assert len(kernel_calls) == 1
+    assert len(sparse_calls) == 1
+    assert len(spectrum._level_polynomial(N, m, n, band)) == len(plain)
+    assert len(sparse_calls) == 2
 
 
-def test_level_count_at_bitset_bound_edge(kernel_calls, monkeypatch):
+def test_packed_bound_edge(sparse_calls, monkeypatch):
     N, m, n, disp = 9, 2, 1, FIDispersion(9, Fraction(5, 2))
     band, _, _ = spectrum._band(disp)
-    monkeypatch.setattr(spectrum, "_BITSET_BOUND", sum(band))
-    at_bound = spectrum.level_count(N, m, n, disp)
-    assert kernel_calls == []
-    monkeypatch.setattr(spectrum, "_BITSET_BOUND", sum(band) - 1)
-    past_bound = spectrum.level_count(N, m, n, disp)
-    assert len(kernel_calls) == 1
-    assert at_bound == past_bound == spectrum.level_count_by_enumeration(N, m, n, disp)
+    slots = sum(band) + 1
+    width = 8 * spectrum._slot_bytes(N, m, n)
+    monkeypatch.setattr(spectrum, "_PACKED_BOUND", slots)
+    count_at = spectrum.level_count(N, m, n, disp)
+    assert sparse_calls == []
+    monkeypatch.setattr(spectrum, "_PACKED_BOUND", slots - 1)
+    count_past = spectrum.level_count(N, m, n, disp)
+    assert len(sparse_calls) == 1
+    assert count_at == count_past == spectrum.level_count_by_enumeration(N, m, n, disp)
+    monkeypatch.setattr(spectrum, "_PACKED_BOUND", slots * width)
+    poly_at = spectrum._level_polynomial(N, m, n, band)
+    assert len(sparse_calls) == 1
+    monkeypatch.setattr(spectrum, "_PACKED_BOUND", slots * width - 1)
+    poly_past = spectrum._level_polynomial(N, m, n, band)
+    assert len(sparse_calls) == 2
+    assert poly_at == poly_past == partition.enumerated_partition(N, m, n, disp).terms
+
+
+def test_symbolic_count_past_old_bitset_bound_stays_packed(sparse_calls):
+    t0 = time.monotonic()
+    assert spectrum.level_count(41, 2, 0, SymbolicAlphaDispersion(41)) == 380814
+    assert time.monotonic() - t0 < 0.5
+    assert sparse_calls == []
 
 
 def test_level_count_rejects_bad_input():
