@@ -101,8 +101,6 @@ def _single_weight(N: int, m: int, k: int) -> int:
     """One weight w_k(N) without building the whole table."""
     if k < 0 or k > (m - 1) * N // m:
         return 0
-    if m == 2:
-        return math.comb(N - k, k) if N - k >= k else 0
     fact = [math.factorial(i) for i in range(N + 1)]
     return _weight_terms(N, m, k, fact)
 
@@ -111,7 +109,8 @@ def motif_weights(N: int, m: int) -> WeightTable:
     """Weights w_k = number of valid motifs on N sites with k ones, order m.
 
     Motifs here have N - 1 slots; validity forbids m consecutive ones.  For
-    m = 2 each weight is the single binomial C(N - k, k).
+    m = 2 the only profile is all singletons, so each weight is the binomial
+    C(N - k, k).
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
@@ -119,12 +118,7 @@ def motif_weights(N: int, m: int) -> WeightTable:
         raise ValueError(f"need m >= 2, got {m}")
     kmax = (m - 1) * N // m
     fact = [math.factorial(i) for i in range(N + 1)]
-    weights = []
-    for k in range(kmax + 1):
-        if m == 2:
-            weights.append(math.comb(N - k, k) if N - k >= k else 0)
-        else:
-            weights.append(_weight_terms(N, m, k, fact))
+    weights = [_weight_terms(N, m, k, fact) for k in range(kmax + 1)]
     while len(weights) > 1 and weights[-1] == 0:
         weights.pop()
     return WeightTable(N, m, tuple(weights))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -31,6 +32,17 @@ def _parse_alpha(text: str) -> Fraction | None:
     except ZeroDivisionError:
         # argparse reports a ValueError from a type function as a usage error
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _parse_cluster_tol(text: str) -> float:
+    """A finite, positive relative clustering width; anything else is a usage error."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"need a finite positive tolerance, got {text!r}")
+    return tol
 
 
 def _parse_spins(text: str) -> tuple[int, ...]:
@@ -318,7 +330,7 @@ def _cmd_anyon(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    builder, title, xlabel, ylabel, logy = figures.FIGURES[args.name]
+    builder, title, xlabel, ylabel = figures.FIGURES[args.name]
     kwargs = {}
     params = inspect.signature(builder).parameters
     if args.max_sites is not None and "max_sites" in params:
@@ -334,7 +346,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         for s in series:
             for x, y in zip(s.xs, s.ys):
                 fh.write(f"{s.label},{x:.6g},{y:.6g}\n")
-    svg = figures.render_svg(series, title, xlabel, ylabel, logy)
+    svg = figures.render_svg(series, title, xlabel, ylabel)
     with open(svg_path, "w") as fh:
         fh.write(svg)
     _emit(
@@ -415,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_parse_alpha, default=None)
     p.add_argument("--ksq", type=float, default=None)
     p.add_argument("--compare", action="store_true")
-    p.add_argument("--cluster-tol", type=float, default=1e-7)
+    p.add_argument("--cluster-tol", type=_parse_cluster_tol, default=1e-7)
 
     p = add("anyon", _cmd_anyon, "statistical weights and exclusion statistics")
     p.add_argument("--m", type=int, required=True)

@@ -18,6 +18,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import motif as _motif
 
 __all__ = [
@@ -36,6 +38,7 @@ __all__ = [
     "translational_growth_ratio",
 ]
 
+_ROOT_TOL = 1e-12  # |p(lambda)| that ends the dominant root's Newton polish
 _FIB_LOCK = threading.Lock()
 _FIB: dict[int, list[int]] = {}
 
@@ -72,7 +75,7 @@ def _poly_deriv(m: int, z: complex) -> complex:
     return acc
 
 
-def dominant_root(m: int, tol: float = 1e-12, max_iter: int = 400) -> float:
+def dominant_root(m: int) -> float:
     """Largest real root of the order-m characteristic polynomial.
 
     Fixed-point iteration of x = 2 - x^(-m) from x = 2, then Newton polish.
@@ -80,7 +83,7 @@ def dominant_root(m: int, tol: float = 1e-12, max_iter: int = 400) -> float:
     if m < 2:
         raise ValueError(f"need order m >= 2, got {m}")
     x = 2.0
-    for _ in range(max_iter):
+    for _ in range(400):
         nxt = 2.0 - x**-m
         if abs(nxt - x) < 1e-9:
             x = nxt
@@ -88,34 +91,10 @@ def dominant_root(m: int, tol: float = 1e-12, max_iter: int = 400) -> float:
         x = nxt
     for _ in range(60):
         p = _poly(m, x).real
-        if abs(p) < tol:
+        if abs(p) < _ROOT_TOL:
             return x
         x -= p / _poly_deriv(m, x).real
-    raise RuntimeError(f"dominant root iteration failed to reach |p| < {tol} for m={m}")
-
-
-def _durand_kerner(coeffs: list[float], tol: float = 1e-13, max_iter: int = 500) -> list[complex]:
-    # simultaneous Newton iteration for all roots of a monic real polynomial
-    deg = len(coeffs) - 1
-    if deg == 0:
-        return []
-    z = [(0.4 + 0.9j) ** (k + 1) for k in range(deg)]
-    for _ in range(max_iter):
-        shift = 0.0
-        for k in range(deg):
-            p: complex = coeffs[0]
-            for c in coeffs[1:]:
-                p = p * z[k] + c
-            q: complex = 1
-            for j in range(deg):
-                if j != k:
-                    q *= z[k] - z[j]
-            dz = p / q
-            z[k] -= dz
-            shift = max(shift, abs(dz))
-        if shift < tol:
-            break
-    return z
+    raise RuntimeError(f"dominant root iteration failed to reach |p| < {_ROOT_TOL} for m={m}")
 
 
 @dataclass(frozen=True)
@@ -131,23 +110,15 @@ class RootData:
 
 
 @functools.lru_cache(maxsize=None)
-def characteristic_roots(m: int, tol: float = 1e-12) -> RootData:
-    lam = dominant_root(m, tol)
+def characteristic_roots(m: int) -> RootData:
+    lam = dominant_root(m)
     gamma = m + 1 - (m - 1) / (lam - 1)
     coeff = lam ** (1 - m) / gamma
-    # synthetic deflation of the characteristic polynomial by (x - lam)
-    coeffs = [1.0] + [-1.0] * m
-    deflated = [1.0]
-    for c in coeffs[1:m]:
-        deflated.append(c + lam * deflated[-1])
-    sub = _durand_kerner(deflated)
-    polished = []
-    for z in sub:
-        for _ in range(8):
-            z -= _poly(m, z) / _poly_deriv(m, z)
-        polished.append(z)
-    kappa = -math.log(min(abs(z) for z in polished)) if polished else math.inf
-    return RootData(m, lam, gamma, coeff, kappa, (*polished, complex(lam)))
+    # the subdominant roots: every root of x^m - x^(m-1) - ... - 1 but the one nearest lambda
+    roots = [complex(z) for z in np.roots([1.0] + [-1.0] * m)]
+    roots.pop(min(range(m), key=lambda k: abs(roots[k] - lam)))
+    kappa = -math.log(min(abs(z) for z in roots))
+    return RootData(m, lam, gamma, coeff, kappa, (*roots, complex(lam)))
 
 
 def binet(m: int, n: int) -> float:

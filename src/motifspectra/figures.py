@@ -56,10 +56,11 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _linear_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _linear_ticks(lo: float, hi: float) -> list[float]:
+    """About eight round tick values covering [lo, hi]."""
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / target
+    raw = (hi - lo) / 8
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if mag * mult >= raw:
@@ -88,14 +89,8 @@ def _marker_svg(marker: str, x: float, y: float, color: str) -> str:
     return ""
 
 
-def render_svg(
-    series: list[Series],
-    title: str,
-    xlabel: str,
-    ylabel: str,
-    logy: bool = False,
-) -> str:
-    """Render the series as a self-contained 800 x 600 SVG document."""
+def render_svg(series: list[Series], title: str, xlabel: str, ylabel: str) -> str:
+    """Render the series as a self-contained 800 x 600 SVG document, y on a log scale."""
     width, height = 800, 600
     left, right, top, bottom = 75, 170, 45, 55
     px0, px1 = left, width - right
@@ -104,14 +99,14 @@ def render_svg(
     pts = [(x, y) for s in series for x, y in zip(s.xs, s.ys)]
     if not pts:
         raise ValueError("nothing to plot")
-    if logy and any(y <= 0 for _, y in pts):
+    if any(y <= 0 for _, y in pts):
         raise ValueError("log scale needs strictly positive values")
 
     xlo = min(x for x, _ in pts)
     xhi = max(x for x, _ in pts)
     if xhi == xlo:
         xlo, xhi = xlo - 1, xhi + 1
-    yvals = [math.log10(y) for _, y in pts] if logy else [y for _, y in pts]
+    yvals = [math.log10(y) for _, y in pts]
     ylo, yhi = min(yvals), max(yvals)
     if yhi == ylo:
         ylo, yhi = ylo - 1, yhi + 1
@@ -122,8 +117,7 @@ def render_svg(
         return px0 + (x - xlo) / (xhi - xlo) * (px1 - px0)
 
     def sy(y: float) -> float:
-        v = math.log10(y) if logy else y
-        return py0 + (v - ylo) / (yhi - ylo) * (py1 - py0)
+        return py0 + (math.log10(y) - ylo) / (yhi - ylo) * (py1 - py0)
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
@@ -133,12 +127,9 @@ def render_svg(
         f"{title}</text>",
     ]
 
-    if logy:
-        ticks = list(range(math.ceil(ylo), math.floor(yhi) + 1))
-        tick_pairs = [(10.0**e, f"{10.0 ** e:.6g}") for e in ticks]
-    else:
-        tick_pairs = [(t, f"{t:.6g}") for t in _linear_ticks(ylo, yhi)]
-    for val, label in tick_pairs:
+    for e in range(math.ceil(ylo), math.floor(yhi) + 1):
+        val = 10.0**e
+        label = f"{val:.6g}"
         y = sy(val)
         out.append(
             f'<line x1="{px0}" y1="{_fmt(y)}" x2="{px1}" y2="{_fmt(y)}" '
@@ -148,7 +139,7 @@ def render_svg(
             f'<text x="{px0 - 8}" y="{_fmt(y + 4)}" text-anchor="end" font-size="12">'
             f"{label}</text>"
         )
-    for t in _linear_ticks(xlo, xhi, 8):
+    for t in _linear_ticks(xlo, xhi):
         x = sx(t)
         out.append(
             f'<line x1="{_fmt(x)}" y1="{py0}" x2="{_fmt(x)}" y2="{py0 + 5}" '
@@ -232,7 +223,7 @@ def _hs_level_count(N: int) -> int:
 def degeneracy_growth(max_sites: int = 30) -> list[Series]:
     """Average degeneracies of the su(2) chains against both lower bounds.
 
-    All series are exact: level counts come from the bitset support kernel
+    All series are exact: level counts come from the packed transfer kernel
     `spectrum.level_count` (the generic-alpha series through its symbolic
     band) or from the closed rational level-count formula.
     """
@@ -315,27 +306,23 @@ FIGURES = {
         "Elliptic chains: average degeneracy vs motif minimum",
         "sites",
         "degeneracy",
-        True,
     ),
     "fig3": (
         degeneracy_growth,
         "su(2) chains: average degeneracy growth and bounds",
         "sites",
         "degeneracy",
-        True,
     ),
     "fig4": (
         supersymmetric_elliptic,
         "su(1|1) elliptic chain: average degeneracy",
         "sites",
         "degeneracy",
-        True,
     ),
     "fig5": (
         level_count_bounds,
         "Trigonometric su(2) level counts and cubic bounds",
         "sites",
         "level count",
-        True,
     ),
 }

@@ -7,9 +7,8 @@ fermionic one no n consecutive 0s; complementing the bits swaps the two
 families, and counting either one yields shifted m-nacci numbers.
 
 Motifs are packed into plain integers with d_1 in the highest bit, so that
-ascending word order coincides with lexicographic order on the bit sequence
-and enumeration can be split into contiguous, independently traversable
-word ranges.  No floating point is used anywhere in this module.
+ascending word order coincides with lexicographic order on the bit sequence.
+No floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ __all__ = [
 
 _BLOCK = 1 << 20
 _MAX_ENUM_BITS = 62  # candidate words are generated as signed 64-bit blocks
+_HALF_CAP = 1 << 26  # candidate words count_half_by_enumeration may sweep
 
 
 class InfeasibleSizeError(ValueError):
@@ -177,21 +177,17 @@ def count(N: int, m: int, n: int) -> int:
     return vals[N - 1]
 
 
-def _valid_word_blocks(
-    N: int, m: int, n: int, start: int = 0, stop: int | None = None, block: int = _BLOCK
-) -> Iterator[np.ndarray]:
-    """Yield ascending int64 arrays of valid words in [start, stop)."""
+def _valid_word_blocks(N: int, m: int, n: int) -> Iterator[np.ndarray]:
+    """Yield ascending int64 arrays of the valid words, `_BLOCK` candidates at a time."""
     _check_context(m, n)
     length = N - 1
     if length > _MAX_ENUM_BITS:
         raise InfeasibleSizeError(f"cannot enumerate {length}-bit motif words")
     total = 1 << length
-    stop = total if stop is None else min(stop, total)
-    start = max(start, 0)
     mask = total - 1
     run = 0 if (m and n) else (m or n)
-    for lo in range(start, stop, block):
-        words = np.arange(lo, min(lo + block, stop), dtype=np.int64)
+    for lo in range(0, total, _BLOCK):
+        words = np.arange(lo, min(lo + _BLOCK, total), dtype=np.int64)
         if run == 0:
             yield words
             continue
@@ -202,15 +198,9 @@ def _valid_word_blocks(
         yield words[r == 0]
 
 
-def enumerate_motifs(
-    N: int, m: int, n: int, start: int = 0, stop: int | None = None
-) -> Iterator[Motif]:
-    """Valid motifs in lexicographic bit order, optionally over a word sub-range.
-
-    Sub-ranges [start, stop) partition the 2^(N-1) candidate words, so disjoint
-    ranges can be consumed independently and concatenate to the full ordering.
-    """
-    for arr in _valid_word_blocks(N, m, n, start, stop):
+def enumerate_motifs(N: int, m: int, n: int) -> Iterator[Motif]:
+    """Valid motifs in lexicographic bit order."""
+    for arr in _valid_word_blocks(N, m, n):
         for word in arr.tolist():
             yield Motif(word, N)
 
@@ -279,14 +269,14 @@ def count_half(N: int, m: int, n: int) -> int:
     return count_half_by_enumeration(N, m, n)
 
 
-def count_half_by_enumeration(N: int, m: int, n: int, cap: int = 1 << 26) -> int:
+def count_half_by_enumeration(N: int, m: int, n: int) -> int:
     """Distinct motif halves counted by enumerating the valid motifs."""
     _check_context(m, n)
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     length = N - 1
-    if length > _MAX_ENUM_BITS or (1 << length) > cap:
-        raise InfeasibleSizeError(f"2^{length} candidate words exceed cap {cap}")
+    if length > _MAX_ENUM_BITS or (1 << length) > _HALF_CAP:
+        raise InfeasibleSizeError(f"2^{length} candidate words exceed cap {_HALF_CAP}")
     npairs = (N - 1) // 2
     keys: set[int] = set()
     for words in _valid_word_blocks(N, m, n):

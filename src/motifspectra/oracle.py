@@ -35,7 +35,6 @@ __all__ = [
     "laguerre_zeros",
     "coupling_matrix",
     "coupling_table",
-    "graded_permutation",
     "build_hamiltonian",
     "eigenvalues",
     "chain_eigenvalues",
@@ -47,6 +46,8 @@ __all__ = [
 ]
 
 DIMENSION_CAP = 20000
+# relative residual of the trace and Frobenius checks in eigenvalues
+_INVARIANT_TOL = 1e-8
 _KINDS = ("hs", "pf", "fi", "elliptic")
 
 
@@ -193,31 +194,6 @@ def coupling_table(chain: ChainSpec) -> list[float]:
     return [0.0] + [float(J[0, l]) for l in range(1, chain.sites)]
 
 
-def graded_permutation(state: int, i: int, j: int, m: int, n: int) -> tuple[int, int]:
-    """Apply the graded transposition of sites i < j (1-based) to a basis state.
-
-    States are base-(m+n) encodings with site p in digit p-1 and spin value
-    digit - n; digits below n are fermionic.  Returns (new_state, sign).
-    """
-    if not 1 <= i < j:
-        raise ValueError(f"need 1 <= i < j, got i={i}, j={j}")
-    base = m + n
-    if base < 1 or m < 0 or n < 0:
-        raise ValueError(f"bad context ({m}, {n})")
-    di = (state // base ** (i - 1)) % base
-    dj = (state // base ** (j - 1)) % base
-    fi, fj = di < n, dj < n
-    if fi and fj:
-        sign = -1
-    elif fi != fj:
-        between = sum((state // base**p) % base < n for p in range(i, j - 1))
-        sign = -1 if between % 2 else 1
-    else:
-        sign = 1
-    new = state + (dj - di) * base ** (i - 1) + (di - dj) * base ** (j - 1)
-    return new, sign
-
-
 def _check_size(N: int, base: int, cap: int) -> None:
     """Raise InfeasibleSizeError, before anything is allocated, when H would not fit.
 
@@ -314,12 +290,12 @@ def build_hamiltonian(chain: ChainSpec, cap: int = DIMENSION_CAP) -> list[np.nda
     return blocks
 
 
-def chain_eigenvalues(chain: ChainSpec, cap: int = DIMENSION_CAP) -> np.ndarray:
+def chain_eigenvalues(chain: ChainSpec) -> np.ndarray:
     """All eigenvalues of the chain's H, ascending: the union of its block spectra."""
-    return np.sort(np.concatenate([eigenvalues(block) for block in build_hamiltonian(chain, cap)]))
+    return np.sort(np.concatenate([eigenvalues(block) for block in build_hamiltonian(chain)]))
 
 
-def eigenvalues(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def eigenvalues(a: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending.
 
     Cross-checked against the exact similarity invariants: the eigenvalue sum
@@ -332,10 +308,10 @@ def eigenvalues(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     if float(np.abs(a - a.T).max()) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
     lam = np.linalg.eigvalsh(a)
-    if abs(float(lam.sum()) - float(np.trace(a))) > tol * scale:
+    if abs(float(lam.sum()) - float(np.trace(a))) > _INVARIANT_TOL * scale:
         raise AssertionError("eigenvalue sum does not reproduce the trace")
     fro2 = float((a * a).sum())
-    if abs(float(lam @ lam) - fro2) > tol * max(1.0, scale**2):
+    if abs(float(lam @ lam) - fro2) > _INVARIANT_TOL * max(1.0, scale**2):
         raise AssertionError("eigenvalue squares do not reproduce the Frobenius norm")
     return lam
 
@@ -383,21 +359,11 @@ class CompareReport:
     mismatch: str | None = None
 
 
-def compare(
-    chain: ChainSpec,
-    disp=None,
-    cluster_tol: float = 1e-7,
-    offset: float = 0.0,
-    cap: int = DIMENSION_CAP,
-) -> CompareReport:
-    """Diagonalize the chain and match its levels against the motif formula.
-
-    `offset` is subtracted from the numerical levels before matching, for
-    spectra that only agree up to an additive constant.
-    """
+def compare(chain: ChainSpec, disp=None, cluster_tol: float = 1e-7) -> CompareReport:
+    """Diagonalize the chain and match its levels against the motif formula."""
     if disp is None:
         disp = formula_dispersion(chain)
-    numeric = cluster_levels(chain_eigenvalues(chain, cap), cluster_tol)
+    numeric = cluster_levels(chain_eigenvalues(chain), cluster_tol)
     formula = [
         (float(e), d)
         for e, d in spectrum.level_set(chain.sites, chain.m, chain.n, disp)
@@ -418,7 +384,7 @@ def compare(
     deg_ok = True
     mismatch = None
     for (en, dn), (ef, df) in zip(numeric, formula):
-        max_err = max(max_err, abs(en - offset - ef))
+        max_err = max(max_err, abs(en - ef))
         if dn != df and mismatch is None:
             deg_ok = False
             mismatch = f"degeneracy {dn} != {df} at level {ef}"
@@ -428,9 +394,7 @@ def compare(
     return CompareReport(matched, max_err, deg_ok, tuple(numeric), tuple(formula), mismatch)
 
 
-def numeric_average_degeneracy(
-    chain: ChainSpec, cluster_tol: float = 1e-7, cap: int = DIMENSION_CAP
-) -> Fraction:
+def numeric_average_degeneracy(chain: ChainSpec, cluster_tol: float = 1e-7) -> Fraction:
     """(m+n)^N over the number of distinct numerical levels."""
-    count = len(cluster_levels(chain_eigenvalues(chain, cap), cluster_tol))
+    count = len(cluster_levels(chain_eigenvalues(chain), cluster_tol))
     return Fraction((chain.m + chain.n) ** chain.sites, count)

@@ -3,11 +3,9 @@
 The partition functions come from the transfer-matrix kernel in `spectrum`
 with exact integer coefficients; rational couplings a/b are handled by
 scaling every exponent by the common denominator b, recorded in
-QPolynomial.scale.  The enumeration oracle assembles the same polynomial term
-by term from motif energies and fiber dimensions, which is what the kernel is
-tested against.  Its fiber dimensions come from the same kernel over a binary
-band, so the descent rule itself is checked independently by the tests' count
-of spin configurations.
+QPolynomial.scale.  The tests check the kernel against an enumeration
+oracle that assembles the same polynomial term by term from motif energies
+and fiber dimensions.
 """
 
 from __future__ import annotations
@@ -17,15 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import BinaryIO
 
-from . import spectrum, tableau
-from .motif import Motif
+from . import spectrum
 
 __all__ = [
     "QPolynomial",
     "LevelSummary",
     "hs_partition",
     "fi_partition",
-    "enumerated_partition",
     "levels",
     "dump_terms",
     "load_terms",
@@ -90,33 +86,6 @@ def fi_partition(N: int, alpha) -> QPolynomial:
     Exponents are scaled by the denominator of alpha so they stay integral.
     """
     return _su02_polynomial(spectrum.FIDispersion(N, alpha))
-
-
-def enumerated_partition(N: int, m: int, n: int, disp) -> QPolynomial:
-    """Oracle assembly: sum of dim(V) q^E over the valid motifs.
-
-    Works for any exact dispersion; float tables have no exact exponents and
-    are rejected.
-    """
-    if not disp.exact:
-        raise TypeError("enumerated_partition needs an exact dispersion")
-    if disp.sites != N:
-        raise ValueError(f"dispersion is for {disp.sites} sites, not {N}")
-    scale = disp.alpha.denominator if isinstance(disp, spectrum.FIDispersion) else 1
-    terms: dict = {}
-    for word, dim in tableau._fiber_cache(N, m, n).items():
-        e = spectrum.energy(Motif(word, N), disp)
-        if isinstance(e, tuple):
-            key: object = e
-        else:
-            scaled = e * scale
-            if isinstance(scaled, Fraction):
-                if scaled.denominator != 1:
-                    raise ValueError(f"energy {e} not integral at scale {scale}")
-                scaled = scaled.numerator
-            key = scaled
-        terms[key] = terms.get(key, 0) + dim
-    return QPolynomial(terms, scale)
 
 
 @dataclass(frozen=True)

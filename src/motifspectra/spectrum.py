@@ -29,6 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import motif as _motif
 from . import tableau
 from .motif import Motif, _check_context
 
@@ -49,6 +50,8 @@ __all__ = [
 ]
 
 MERGE_TOL = 1e-9
+# relative mismatch h[l] vs h[N-l] that dispersion_from_coupling tolerates
+_EVEN_TOL = 1e-12
 # widest packed transfer row, in bits: (band sum + 1) slots of the slot width
 _PACKED_BOUND = 1 << 25
 
@@ -152,16 +155,14 @@ def ground_state_energy(disp) -> int | Fraction | float | tuple[int, int]:
     return energy(Motif((1 << (disp.sites - 1)) - 1, disp.sites), disp)
 
 
-def _merge_float_levels(
-    pairs: list[tuple[float, int]], merge_tol: float
-) -> list[tuple[float, int]]:
+def _merge_float_levels(pairs: list[tuple[float, int]]) -> list[tuple[float, int]]:
     pairs.sort()
     merged: list[tuple[float, int]] = []
     members: list[float] = []
     deg = 0
     last = None
     for e, d in pairs:
-        if last is not None and e - last < merge_tol * max(1.0, abs(e)):
+        if last is not None and e - last < MERGE_TOL * max(1.0, abs(e)):
             members.append(e)
             deg += d
         else:
@@ -313,13 +314,19 @@ def level_count(N: int, m: int, n: int, disp) -> int:
     return _packed_rows(band, cut, 1, operator.or_).bit_count()
 
 
-def level_set(
-    N: int,
-    m: int,
-    n: int,
-    disp,
-    merge_tol: float = MERGE_TOL,
-) -> list[tuple[int | Fraction | float | tuple[int, int], int]]:
+def _word_energies(words: np.ndarray, N: int, table: Sequence[float]) -> np.ndarray:
+    """Float energies of an int64 array of packed N-site motif words.
+
+    Adds eps(j) in rapidity order, as `energy` does, and exact zeros for the
+    bits that are clear, so every sum is bit-identical to `energy`'s.
+    """
+    acc = np.zeros(words.shape)
+    for j, e in enumerate(table, 1):
+        acc += np.where((words >> (N - 1 - j)) & 1, e, 0.0)
+    return acc
+
+
+def level_set(N: int, m: int, n: int, disp) -> list[tuple[int | Fraction | float | tuple[int, int], int]]:
     """Sorted distinct energies with their total degeneracies, summing to (m+n)^N.
 
     Exact dispersions go through the transfer-matrix kernel, which never
@@ -332,37 +339,27 @@ def level_set(
         band, _, decode = _band(disp)
         return [(decode(e), d) for e, d in sorted(_level_polynomial(N, m, n, band).items())]
     fibers = tableau._fiber_cache(N, m, n)
-    pairs = [(float(energy(Motif(word, N), disp)), dim) for word, dim in fibers.items()]
-    return _merge_float_levels(pairs, merge_tol)
+    words = np.fromiter(fibers, dtype=np.int64, count=len(fibers))
+    energies = _word_energies(words, N, disp.table).tolist()
+    return _merge_float_levels(list(zip(energies, fibers.values())))
 
 
-def level_count_by_enumeration(N: int, m: int, n: int, disp, merge_tol: float = MERGE_TOL) -> int:
-    """Number of distinct energies over the valid motifs (no degeneracies).
+def level_count_by_enumeration(N: int, m: int, n: int, disp) -> int:
+    """Number of distinct energies of a float table over the valid motifs.
 
-    Exact dispersions sum their integer band over each block of motif words
-    in int64; rational alpha counts the symbolic (E0, E1) keys, which fit
-    int64 whatever alpha is, and then distinct alpha E0 + E1.  Float tables
-    merge levels by the relative gap rule.
+    Levels merge by the relative gap rule.  Exact dispersions are counted
+    by `level_count`.
     """
-    from . import motif as _motif
-
     if disp.sites != N:
         raise ValueError(f"dispersion is for {disp.sites} sites, not {N}")
-    if not disp.exact:
-        pairs = [(float(energy(mot, disp)), 1) for mot in _motif.enumerate_motifs(N, m, n)]
-        return len(_merge_float_levels(pairs, merge_tol))
-    fi = isinstance(disp, FIDispersion)
-    band, _, decode = _band(SymbolicAlphaDispersion(N) if fi else disp)
-    seen: set[int] = set()
-    for words in _motif._valid_word_blocks(N, m, n):
-        acc = np.zeros(words.shape, dtype=np.int64)
-        for j, e in enumerate(band, 1):
-            acc += ((words >> (N - 1 - j)) & 1) * e
-        seen.update(np.unique(acc).tolist())
-    if fi:
-        a, b = disp.alpha.numerator, disp.alpha.denominator
-        return len({a * e0 + b * e1 for e0, e1 in map(decode, seen)})
-    return len(seen)
+    if disp.exact:
+        raise TypeError(f"{type(disp).__name__} is exact: count its levels with level_count")
+    pairs = [
+        (e, 1)
+        for words in _motif._valid_word_blocks(N, m, n)
+        for e in _word_energies(words, N, disp.table).tolist()
+    ]
+    return len(_merge_float_levels(pairs))
 
 
 def average_degeneracy(levels: Sequence[tuple[object, int]]) -> Fraction:
@@ -372,7 +369,7 @@ def average_degeneracy(levels: Sequence[tuple[object, int]]) -> Fraction:
     return Fraction(sum(d for _, d in levels), len(levels))
 
 
-def dispersion_from_coupling(h: Sequence[float], tol: float = 1e-12) -> NumericDispersion:
+def dispersion_from_coupling(h: Sequence[float]) -> NumericDispersion:
     """Band of a periodic exchange chain from its even coupling table.
 
     `h` has length N with h[l] the coupling at site distance l (entry 0 is
@@ -386,7 +383,7 @@ def dispersion_from_coupling(h: Sequence[float], tol: float = 1e-12) -> NumericD
         raise ValueError("need at least 2 sites")
     scale = max(1.0, max(abs(x) for x in table))
     for l in range(1, N):
-        if abs(table[l] - table[N - l]) > tol * scale:
+        if abs(table[l] - table[N - l]) > _EVEN_TOL * scale:
             raise ValueError(f"coupling not even: h[{l}] != h[{N - l}]")
     eps = [
         math.fsum((1.0 - math.cos(2 * math.pi * j * l / N)) * table[l] for l in range(1, N))

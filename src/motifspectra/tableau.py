@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 FIBER_CAP = 1 << 24
+_CELL_WIDTH = 4  # characters per cell of tableau_lines
 
 
 def validate_spins(spins, m: int, n: int) -> tuple[int, ...]:
@@ -101,7 +102,7 @@ def module_dimension(motif: Motif, m: int, n: int) -> int:
     return _fiber_cache(motif.sites, m, n).get(motif.word, 0)
 
 
-def tableau_lines(spins, m: int, n: int, width: int = 4) -> list[str]:
+def tableau_lines(spins, m: int, n: int) -> list[str]:
     """Debug rendering of the border-strip filling defined by a spin sequence."""
     s = validate_spins(spins, m, n)
     row = col = 0
@@ -118,6 +119,6 @@ def tableau_lines(spins, m: int, n: int, width: int = 4) -> list[str]:
     for r in range(nrows):
         slots = []
         for c in range(ncols - 1, -1, -1):
-            slots.append(f"{cells[(r, c)]:>{width}}" if (r, c) in cells else " " * width)
+            slots.append(f"{cells[(r, c)]:>{_CELL_WIDTH}}" if (r, c) in cells else " " * _CELL_WIDTH)
         lines.append("".join(slots).rstrip())
     return lines

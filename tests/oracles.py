@@ -1,0 +1,102 @@
+"""Brute-force oracles that only the tests use.
+
+Each one recomputes, by enumeration or element by element, what a fast path
+in `motifspectra` computes another way:
+
+* `enumerated_partition` assembles the level polynomial term by term from
+  motif energies and fiber dimensions, against the transfer-matrix kernel.
+  Its fiber dimensions come from the same kernel over a binary band, so the
+  descent rule itself is checked independently by the tests' count of spin
+  configurations;
+* `level_count_by_enumeration` counts the distinct exact energies over every
+  valid motif word, against `spectrum.level_count`;
+* `graded_permutation` applies one graded transposition to one basis state,
+  against the vectorized Hamiltonian assembly.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
+
+from motifspectra import motif as _motif
+from motifspectra import spectrum, tableau
+from motifspectra.motif import Motif
+from motifspectra.partition import QPolynomial
+from motifspectra.spectrum import FIDispersion, SymbolicAlphaDispersion
+
+
+def enumerated_partition(N: int, m: int, n: int, disp) -> QPolynomial:
+    """Oracle assembly: sum of dim(V) q^E over the valid motifs.
+
+    Works for any exact dispersion; float tables have no exact exponents and
+    are rejected.
+    """
+    if not disp.exact:
+        raise TypeError("enumerated_partition needs an exact dispersion")
+    if disp.sites != N:
+        raise ValueError(f"dispersion is for {disp.sites} sites, not {N}")
+    scale = disp.alpha.denominator if isinstance(disp, spectrum.FIDispersion) else 1
+    terms: dict = {}
+    for word, dim in tableau._fiber_cache(N, m, n).items():
+        e = spectrum.energy(Motif(word, N), disp)
+        if isinstance(e, tuple):
+            key: object = e
+        else:
+            scaled = e * scale
+            if isinstance(scaled, Fraction):
+                if scaled.denominator != 1:
+                    raise ValueError(f"energy {e} not integral at scale {scale}")
+                scaled = scaled.numerator
+            key = scaled
+        terms[key] = terms.get(key, 0) + dim
+    return QPolynomial(terms, scale)
+
+
+def level_count_by_enumeration(N: int, m: int, n: int, disp) -> int:
+    """Number of distinct energies of an exact dispersion over the valid motifs.
+
+    Exact dispersions sum their integer band over each block of motif words
+    in int64; rational alpha counts the symbolic (E0, E1) keys, which fit
+    int64 whatever alpha is, and then distinct alpha E0 + E1.
+    """
+    if disp.sites != N:
+        raise ValueError(f"dispersion is for {disp.sites} sites, not {N}")
+    fi = isinstance(disp, FIDispersion)
+    band, _, decode = spectrum._band(SymbolicAlphaDispersion(N) if fi else disp)
+    seen: set[int] = set()
+    for words in _motif._valid_word_blocks(N, m, n):
+        acc = np.zeros(words.shape, dtype=np.int64)
+        for j, e in enumerate(band, 1):
+            acc += ((words >> (N - 1 - j)) & 1) * e
+        seen.update(np.unique(acc).tolist())
+    if fi:
+        a, b = disp.alpha.numerator, disp.alpha.denominator
+        return len({a * e0 + b * e1 for e0, e1 in map(decode, seen)})
+    return len(seen)
+
+
+def graded_permutation(state: int, i: int, j: int, m: int, n: int) -> tuple[int, int]:
+    """Apply the graded transposition of sites i < j (1-based) to a basis state.
+
+    States are base-(m+n) encodings with site p in digit p-1 and spin value
+    digit - n; digits below n are fermionic.  Returns (new_state, sign).
+    """
+    if not 1 <= i < j:
+        raise ValueError(f"need 1 <= i < j, got i={i}, j={j}")
+    base = m + n
+    if base < 1 or m < 0 or n < 0:
+        raise ValueError(f"bad context ({m}, {n})")
+    di = (state // base ** (i - 1)) % base
+    dj = (state // base ** (j - 1)) % base
+    fi, fj = di < n, dj < n
+    if fi and fj:
+        sign = -1
+    elif fi != fj:
+        between = sum((state // base**p) % base < n for p in range(i, j - 1))
+        sign = -1 if between % 2 else 1
+    else:
+        sign = 1
+    new = state + (dj - di) * base ** (i - 1) + (di - dj) * base ** (j - 1)
+    return new, sign

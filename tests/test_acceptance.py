@@ -14,6 +14,7 @@ import numpy as np
 
 from motifspectra import anyon, fibnum, motif, oracle, partition, spectrum
 from motifspectra.cli import main as cli_main
+import oracles
 
 
 TABLE1_LAMBDA = (1.61803, 1.83929, 1.92756, 1.96595, 1.98358, 1.99196, 1.99603, 1.99803, 1.99902)
@@ -88,7 +89,7 @@ def test_criterion_04_trigonometric_partition_recursion(capsys):
         if counts[N] > bound:
             problems.append(f"N={N}: {counts[N]} levels exceed the bound {bound}")
     for N in range(2, 13):
-        brute = partition.enumerated_partition(N, 0, 2, spectrum.HSDispersion(N))
+        brute = oracles.enumerated_partition(N, 0, 2, spectrum.HSDispersion(N))
         if partition.hs_partition(N).terms != brute.terms:
             problems.append(f"N={N}: partition support differs from enumeration")
     window = range(30, 51)

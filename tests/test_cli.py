@@ -211,6 +211,10 @@ def test_usage_errors_exit_two():
         with pytest.raises(SystemExit) as exc:
             run_cli(command, "--chain", "fi", "--alpha", "1/0", "--sites", "4")
         assert exc.value.code == 2
+    for tol in ("nan", "inf", "0", "-1e-7"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("diag", "--chain", "hs", "--sites", "6", "--m", "2", f"--cluster-tol={tol}")
+        assert exc.value.code == 2
 
 
 def test_computational_failure_exits_one():

@@ -47,14 +47,6 @@ def test_enumeration_is_lexicographic():
     assert all(mt.is_valid_for(2, 0) for mt in mots)
 
 
-def test_enumeration_subranges_concatenate():
-    full = [mt.word for mt in motif.enumerate_motifs(8, 3, 0)]
-    split = []
-    for lo in range(0, 128, 32):
-        split.extend(mt.word for mt in motif.enumerate_motifs(8, 3, 0, lo, lo + 32))
-    assert split == full
-
-
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_count_equals_mnacci(m):
     for N in range(1, 19):

@@ -10,6 +10,7 @@ import pytest
 from motifspectra import oracle, spectrum
 from motifspectra.motif import InfeasibleSizeError
 from motifspectra.oracle import ChainSpec
+import oracles
 
 scipy_special = pytest.importorskip("scipy.special")
 
@@ -111,18 +112,18 @@ def test_coupling_tables_are_even():
 
 def test_graded_sign_examples():
     # two bosons commute, two fermions anticommute
-    assert oracle.graded_permutation(0, 1, 2, 2, 0)[1] == 1
+    assert oracles.graded_permutation(0, 1, 2, 2, 0)[1] == 1
     base = 2  # su(1|1): digit 0 fermionic, digit 1 bosonic
     ff = 0 * base + 0  # fermion at both sites
-    assert oracle.graded_permutation(ff, 1, 2, 1, 1) == (ff, -1)
+    assert oracles.graded_permutation(ff, 1, 2, 1, 1) == (ff, -1)
     # boson and fermion with one fermion strictly between
     state = 1 + 0 * base + 0 * base**2  # digits (1, 0, 0) = boson, fermion, fermion
-    new, sign = oracle.graded_permutation(state, 1, 3, 1, 1)
+    new, sign = oracles.graded_permutation(state, 1, 3, 1, 1)
     assert new == 0 + 0 * base + 1 * base**2
     assert sign == -1
     # same swap with a boson between picks no sign
     state = 1 + 1 * base + 0 * base**2
-    new, sign = oracle.graded_permutation(state, 1, 3, 1, 1)
+    new, sign = oracles.graded_permutation(state, 1, 3, 1, 1)
     assert sign == 1
 
 
@@ -131,8 +132,8 @@ def test_graded_permutation_is_involution():
         base = m + n
         for state in range(base**4):
             for i, j in ((1, 2), (1, 4), (2, 3)):
-                new, s1 = oracle.graded_permutation(state, i, j, m, n)
-                back, s2 = oracle.graded_permutation(new, i, j, m, n)
+                new, s1 = oracles.graded_permutation(state, i, j, m, n)
+                back, s2 = oracles.graded_permutation(new, i, j, m, n)
                 assert back == state
                 assert s1 * s2 == 1
 
@@ -146,7 +147,7 @@ def _scalar_hamiltonian(chain: ChainSpec) -> np.ndarray:
     for state in range(dim):
         for i in range(1, chain.sites + 1):
             for j in range(i + 1, chain.sites + 1):
-                new, sign = oracle.graded_permutation(state, i, j, chain.m, chain.n)
+                new, sign = oracles.graded_permutation(state, i, j, chain.m, chain.n)
                 H[state, state] += J[i - 1, j - 1]
                 H[new, state] -= J[i - 1, j - 1] * sign
     return H

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from motifspectra import figures, partition, spectrum
 from motifspectra.partition import QPolynomial
+import oracles
 
 
 def test_hs_small_values():
@@ -44,13 +45,13 @@ def test_hs_odd_sizes_have_even_exponents():
 def test_recursion_matches_enumeration():
     for N in range(1, 13):
         disp = spectrum.HSDispersion(N)
-        assert partition.hs_partition(N).terms == partition.enumerated_partition(N, 0, 2, disp).terms
+        assert partition.hs_partition(N).terms == oracles.enumerated_partition(N, 0, 2, disp).terms
     # a large alpha numerator or denominator spreads few terms over a wide range
     for alpha in (3, Fraction(5, 2), 10**9, Fraction(10**9 + 7, 1000), Fraction(3183, 10000)):
         for N in range(1, 13):
             disp = spectrum.FIDispersion(N, alpha)
             got = partition.fi_partition(N, alpha)
-            want = partition.enumerated_partition(N, 0, 2, disp)
+            want = oracles.enumerated_partition(N, 0, 2, disp)
             assert got.terms == want.terms
             assert got.scale == want.scale
 
@@ -66,7 +67,7 @@ def test_reflection_recovers_bosonic_levels():
 def test_enumerated_partition_rejects_numeric():
     disp = spectrum.NumericDispersion(3, (1.0, 2.0))
     with pytest.raises(TypeError):
-        partition.enumerated_partition(3, 0, 2, disp)
+        oracles.enumerated_partition(3, 0, 2, disp)
 
 
 def test_level_summary():
@@ -175,5 +176,5 @@ def test_figure_level_counts_match_partition_term_counts():
         assert fig3["trigonometric average"][N] == 2**N / hs
         assert fig3["hyperbolic average (a = 3)"][N] == 2**N / fi
         assert fig5_counts[N] == hs
-        sym = spectrum.level_count_by_enumeration(N, 2, 0, spectrum.SymbolicAlphaDispersion(N))
+        sym = oracles.level_count_by_enumeration(N, 2, 0, spectrum.SymbolicAlphaDispersion(N))
         assert fig3["hyperbolic average (generic a)"][N] == 2**N / sym

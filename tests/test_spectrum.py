@@ -3,11 +3,12 @@
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from motifspectra import motif, partition, spectrum, tableau
+from motifspectra import motif, spectrum, tableau
 from motifspectra.spectrum import (
     FIDispersion,
     HSDispersion,
@@ -15,6 +16,7 @@ from motifspectra.spectrum import (
     PFDispersion,
     SymbolicAlphaDispersion,
 )
+import oracles
 
 
 def test_energy_examples():
@@ -79,28 +81,35 @@ def test_sites_mismatch_rejected():
     with pytest.raises(ValueError):
         spectrum.level_set(5, 2, 0, HSDispersion(4))
     with pytest.raises(ValueError):
-        spectrum.level_count_by_enumeration(5, 2, 0, HSDispersion(4))
+        oracles.level_count_by_enumeration(5, 2, 0, HSDispersion(4))
+    with pytest.raises(ValueError):
+        spectrum.level_count_by_enumeration(5, 1, 1, NumericDispersion(4, (1.0, 2.0, 3.0)))
+
+
+def test_level_count_by_enumeration_takes_float_tables_only():
+    with pytest.raises(TypeError, match="level_count"):
+        spectrum.level_count_by_enumeration(4, 2, 0, HSDispersion(4))
 
 
 def test_level_count_by_enumeration_matches_level_set():
     for N in (4, 6, 9):
         for disp in (HSDispersion(N), PFDispersion(N), FIDispersion(N, Fraction(5, 2))):
             for m, n in ((2, 0), (1, 1)):
-                by_enum = spectrum.level_count_by_enumeration(N, m, n, disp)
+                by_enum = oracles.level_count_by_enumeration(N, m, n, disp)
                 assert by_enum == len(spectrum.level_set(N, m, n, disp))
 
 
 def test_symbolic_counts_dominate_rational_ones():
     for N in (8, 10, 12):
-        sym = spectrum.level_count_by_enumeration(N, 2, 0, SymbolicAlphaDispersion(N))
+        sym = oracles.level_count_by_enumeration(N, 2, 0, SymbolicAlphaDispersion(N))
         for alpha in (3, Fraction(5, 2), Fraction(7, 3)):
-            rat = spectrum.level_count_by_enumeration(N, 2, 0, FIDispersion(N, alpha))
+            rat = oracles.level_count_by_enumeration(N, 2, 0, FIDispersion(N, alpha))
             assert sym >= rat
 
 
 def test_symbolic_count_matches_python_fallback():
     N = 9
-    fast = spectrum.level_count_by_enumeration(N, 2, 0, SymbolicAlphaDispersion(N))
+    fast = oracles.level_count_by_enumeration(N, 2, 0, SymbolicAlphaDispersion(N))
     slow = len(
         {spectrum.energy(mt, SymbolicAlphaDispersion(N)) for mt in motif.enumerate_motifs(N, 2, 0)}
     )
@@ -130,6 +139,27 @@ def test_numeric_dispersion_merges_close_levels():
     assert abs(lv[1][0] - 1.0) < 1e-9
 
 
+@st.composite
+def float_cases(draw):
+    """(N, m, n, float dispersion) with m + n <= 4, N <= 10; tables hold zeros and negatives."""
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(1 if m == 0 else 0, 4 - m))
+    N = draw(st.integers(1, 10))
+    entry = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-1e3, 1e3), st.floats(-1e-6, 1e-6))
+    return N, m, n, NumericDispersion(N, tuple(draw(st.lists(entry, min_size=N - 1, max_size=N - 1))))
+
+
+@given(float_cases())
+@example((10, 1, 1, NumericDispersion(10, (0.1, -0.2, 0.0, 0.3, -0.0, 1e-12, -1.5, 2.0, 0.1))))
+@example((3, 1, 1, NumericDispersion(3, (1.0, 1.0 + 1e-12))))
+def test_word_energies_match_energy(case):
+    N, m, n, disp = case
+    words = np.concatenate(list(motif._valid_word_blocks(N, m, n)))
+    got = spectrum._word_energies(words, N, disp.table).tolist()
+    assert got == [spectrum.energy(motif.Motif(w, N), disp) for w in words.tolist()]
+    assert len(spectrum.level_set(N, m, n, disp)) == spectrum.level_count_by_enumeration(N, m, n, disp)
+
+
 def test_level_bounds_examples():
     assert spectrum.level_bounds(PFDispersion(10), 2, 0) == 26
     assert spectrum.level_bounds(PFDispersion(9), 2, 0) == 21
@@ -148,7 +178,7 @@ def test_level_bounds_dominate_counts():
             FIDispersion(N, Fraction(5, 2)),
             SymbolicAlphaDispersion(N),
         ):
-            count = spectrum.level_count_by_enumeration(N, 2, 0, disp)
+            count = oracles.level_count_by_enumeration(N, 2, 0, disp)
             assert count <= spectrum.level_bounds(disp, 2, 0)
             assert count <= spectrum.level_bounds(disp, 0, 2)
 
@@ -165,7 +195,7 @@ def test_level_bounds_dominate_level_counts_from_one_site(m, n):
 
 def test_pf_bound_is_sharp():
     for N in (5, 8, 11):
-        count = spectrum.level_count_by_enumeration(N, 2, 0, PFDispersion(N))
+        count = oracles.level_count_by_enumeration(N, 2, 0, PFDispersion(N))
         assert count == spectrum.level_bounds(PFDispersion(N), 2, 0)
 
 
@@ -179,7 +209,7 @@ def test_level_bounds_need_two_state_context():
 def test_level_count_for_alpha_beyond_int64():
     disp = FIDispersion(6, Fraction(10**18, 7))  # scaled energies overflow int64
     plain = {spectrum.energy(mt, disp) for mt in motif.enumerate_motifs(6, 2, 0)}
-    assert spectrum.level_count_by_enumeration(6, 2, 0, disp) == len(plain)
+    assert oracles.level_count_by_enumeration(6, 2, 0, disp) == len(plain)
 
 
 @st.composite
@@ -219,7 +249,7 @@ def test_kernel_matches_enumerated_partition(case):
     N, m, n, disp = case
     band, scale, decode = spectrum._band(disp)
     got = spectrum._level_polynomial(N, m, n, band)
-    want = partition.enumerated_partition(N, m, n, disp)
+    want = oracles.enumerated_partition(N, m, n, disp)
     if isinstance(disp, SymbolicAlphaDispersion):
         got = {decode(e): c for e, c in got.items()}
     assert got == want.terms
@@ -262,7 +292,7 @@ def test_level_count_matches_polynomial_and_enumeration(case):
     band, _, _ = spectrum._band(disp)
     count = spectrum.level_count(N, m, n, disp)
     assert count == len(spectrum._level_polynomial(N, m, n, band))
-    assert count == spectrum.level_count_by_enumeration(N, m, n, disp)
+    assert count == oracles.level_count_by_enumeration(N, m, n, disp)
 
 
 @given(exact_cases())
@@ -321,14 +351,14 @@ def test_packed_bound_edge(sparse_calls, monkeypatch):
     monkeypatch.setattr(spectrum, "_PACKED_BOUND", slots - 1)
     count_past = spectrum.level_count(N, m, n, disp)
     assert len(sparse_calls) == 1
-    assert count_at == count_past == spectrum.level_count_by_enumeration(N, m, n, disp)
+    assert count_at == count_past == oracles.level_count_by_enumeration(N, m, n, disp)
     monkeypatch.setattr(spectrum, "_PACKED_BOUND", slots * width)
     poly_at = spectrum._level_polynomial(N, m, n, band)
     assert len(sparse_calls) == 1
     monkeypatch.setattr(spectrum, "_PACKED_BOUND", slots * width - 1)
     poly_past = spectrum._level_polynomial(N, m, n, band)
     assert len(sparse_calls) == 2
-    assert poly_at == poly_past == partition.enumerated_partition(N, m, n, disp).terms
+    assert poly_at == poly_past == oracles.enumerated_partition(N, m, n, disp).terms
 
 
 def test_symbolic_count_past_old_bitset_bound_stays_packed(sparse_calls):
