@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -30,19 +29,21 @@ def _parse_alpha(text: str) -> Fraction | None:
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        # argparse reports a ValueError from a type function as a usage error
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
 
 
-def _parse_cluster_tol(text: str) -> float:
-    """A finite, positive relative clustering width; anything else is a usage error."""
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol > 0):
-        raise argparse.ArgumentTypeError(f"need a finite positive tolerance, got {text!r}")
-    return tol
+def _checked(convert, ok, need: str):
+    """Argparse type: `convert` the text, and make a value failing `ok` a usage error."""
+
+    def parse(text: str):
+        value = convert(text)
+        if value is not None and not ok(value):
+            raise argparse.ArgumentTypeError(f"need {need}, got {text!r}")
+        return value
+
+    # argparse names the type in its "invalid <type> value" message
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def _parse_spins(text: str) -> tuple[int, ...]:
@@ -147,10 +148,7 @@ def _cmd_tableau(args: argparse.Namespace) -> int:
     if N is None:
         print("error: need --spins or --sites", file=sys.stderr)
         return 2
-    sizes = tableau.fiber_sizes(N, m, n)
-    rows = []
-    for mot in motif.enumerate_motifs(N, m, n):
-        rows.append((str(mot), sizes.get(mot.word, 0)))
+    rows = [(str(motif.Motif(word, N)), d) for word, d in sorted(tableau.fiber_sizes(N, m, n).items())]
     total = sum(d for _, d in rows)
     if total != (m + n) ** N:
         return _fail(f"fiber dimensions sum to {total}, expected {(m + n) ** N}")
@@ -266,7 +264,7 @@ def _cmd_diag(args: argparse.Namespace) -> int:
         return 2
     chain = oracle.ChainSpec(args.chain, args.sites, args.m, args.n, alpha=args.alpha, ksq=args.ksq)
     if args.compare:
-        report = oracle.compare(chain, cluster_tol=args.cluster_tol)
+        report = oracle.compare(chain)
         rows = [
             (
                 args.chain,
@@ -282,9 +280,7 @@ def _cmd_diag(args: argparse.Namespace) -> int:
         if not report.matched:
             return _fail(report.mismatch or "levels do not match")
         return 0
-    lam = oracle.chain_eigenvalues(chain)
-    rows = [(e, d) for e, d in oracle.cluster_levels(lam, args.cluster_tol)]
-    _emit(args, ["energy", "multiplicity"], rows)
+    _emit(args, ["energy", "multiplicity"], oracle.cluster_levels(oracle.chain_eigenvalues(chain)))
     return 0
 
 
@@ -331,13 +327,14 @@ def _cmd_anyon(args: argparse.Namespace) -> int:
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     builder, title, xlabel, ylabel = figures.FIGURES[args.name]
-    kwargs = {}
     params = inspect.signature(builder).parameters
-    if args.max_sites is not None and "max_sites" in params:
-        kwargs["max_sites"] = args.max_sites
-    if args.ksq is not None and "ksq" in params:
-        kwargs["ksq"] = args.ksq
+    kwargs = {k: getattr(args, k) for k in ("max_sites", "ksq") if getattr(args, k) is not None}
+    for k in kwargs:
+        if k not in params:
+            print(f"error: figure {args.name} takes no --{k.replace('_', '-')}", file=sys.stderr)
+            return 2
     series = builder(**kwargs)
+    svg = figures.render_svg(series, title, xlabel, ylabel)
     prefix = args.output if args.output else args.name
     csv_path = prefix + ".csv"
     svg_path = prefix + ".svg"
@@ -346,7 +343,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         for s in series:
             for x, y in zip(s.xs, s.ys):
                 fh.write(f"{s.label},{x:.6g},{y:.6g}\n")
-    svg = figures.render_svg(series, title, xlabel, ylabel)
     with open(svg_path, "w") as fh:
         fh.write(svg)
     _emit(
@@ -364,6 +360,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"{_TOOL} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    sites = _checked(int, lambda v: v >= 1, "at least 1 site")
+    ksq = _checked(float, lambda v: 0.0 <= v < 1.0, "0 <= ksq < 1")
+    alpha = _checked(_parse_alpha, lambda v: v > 0, "alpha > 0")
 
     def add(name: str, func, help_: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
@@ -372,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("motifs", _cmd_motifs, "count or list run-constrained motifs")
-    p.add_argument("--sites", type=int, required=True)
+    p.add_argument("--sites", type=sites, required=True)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--n", type=int, default=0)
     g = p.add_mutually_exclusive_group()
@@ -383,17 +382,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("tableau", _cmd_tableau, "spin configurations, motifs and fiber dimensions")
     p.add_argument("--spins", type=_parse_spins, default=None, help="comma-separated spin values")
-    p.add_argument("--sites", type=int, default=None, help="list dimensions of all motifs")
+    p.add_argument("--sites", type=sites, default=None, help="list dimensions of all motifs")
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--art", action="store_true", help="print the border-strip rendering")
 
     p = add("fib", _cmd_fib, "generalized Fibonacci numbers")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--upto", type=int, required=True)
+    p.add_argument("--upto", type=_checked(int, lambda v: v >= 0, "upto >= 0"), required=True)
 
     p = add("dmin", _cmd_dmin, "minimum average degeneracy bounds")
-    p.add_argument("--sites", type=int, required=True)
+    p.add_argument("--sites", type=sites, required=True)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--translational", action="store_true")
@@ -403,8 +402,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("spectrum", _cmd_spectrum, "exact level sets from closed dispersions")
     p.add_argument("--chain", choices=("hs", "pf", "fi"), required=True)
-    p.add_argument("--alpha", type=_parse_alpha, default=None)
-    p.add_argument("--sites", type=int, required=True)
+    p.add_argument("--alpha", type=alpha, default=None)
+    p.add_argument("--sites", type=sites, required=True)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--n", type=int, default=0)
     g = p.add_mutually_exclusive_group()
@@ -414,24 +413,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("partition", _cmd_partition, "level polynomials from the transfer-matrix kernel")
     p.add_argument("--chain", choices=("hs", "fi"), required=True)
-    p.add_argument("--alpha", type=_parse_alpha, default=None)
-    p.add_argument("--sites", type=int, required=True)
+    p.add_argument("--alpha", type=alpha, default=None)
+    p.add_argument("--sites", type=sites, required=True)
     p.add_argument("--levels-only", action="store_true")
     p.add_argument("--dump-terms", metavar="FILE", default=None)
 
     p = add("diag", _cmd_diag, "diagonalization by occupation block and formula comparison")
     p.add_argument("--chain", choices=("hs", "pf", "fi", "elliptic"), required=True)
-    p.add_argument("--sites", type=int, required=True)
+    p.add_argument("--sites", type=_checked(int, lambda v: v >= 2, "at least 2 sites"), required=True)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--n", type=int, default=0)
-    p.add_argument("--alpha", type=_parse_alpha, default=None)
-    p.add_argument("--ksq", type=float, default=None)
+    p.add_argument("--alpha", type=alpha, default=None)
+    p.add_argument("--ksq", type=ksq, default=None)
     p.add_argument("--compare", action="store_true")
-    p.add_argument("--cluster-tol", type=_parse_cluster_tol, default=1e-7)
 
     p = add("anyon", _cmd_anyon, "statistical weights and exclusion statistics")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--sites", type=int, default=None)
+    p.add_argument("--sites", type=sites, default=None)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--weights", action="store_true")
     g.add_argument("--identities", action="store_true")
@@ -442,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("figure", _cmd_figure, "write a figure as CSV plus SVG")
     p.add_argument("--name", choices=sorted(figures.FIGURES), required=True)
     p.add_argument("--max-sites", type=int, default=None)
-    p.add_argument("--ksq", type=float, default=None)
+    p.add_argument("--ksq", type=ksq, default=None)
     p.add_argument("--output", default=None, help="output path prefix (default: the name)")
 
     return parser

@@ -194,12 +194,12 @@ def coupling_table(chain: ChainSpec) -> list[float]:
     return [0.0] + [float(J[0, l]) for l in range(1, chain.sites)]
 
 
-def _check_size(N: int, base: int, cap: int) -> None:
+def _check_size(N: int, base: int) -> None:
     """Raise InfeasibleSizeError, before anything is allocated, when H would not fit.
 
-    With budget = max(cap, DIMENSION_CAP), the side of the one dense matrix
-    the cap allows, three bounds hold, checked in this order so that each
-    needs only small integers once the one before it has passed:
+    With budget = DIMENSION_CAP, the side of the one dense matrix the cap
+    allows, two bounds hold, checked in this order so that the second needs
+    only small integers once the first has passed:
 
     * steps: assembly makes one vectorized pass per site pair, N(N-1)/2, and
       diagonalization one eigensolve per sector, C(N + base - 1, N); together
@@ -207,13 +207,13 @@ def _check_size(N: int, base: int, cap: int) -> None:
     * words: the basis arrays take at most 4N + 16 int64 words per state
       ((m+n)^N states), the couplings N^2, and the blocks one entry per pair
       of states with equal occupation, P_d(j) = sum_k C(j, k)^2 P_{d-1}(j - k)
-      over the first d local states; together at most budget^2;
-    * the largest block, the balanced multinomial N!/prod k_d!, at most `cap`.
+      over the first d local states; together at most budget^2.  The words
+      bound also keeps the largest block's side below `budget`.
 
     Checking and diagonalizing a block adds a few transient copies of that
     one block.
     """
-    budget = max(cap, DIMENSION_CAP)
+    budget = DIMENSION_CAP
     pairs = N * (N - 1) // 2
     if pairs > budget or pairs + math.comb(N + base - 1, N) > budget:
         raise InfeasibleSizeError(f"more than {budget} site pairs and occupation sectors")
@@ -226,21 +226,17 @@ def _check_size(N: int, base: int, cap: int) -> None:
         entries = [sum(math.comb(j, k) ** 2 * entries[j - k] for k in range(j + 1)) for j in range(N + 1)]
     if basis + entries[N] > words:
         raise InfeasibleSizeError(f"basis arrays and occupation blocks take more than {words} words")
-    q, r = divmod(N, base)
-    largest = math.factorial(N) // (math.factorial(q + 1) ** r * math.factorial(q) ** (base - r))
-    if largest > cap:
-        raise InfeasibleSizeError(f"largest occupation block {largest} exceeds cap {cap}")
 
 
-def build_hamiltonian(chain: ChainSpec, cap: int = DIMENSION_CAP) -> list[np.ndarray]:
+def build_hamiltonian(chain: ChainSpec) -> list[np.ndarray]:
     """Diagonal blocks of H = sum_{i<j} J_ij (1 - S_ij), one per occupation sector.
 
     Blocks are ordered by the smallest state of their sector, and the states
-    of a block ascend.  `cap` bounds the side of the largest block.
+    of a block ascend.
     """
     base = chain.m + chain.n
     N = chain.sites
-    _check_size(N, base, cap)
+    _check_size(N, base)
     J = coupling_matrix(chain)
     dim = base**N
     idx = np.arange(dim, dtype=np.int64)
@@ -316,23 +312,13 @@ def eigenvalues(a: np.ndarray) -> np.ndarray:
     return lam
 
 
-def cluster_levels(values: np.ndarray, tol: float = 1e-7) -> list[tuple[float, int]]:
-    """Group sorted eigenvalues into (level, multiplicity) pairs.
+def cluster_levels(values: np.ndarray) -> list[tuple[float, int]]:
+    """Group eigenvalues into ascending (level, multiplicity) pairs.
 
-    The absolute threshold is tol times the spectral scale, so the default
-    corresponds to 1e-7 on a norm-1 matrix.
+    The round-off rule of `spectrum._merge_float_levels` decides which
+    values are one level, and raises ValueError on a gap it cannot call.
     """
-    vals = np.sort(np.asarray(values, dtype=float))
-    if vals.size == 0:
-        return []
-    thresh = tol * max(1.0, float(np.abs(vals).max()))
-    out: list[tuple[float, int]] = []
-    start = 0
-    for t in range(1, vals.size + 1):
-        if t == vals.size or vals[t] - vals[t - 1] > thresh:
-            out.append((float(vals[start:t].mean()), t - start))
-            start = t
-    return out
+    return spectrum._merge_float_levels(values, np.ones(np.size(values), dtype=np.int64))
 
 
 def formula_dispersion(chain: ChainSpec):
@@ -359,42 +345,31 @@ class CompareReport:
     mismatch: str | None = None
 
 
-def compare(chain: ChainSpec, disp=None, cluster_tol: float = 1e-7) -> CompareReport:
-    """Diagonalize the chain and match its levels against the motif formula."""
+def compare(chain: ChainSpec, disp=None) -> CompareReport:
+    """Diagonalize the chain and match its levels against the motif formula.
+
+    Energies agree when they differ by at most the round-off width that
+    clusters the eigenvalues.
+    """
     if disp is None:
         disp = formula_dispersion(chain)
-    numeric = cluster_levels(chain_eigenvalues(chain), cluster_tol)
-    formula = [
-        (float(e), d)
-        for e, d in spectrum.level_set(chain.sites, chain.m, chain.n, disp)
-    ]
-    thresh = cluster_tol * max(
-        1.0, max((abs(e) for e, _ in numeric), default=0.0)
-    )
+    eigs = chain_eigenvalues(chain)
+    numeric = tuple(cluster_levels(eigs))
+    formula = tuple((float(e), d) for e, d in spectrum.level_set(chain.sites, chain.m, chain.n, disp))
     if len(numeric) != len(formula):
-        return CompareReport(
-            False,
-            math.inf,
-            False,
-            tuple(numeric),
-            tuple(formula),
-            f"level count {len(numeric)} != {len(formula)}",
-        )
-    max_err = 0.0
-    deg_ok = True
-    mismatch = None
-    for (en, dn), (ef, df) in zip(numeric, formula):
-        max_err = max(max_err, abs(en - ef))
-        if dn != df and mismatch is None:
-            deg_ok = False
-            mismatch = f"degeneracy {dn} != {df} at level {ef}"
-    matched = deg_ok and max_err <= thresh
-    if not matched and mismatch is None:
-        mismatch = f"max energy error {max_err} above {thresh}"
-    return CompareReport(matched, max_err, deg_ok, tuple(numeric), tuple(formula), mismatch)
+        mismatch = f"level count {len(numeric)} != {len(formula)}"
+        return CompareReport(False, math.inf, False, numeric, formula, mismatch)
+    pairs = list(zip(numeric, formula))
+    max_err = max(abs(en - ef) for (en, _), (ef, _) in pairs)
+    thresh = spectrum._level_width(eigs)
+    wrong = [f"degeneracy {dn} != {df} at level {ef}" for (_, dn), (ef, df) in pairs if dn != df]
+    if max_err > thresh:
+        wrong.append(f"max energy error {max_err} above {thresh}")
+    deg_ok = all(dn == df for (_, dn), (_, df) in pairs)
+    return CompareReport(not wrong, max_err, deg_ok, numeric, formula, wrong[0] if wrong else None)
 
 
-def numeric_average_degeneracy(chain: ChainSpec, cluster_tol: float = 1e-7) -> Fraction:
+def numeric_average_degeneracy(chain: ChainSpec) -> Fraction:
     """(m+n)^N over the number of distinct numerical levels."""
-    count = len(cluster_levels(chain_eigenvalues(chain), cluster_tol))
+    count = len(cluster_levels(chain_eigenvalues(chain)))
     return Fraction((chain.m + chain.n) ** chain.sites, count)

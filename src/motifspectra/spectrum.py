@@ -5,8 +5,8 @@ motif's energy is the sum of eps over its 1 bits.  Dispersions come in exact
 flavours (integer, rational, or symbolic-linear in an irrational coupling
 constant alpha, carried as an exact integer pair (E0, E1) = coefficients of
 (alpha, 1)) and a floating-point table flavour for couplings only known
-numerically.  Exact energies hash and sort exactly; float energies are
-deduplicated by a relative gap rule.
+numerically.  Exact energies hash and sort exactly; float energies are one
+level when their gap is within the round-off of the computation.
 
 Every exact level polynomial, the sum over motifs of dim(V) q^E, comes from
 one transfer-matrix kernel over the spins of the chain, fed with the
@@ -23,6 +23,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -49,7 +50,6 @@ __all__ = [
     "level_bounds",
 ]
 
-MERGE_TOL = 1e-9
 # relative mismatch h[l] vs h[N-l] that dispersion_from_coupling tolerates
 _EVEN_TOL = 1e-12
 # widest packed transfer row, in bits: (band sum + 1) slots of the slot width
@@ -155,25 +155,40 @@ def ground_state_energy(disp) -> int | Fraction | float | tuple[int, int]:
     return energy(Motif((1 << (disp.sites - 1)) - 1, disp.sites), disp)
 
 
-def _merge_float_levels(pairs: list[tuple[float, int]]) -> list[tuple[float, int]]:
-    pairs.sort()
-    merged: list[tuple[float, int]] = []
-    members: list[float] = []
-    deg = 0
-    last = None
-    for e, d in pairs:
-        if last is not None and e - last < MERGE_TOL * max(1.0, abs(e)):
-            members.append(e)
-            deg += d
-        else:
-            if members:
-                merged.append((math.fsum(members) / len(members), deg))
-            members = [e]
-            deg = d
-        last = e
-    if members:
-        merged.append((math.fsum(members) / len(members), deg))
-    return merged
+def _level_width(values: np.ndarray) -> float:
+    """Widest gap between float values that still counts as one level.
+
+    32 eps times the bit length of the value count times the scale
+    max(1, max |value|): a sum or an eigensolve over that many values moves
+    each by a few eps of the scale per halving of its reduction.
+    """
+    scale = max(1.0, float(np.abs(values).max(initial=0.0)))
+    return 32 * sys.float_info.epsilon * values.size.bit_length() * scale
+
+
+def _merge_float_levels(values, weights) -> list[tuple[float, int]]:
+    """Group float values into ascending (level, total weight) pairs.
+
+    Sorted values whose gap is at most `_level_width` form one level, the
+    mean of its members.  A gap within a factor of 10 of the width, either
+    way, is neither round-off nor a resolved level and raises ValueError.
+    """
+    order = np.argsort(values, kind="stable")
+    vals = np.asarray(values, dtype=float)[order]
+    if vals.size == 0:
+        return []
+    thresh = _level_width(vals)
+    gaps = np.diff(vals) / thresh
+    unclear = np.flatnonzero((gaps > 0.1) & (gaps <= 10))
+    if unclear.size:
+        k = unclear[0]
+        raise ValueError(
+            f"float levels {float(vals[k])!r} and {float(vals[k + 1])!r} are {gaps[k]:.3g} times "
+            f"the round-off width {thresh:.3g} apart: too close to tell one level from two"
+        )
+    cuts = np.flatnonzero(gaps > 1) + 1
+    degs = np.add.reduceat(np.asarray(weights, dtype=np.int64)[order], np.r_[0, cuts]).tolist()
+    return [(float(level.mean()), d) for level, d in zip(np.split(vals, cuts), degs)]
 
 
 def _band(disp) -> tuple[list[int], int, Callable[[int], object]]:
@@ -331,7 +346,8 @@ def level_set(N: int, m: int, n: int, disp) -> list[tuple[int | Fraction | float
 
     Exact dispersions go through the transfer-matrix kernel, which never
     lists spin configurations; float tables weight each motif's energy by
-    its fiber dimension and merge levels by the relative gap rule.
+    its fiber dimension and merge levels by the round-off rule of
+    `_merge_float_levels`.
     """
     if disp.sites != N:
         raise ValueError(f"dispersion is for {disp.sites} sites, not {N}")
@@ -340,26 +356,21 @@ def level_set(N: int, m: int, n: int, disp) -> list[tuple[int | Fraction | float
         return [(decode(e), d) for e, d in sorted(_level_polynomial(N, m, n, band).items())]
     fibers = tableau._fiber_cache(N, m, n)
     words = np.fromiter(fibers, dtype=np.int64, count=len(fibers))
-    energies = _word_energies(words, N, disp.table).tolist()
-    return _merge_float_levels(list(zip(energies, fibers.values())))
+    return _merge_float_levels(_word_energies(words, N, disp.table), list(fibers.values()))
 
 
 def level_count_by_enumeration(N: int, m: int, n: int, disp) -> int:
     """Number of distinct energies of a float table over the valid motifs.
 
-    Levels merge by the relative gap rule.  Exact dispersions are counted
-    by `level_count`.
+    Levels merge by the round-off rule of `_merge_float_levels`.  Exact
+    dispersions are counted by `level_count`.
     """
     if disp.sites != N:
         raise ValueError(f"dispersion is for {disp.sites} sites, not {N}")
     if disp.exact:
         raise TypeError(f"{type(disp).__name__} is exact: count its levels with level_count")
-    pairs = [
-        (e, 1)
-        for words in _motif._valid_word_blocks(N, m, n)
-        for e in _word_energies(words, N, disp.table).tolist()
-    ]
-    return len(_merge_float_levels(pairs))
+    energies = np.concatenate([_word_energies(w, N, disp.table) for w in _motif._valid_word_blocks(N, m, n)])
+    return len(_merge_float_levels(energies, np.ones(energies.size, dtype=np.int64)))
 
 
 def average_degeneracy(levels: Sequence[tuple[object, int]]) -> Fraction:

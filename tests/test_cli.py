@@ -93,9 +93,9 @@ def test_tableau_dims_table():
 
 
 def test_tableau_rejects_no_sites():
-    code, out, err = run_cli("tableau", "--sites", "0")
-    assert (code, out) == (1, "")
-    assert err == "error: need N >= 1, got 0\n"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("tableau", "--sites", "0")
+    assert exc.value.code == 2
 
 
 def test_dmin_rows():
@@ -207,14 +207,52 @@ def test_usage_errors_exit_two():
     code, _, err = run_cli("anyon", "--m", "2", "--fit-g", "--k", "3", "--orbitals", "4,x")
     assert code == 2
     assert "--orbitals" in err
-    for command in ("spectrum", "partition", "diag"):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(command, "--chain", "fi", "--alpha", "1/0", "--sites", "4")
-        assert exc.value.code == 2
-    for tol in ("nan", "inf", "0", "-1e-7"):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("diag", "--chain", "hs", "--sites", "6", "--m", "2", f"--cluster-tol={tol}")
-        assert exc.value.code == 2
+    out_of_range = [
+        ((command, "--chain", "fi", f"--alpha={alpha}", "--sites", "4"), reason)
+        for command in ("spectrum", "partition", "diag")
+        for alpha, reason in (("1/0", "zero denominator"), ("-1", "alpha > 0"), ("0", "alpha > 0"))
+    ]
+    out_of_range += [
+        (("motifs", "--sites", "-3", "--list"), "at least 1 site"),
+        (("motifs", "--sites", "0"), "at least 1 site"),
+        (("dmin", "--sites", "0"), "at least 1 site"),
+        (("spectrum", "--chain", "hs", "--sites", "0"), "at least 1 site"),
+        (("partition", "--chain", "hs", "--sites", "0"), "at least 1 site"),
+        (("anyon", "--m", "2", "--sites", "0"), "at least 1 site"),
+        (("diag", "--chain", "hs", "--sites", "1"), "at least 2 sites"),
+        (("fib", "--m", "3", "--upto", "-1"), "upto >= 0"),
+        (("figure", "--name", "fig4", "--ksq", "1"), "0 <= ksq < 1"),
+    ]
+    for ksq in ("nan", "inf", "-0.1", "1.5"):
+        out_of_range.append((("diag", "--chain", "elliptic", "--sites", "6", f"--ksq={ksq}"), "0 <= ksq < 1"))
+    for argv, reason in out_of_range:
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.raises(SystemExit) as exc, redirect_stdout(out), redirect_stderr(err):
+            main(list(argv))
+        assert exc.value.code == 2, argv
+        assert reason in err.getvalue(), argv
+
+
+def test_figure_rejects_flag_its_builder_does_not_take(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli("figure", "--name", "fig3", "--ksq", "0.3")
+    assert (code, out) == (2, "")
+    assert "takes no --ksq" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("figure", "--name", "fig3", "--max-sites", "2"),  # nothing to plot
+        ("figure", "--name", "fig4", "--ksq", "0.1", "--max-sites", "13"),  # unresolvable levels
+    ],
+)
+def test_failed_figure_writes_no_file(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(*argv)
+    assert (code, out) == (1, "")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_computational_failure_exits_one():

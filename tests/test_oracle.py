@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from motifspectra import oracle, spectrum
+from motifspectra import motif, oracle, spectrum
 from motifspectra.motif import InfeasibleSizeError
 from motifspectra.oracle import ChainSpec
 import oracles
@@ -201,11 +201,6 @@ def test_sector_union_matches_dense_spectrum(kind, m, n, N):
 
 
 def test_dimension_cap():
-    # the cap bounds the largest occupation block, C(8, 4) = 70 for su(2|0) at N = 8
-    with pytest.raises(InfeasibleSizeError):
-        oracle.build_hamiltonian(ChainSpec("hs", 8, 2, 0), cap=69)
-    blocks = oracle.build_hamiltonian(ChainSpec("hs", 8, 2, 0), cap=70)
-    assert max(b.shape[0] for b in blocks) == 70
     with pytest.raises(InfeasibleSizeError):
         oracle.build_hamiltonian(ChainSpec("hs", 20, 2, 0))
 
@@ -213,29 +208,28 @@ def test_dimension_cap():
 @pytest.mark.parametrize("chain", [ChainSpec("hs", 8, 2, 0), ChainSpec("pf", 5, 2, 1)])
 def test_block_storage_cap(monkeypatch, chain):
     # basis arrays (4N + 16 words a state), couplings and block entries
-    # together take at most max(cap, DIMENSION_CAP)^2 words
+    # together take at most DIMENSION_CAP^2 words
     N, base = chain.sites, chain.m + chain.n
     sectors = _sectors(chain)
     words = base**N * (4 * N + 16) + N * N + sum(len(s) ** 2 for s in sectors)
     side = math.isqrt(words - 1) + 1
-    cap = max(len(s) for s in sectors)
     monkeypatch.setattr(oracle, "DIMENSION_CAP", side)
-    oracle.build_hamiltonian(chain, cap=cap)
+    oracle.build_hamiltonian(chain)
     monkeypatch.setattr(oracle, "DIMENSION_CAP", side - 1)
     with pytest.raises(InfeasibleSizeError, match="words"):
-        oracle.build_hamiltonian(chain, cap=cap)
+        oracle.build_hamiltonian(chain)
 
 
 @pytest.mark.parametrize("chain", [ChainSpec("hs", 20, 1, 0), ChainSpec("hs", 2, 30, 0)])
 def test_step_cap(monkeypatch, chain):
     # site pairs (one assembly pass each) and sectors (one eigensolve each)
-    # number at most max(cap, DIMENSION_CAP) together
+    # number at most DIMENSION_CAP together
     steps = math.comb(chain.sites, 2) + len(_sectors(chain))
     monkeypatch.setattr(oracle, "DIMENSION_CAP", steps)
-    oracle.build_hamiltonian(chain, cap=1 if chain.m == 1 else 2)
+    oracle.build_hamiltonian(chain)
     monkeypatch.setattr(oracle, "DIMENSION_CAP", steps - 1)
     with pytest.raises(InfeasibleSizeError, match="sectors"):
-        oracle.build_hamiltonian(chain, cap=1 if chain.m == 1 else 2)
+        oracle.build_hamiltonian(chain)
 
 
 @pytest.mark.parametrize(
@@ -273,10 +267,14 @@ def test_eigenvalues_on_known_matrix():
 
 
 def test_cluster_levels():
-    vals = np.array([1.0, 1.0 + 1e-9, 2.0, 2.0, 5.0])
-    out = oracle.cluster_levels(vals, tol=1e-7)
-    assert [d for _, d in out] == [2, 2, 1]
-    assert abs(out[0][0] - 1.0) < 1e-9
+    # the energies of the su(1|1) motifs of 3 sites under the band (1, 1 + delta);
+    # the round-off width is 32 eps * 3 * 2 = 4.3e-14
+    for delta, degeneracies in ((1e-15, [1, 2, 1]), (1e-11, [1, 1, 1, 1])):
+        out = oracle.cluster_levels(np.array([2.0 + delta, 1.0, 0.0, 1.0 + delta]))
+        assert [d for _, d in out] == degeneracies
+        assert out[1][0] == (np.mean([1.0, 1.0 + delta]) if len(out) == 3 else 1.0)
+    with pytest.raises(ValueError, match=r"2\.3\d times the round-off width"):
+        oracle.cluster_levels(np.array([2.0 + 1e-13, 1.0, 0.0, 1.0 + 1e-13]))
     assert oracle.cluster_levels(np.array([])) == []
 
 
@@ -297,6 +295,26 @@ def test_compare_matches_formula(chain):
     assert report.matched, report.mismatch
     assert report.max_energy_error < 1e-8
     assert report.degeneracies_match
+
+
+def test_compare_tolerates_only_round_off():
+    # an error of 1e-10 of the band passed a width of 1e-7 of the scale
+    N = 6
+    for stretch, matched in ((1.0, True), (1 + 1e-10, False)):
+        disp = spectrum.NumericDispersion(N, tuple(j * (N - j) * stretch for j in range(1, N)))
+        report = oracle.compare(ChainSpec("hs", N, 2, 0), disp=disp)
+        assert report.degeneracies_match
+        assert report.matched == matched, report.mismatch
+
+
+def test_round_off_width_resolves_close_levels():
+    # a width of 1e-7 of the scale merged these to 444, 272 and 477 levels
+    report = oracle.compare(ChainSpec("elliptic", 12, 1, 1, ksq=0.1))
+    assert report.matched, report.mismatch
+    assert len(report.levels_numeric) == motif.count_half(12, 1, 1) == 486
+    for m, n, N, count in ((2, 1, 8, 275), (2, 0, 12, 493)):
+        chain = ChainSpec("elliptic", N, m, n, ksq=0.1)
+        assert len(oracle.cluster_levels(oracle.chain_eigenvalues(chain))) == count
 
 
 def test_compare_detects_wrong_dispersion():

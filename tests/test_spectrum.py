@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from motifspectra import motif, spectrum, tableau
+from motifspectra import motif, oracle, spectrum, tableau
 from motifspectra.spectrum import (
     FIDispersion,
     HSDispersion,
@@ -132,11 +132,35 @@ def test_dispersion_from_coupling_rejects_uneven_table():
 
 
 def test_numeric_dispersion_merges_close_levels():
-    disp = NumericDispersion(3, (1.0, 1.0 + 1e-12))
-    assert spectrum.level_count_by_enumeration(3, 1, 1, disp) == 3
-    lv = spectrum.level_set(3, 1, 1, disp)
-    assert [d for _, d in lv] == [2, 4, 2]
-    assert abs(lv[1][0] - 1.0) < 1e-9
+    # motif energies 0, 1, 1 + delta, 2 + delta; the round-off width is 32 eps * 3 * 2 = 4.3e-14
+    for delta, degeneracies in ((1e-15, [2, 4, 2]), (1e-11, [2, 2, 2, 2])):
+        disp = NumericDispersion(3, (1.0, 1.0 + delta))
+        assert spectrum.level_count_by_enumeration(3, 1, 1, disp) == len(degeneracies)
+        lv = spectrum.level_set(3, 1, 1, disp)
+        assert [d for _, d in lv] == degeneracies
+        assert lv[1][0] == (np.mean([1.0, 1.0 + delta]) if len(lv) == 3 else 1.0)
+    disp = NumericDispersion(3, (1.0, 1.0 + 1e-13))
+    with pytest.raises(ValueError, match=r"2\.3\d times the round-off width"):
+        spectrum.level_set(3, 1, 1, disp)
+    with pytest.raises(ValueError, match=r"2\.3\d times the round-off width"):
+        spectrum.level_count_by_enumeration(3, 1, 1, disp)
+
+
+@pytest.mark.parametrize("N,count", [(15, 2187), (16, 4374)])
+def test_elliptic_susy_counts_past_twelve_sites(N, count):
+    # 2^N over these is 14.98; a relative merge width of 1e-9 gave 17.59 and 16.40
+    disp = oracle.formula_dispersion(oracle.ChainSpec("elliptic", N, 1, 1, ksq=0.5))
+    assert len(spectrum.level_set(N, 1, 1, disp)) == count == motif.count_half(N, 1, 1)
+    assert spectrum.level_count_by_enumeration(N, 1, 1, disp) == count
+
+
+def test_unresolvable_float_levels_raise():
+    # two su(1|1) energies at ksq 0.1 and 13 sites lie 0.19 round-off widths (2e-14 of the scale) apart
+    disp = oracle.formula_dispersion(oracle.ChainSpec("elliptic", 13, 1, 1, ksq=0.1))
+    with pytest.raises(ValueError, match=r"[0-9.]+ times the round-off width"):
+        spectrum.level_count_by_enumeration(13, 1, 1, disp)
+    with pytest.raises(ValueError, match=r"[0-9.]+ times the round-off width"):
+        spectrum.level_set(13, 1, 1, disp)
 
 
 @st.composite
@@ -157,7 +181,17 @@ def test_word_energies_match_energy(case):
     words = np.concatenate(list(motif._valid_word_blocks(N, m, n)))
     got = spectrum._word_energies(words, N, disp.table).tolist()
     assert got == [spectrum.energy(motif.Motif(w, N), disp) for w in words.tolist()]
-    assert len(spectrum.level_set(N, m, n, disp)) == spectrum.level_count_by_enumeration(N, m, n, disp)
+
+    def count(path):
+        # both paths give one count, or both find a gap they cannot resolve
+        try:
+            return path()
+        except ValueError as exc:
+            assert "round-off width" in str(exc)
+            return None
+
+    by_fibers = count(lambda: len(spectrum.level_set(N, m, n, disp)))
+    assert by_fibers == count(lambda: spectrum.level_count_by_enumeration(N, m, n, disp))
 
 
 def test_level_bounds_examples():

@@ -106,8 +106,9 @@ def test_fiber_dimensions_sum_to_state_count(m, n):
     for N in (2, 4, 6):
         sizes = tableau.fiber_sizes(N, m, n)
         assert sum(sizes.values()) == (m + n) ** N
-        for word in sizes:
-            assert motif.Motif(word, N).is_valid_for(m, n)
+        # `tableau --sites` lists the table in place of the valid motifs
+        assert sorted(sizes) == [mot.word for mot in motif.enumerate_motifs(N, m, n)]
+        assert 0 not in sizes.values()
 
 
 @pytest.mark.parametrize("m,n", [(m, k - m) for k in range(1, 5) for m in range(k + 1)])
