@@ -363,6 +363,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sites = _checked(int, lambda v: v >= 1, "at least 1 site")
     ksq = _checked(float, lambda v: 0.0 <= v < 1.0, "0 <= ksq < 1")
     alpha = _checked(_parse_alpha, lambda v: v > 0, "alpha > 0")
+    bosons = _checked(int, lambda v: v >= 0, "m >= 0")
+    fermions = _checked(int, lambda v: v >= 0, "n >= 0")
+    order = _checked(int, lambda v: v >= 2, "m >= 2")
 
     def add(name: str, func, help_: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
@@ -372,8 +375,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("motifs", _cmd_motifs, "count or list run-constrained motifs")
     p.add_argument("--sites", type=sites, required=True)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--m", type=bosons, default=2)
+    p.add_argument("--n", type=fermions, default=0)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--list", action="store_true")
     g.add_argument("--count", action="store_true")
@@ -383,18 +386,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("tableau", _cmd_tableau, "spin configurations, motifs and fiber dimensions")
     p.add_argument("--spins", type=_parse_spins, default=None, help="comma-separated spin values")
     p.add_argument("--sites", type=sites, default=None, help="list dimensions of all motifs")
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--m", type=bosons, default=2)
+    p.add_argument("--n", type=fermions, default=0)
     p.add_argument("--art", action="store_true", help="print the border-strip rendering")
 
     p = add("fib", _cmd_fib, "generalized Fibonacci numbers")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=order, required=True)
     p.add_argument("--upto", type=_checked(int, lambda v: v >= 0, "upto >= 0"), required=True)
 
     p = add("dmin", _cmd_dmin, "minimum average degeneracy bounds")
     p.add_argument("--sites", type=sites, required=True)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--m", type=bosons, default=2)
+    p.add_argument("--n", type=fermions, default=0)
     p.add_argument("--translational", action="store_true")
     p.add_argument("--asymptotic", action="store_true")
 
@@ -404,8 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chain", choices=("hs", "pf", "fi"), required=True)
     p.add_argument("--alpha", type=alpha, default=None)
     p.add_argument("--sites", type=sites, required=True)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--m", type=bosons, default=2)
+    p.add_argument("--n", type=fermions, default=0)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--levels", action="store_true")
     g.add_argument("--avg-deg", action="store_true")
@@ -421,25 +424,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("diag", _cmd_diag, "diagonalization by occupation block and formula comparison")
     p.add_argument("--chain", choices=("hs", "pf", "fi", "elliptic"), required=True)
     p.add_argument("--sites", type=_checked(int, lambda v: v >= 2, "at least 2 sites"), required=True)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--m", type=bosons, default=2)
+    p.add_argument("--n", type=fermions, default=0)
     p.add_argument("--alpha", type=alpha, default=None)
     p.add_argument("--ksq", type=ksq, default=None)
     p.add_argument("--compare", action="store_true")
 
     p = add("anyon", _cmd_anyon, "statistical weights and exclusion statistics")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=order, required=True)
     p.add_argument("--sites", type=sites, default=None)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--weights", action="store_true")
     g.add_argument("--identities", action="store_true")
     g.add_argument("--fit-g", action="store_true")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_checked(int, lambda v: v >= 2, "k >= 2"), default=None)
     p.add_argument("--orbitals", default=None, help="two comma-separated orbital counts")
 
     p = add("figure", _cmd_figure, "write a figure as CSV plus SVG")
     p.add_argument("--name", choices=sorted(figures.FIGURES), required=True)
-    p.add_argument("--max-sites", type=int, default=None)
+    p.add_argument("--max-sites", type=sites, default=None)
     p.add_argument("--ksq", type=ksq, default=None)
     p.add_argument("--output", default=None, help="output path prefix (default: the name)")
 
@@ -449,6 +452,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "n") and args.m + args.n < 1:
+        parser.error(f"need m + n >= 1, got m={args.m}, n={args.n}")
     try:
         return args.func(args)
     except (ValueError, AssertionError, NotImplementedError) as exc:

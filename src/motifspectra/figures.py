@@ -99,6 +99,9 @@ def render_svg(series: list[Series], title: str, xlabel: str, ylabel: str) -> st
     pts = [(x, y) for s in series for x, y in zip(s.xs, s.ys)]
     if not pts:
         raise ValueError("nothing to plot")
+    empty = [s.label for s in series if not s.xs]
+    if empty:
+        raise ValueError(f"no points in series {', '.join(map(repr, empty))}")
     if any(y <= 0 for _, y in pts):
         raise ValueError("log scale needs strictly positive values")
 

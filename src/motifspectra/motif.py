@@ -35,7 +35,9 @@ __all__ = [
     "su2_half_count_series",
 ]
 
-_BLOCK = 1 << 20
+# candidate words per block: the int64 temporaries of a block stay in cache,
+# and far below the memory the exact kernels need
+_BLOCK = 1 << 16
 _MAX_ENUM_BITS = 62  # candidate words are generated as signed 64-bit blocks
 _HALF_CAP = 1 << 26  # candidate words count_half_by_enumeration may sweep
 

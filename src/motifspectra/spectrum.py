@@ -264,13 +264,24 @@ def _packed_rows(band: Sequence[int], cut: Sequence[int], width: int, op) -> int
     through one are the matching suffix, shifted by the band entry's slots.
     `op` is + (slots count configurations; no slot may reach 2^width) or |
     (one-bit slots mark the energies that occur).
+
+    Rows run to megabytes, so a step makes no pass over them that it can
+    skip: prefix sums run only up to the largest cut and suffix sums only
+    from the smallest, and a row entered from an empty prefix (cut 0) or an
+    empty suffix (cut = number of rows) is the other sum alone, with no
+    addition of 0.  A two-state context makes two `op` calls per site.
     """
-    z = [1] * len(cut)
+    k = len(cut)
+    lo, hi = min(cut), max(cut)
+    z = [1] * k
     for e in band:
-        below = list(itertools.accumulate(z, op, initial=0))
-        above = list(itertools.accumulate(reversed(z), op, initial=0))[::-1]
+        below = list(itertools.accumulate(z[:hi], op))  # below[c - 1]: rows 0..c-1
+        above = list(itertools.accumulate(reversed(z[lo:]), op))[::-1]  # above[c - lo]: rows c..k-1
         shift = width * e
-        z = [op(below[c], above[c] << shift) for c in cut]
+        z = [
+            above[0] << shift if c == 0 else below[-1] if c == k else op(below[c - 1], above[c - lo] << shift)
+            for c in cut
+        ]
     return functools.reduce(op, z)
 
 
@@ -299,13 +310,14 @@ def _level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> dict[int, 
     total = _packed_rows(band, cut, 8 * nbytes, operator.add)
     raw = np.frombuffer(total.to_bytes(slots * nbytes, "little"), dtype=np.uint8).reshape(slots, nbytes)
     exponents = np.flatnonzero(raw.any(axis=1))
-    if nbytes <= 8:
-        wide = np.zeros((exponents.size, 8), dtype=np.uint8)
-        wide[:, :nbytes] = raw[exponents]
-        coeffs = wide.view("<u8").ravel().tolist()
-    else:
-        data = raw[exponents].tobytes()
-        coeffs = [int.from_bytes(data[i : i + nbytes], "little") for i in range(0, len(data), nbytes)]
+    # each nonzero slot padded to whole little-endian 64-bit limbs, folded high to low
+    limbs = -(-nbytes // 8)
+    wide = np.zeros((exponents.size, 8 * limbs), dtype=np.uint8)
+    wide[:, :nbytes] = raw[exponents]
+    words = wide.view("<u8")
+    coeffs = words[:, -1].tolist()
+    for j in range(limbs - 2, -1, -1):
+        coeffs = [(c << 64) | w for c, w in zip(coeffs, words[:, j].tolist())]
     return dict(zip(exponents.tolist(), coeffs))
 
 

@@ -11,12 +11,18 @@ in `motifspectra` computes another way:
 * `level_count_by_enumeration` counts the distinct exact energies over every
   valid motif word, against `spectrum.level_count`;
 * `graded_permutation` applies one graded transposition to one basis state,
-  against the vectorized Hamiltonian assembly.
+  against the vectorized Hamiltonian assembly;
+* `packed_rows` runs the packed transfer loop with full prefix and suffix
+  sums, every one started from 0, against `spectrum._packed_rows`, which
+  skips the passes whose result it already holds.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -100,3 +106,22 @@ def graded_permutation(state: int, i: int, j: int, m: int, n: int) -> tuple[int,
         sign = 1
     new = state + (dj - di) * base ** (i - 1) + (di - dj) * base ** (j - 1)
     return new, sign
+
+
+def packed_rows(band: Sequence[int], cut: Sequence[int], width: int, op) -> int:
+    """The transfer matrix of `_sparse_level_polynomial` with packed rows, reduced by `op`.
+
+    Row t is one Python int whose `width`-bit slot E holds the configurations
+    of the sites seen so far that end in spin t - n at scaled energy E.  The
+    rows entered without a descent are a prefix of the rows and those entered
+    through one are the matching suffix, shifted by the band entry's slots.
+    `op` is + (slots count configurations; no slot may reach 2^width) or |
+    (one-bit slots mark the energies that occur).
+    """
+    z = [1] * len(cut)
+    for e in band:
+        below = list(itertools.accumulate(z, op, initial=0))
+        above = list(itertools.accumulate(reversed(z), op, initial=0))[::-1]
+        shift = width * e
+        z = [op(below[c], above[c] << shift) for c in cut]
+    return functools.reduce(op, z)

@@ -222,6 +222,19 @@ def test_usage_errors_exit_two():
         (("diag", "--chain", "hs", "--sites", "1"), "at least 2 sites"),
         (("fib", "--m", "3", "--upto", "-1"), "upto >= 0"),
         (("figure", "--name", "fig4", "--ksq", "1"), "0 <= ksq < 1"),
+        (("figure", "--name", "fig2", "--max-sites", "-5"), "at least 1 site"),
+        (("figure", "--name", "fig3", "--max-sites", "0"), "at least 1 site"),
+        (("motifs", "--sites", "5", "--m", "-1"), "m >= 0"),
+        (("tableau", "--sites", "5", "--n", "-2"), "n >= 0"),
+        (("dmin", "--sites", "5", "--m", "-1", "--n", "3"), "m >= 0"),
+        (("spectrum", "--chain", "hs", "--sites", "4", "--n", "-1"), "n >= 0"),
+        (("diag", "--chain", "hs", "--sites", "6", "--m", "0", "--n", "0"), "m + n >= 1"),
+        (("motifs", "--sites", "5", "--m", "0"), "m + n >= 1"),
+        (("tableau", "--spins", "0,0", "--m", "0", "--n", "0"), "m + n >= 1"),
+        (("anyon", "--m", "2", "--fit-g", "--k", "-1", "--orbitals", "10,20"), "k >= 2"),
+        (("anyon", "--m", "2", "--fit-g", "--k", "1", "--orbitals", "10,20"), "k >= 2"),
+        (("anyon", "--m", "1", "--sites", "4"), "m >= 2"),
+        (("fib", "--m", "1", "--upto", "3"), "m >= 2"),
     ]
     for ksq in ("nan", "inf", "-0.1", "1.5"):
         out_of_range.append((("diag", "--chain", "elliptic", "--sites", "6", f"--ksq={ksq}"), "0 <= ksq < 1"))
@@ -246,13 +259,18 @@ def test_figure_rejects_flag_its_builder_does_not_take(tmp_path, monkeypatch):
     [
         ("figure", "--name", "fig3", "--max-sites", "2"),  # nothing to plot
         ("figure", "--name", "fig4", "--ksq", "0.1", "--max-sites", "13"),  # unresolvable levels
+        ("figure", "--name", "fig2", "--max-sites", "5"),  # no su(2|0) sizes
+        ("figure", "--name", "fig5", "--max-sites", "4"),  # no odd sizes
     ],
 )
 def test_failed_figure_writes_no_file(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
-    code, out, _ = run_cli(*argv)
+    code, out, err = run_cli(*argv)
     assert (code, out) == (1, "")
     assert list(tmp_path.iterdir()) == []
+    # a figure left without a whole family names it
+    family = {"fig2": "su(2|0) average", "fig5": "count, odd sizes"}.get(argv[2])
+    assert family is None or f"no points in series {family!r}" in err
 
 
 def test_computational_failure_exits_one():

@@ -1,8 +1,13 @@
 """Motif validity, enumeration, counting and half-motif reductions."""
 
+import tracemalloc
 from itertools import product
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from motifspectra import fibnum, motif
 
@@ -157,3 +162,31 @@ def test_half_count_order_one():
     for N in range(2, 10):
         assert motif.count_half(N, 1, 0) == 1
         assert motif.count(N, 1, 0) == 1
+
+
+@given(
+    st.sampled_from([(m, n) for m in range(5) for n in range(5 - m) if m + n >= 1]),
+    st.integers(1, 12),
+    st.sampled_from([1, 7, 1 << 16]),
+)
+@example((2, 0), 12, 1)
+@example((0, 3), 12, 7)
+@example((2, 1), 12, 1)
+def test_word_blocks_do_not_depend_on_block_size(context, N, block):
+    m, n = context
+    length = N - 1
+    with mock.patch.object(motif, "_BLOCK", block):
+        words = np.concatenate(list(motif._valid_word_blocks(N, m, n))).tolist()
+        half_count = motif.count_half_by_enumeration(N, m, n)
+    assert words == [w for w in range(1 << length) if motif.is_valid_word(w, length, m, n)]
+    assert half_count == len({motif.half(motif.Motif(w, N)).entries for w in words})
+
+
+def test_enumeration_blocks_stay_small():
+    tracemalloc.start()
+    try:
+        assert motif.count_by_enumeration(26, 2, 0) == motif.count(26, 2, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20

@@ -1,5 +1,6 @@
 """Dispersion relations, exact level sets and level-count bounds."""
 
+import operator
 import time
 from fractions import Fraction
 
@@ -337,6 +338,7 @@ def test_level_count_matches_polynomial_and_enumeration(case):
 @example((66, 0, 2, HSDispersion(66)))  # 9-byte slots: read back slot by slot
 @example((40, 2, 1, HSDispersion(40)))  # 3^40 < 2^64: 8-byte slots through uint64
 @example((30, 0, 2, FIDispersion(30, Fraction(5, 2))))
+@example((200, 0, 2, PFDispersion(200)))  # 26-byte slots: four limbs
 def test_packed_kernel_matches_sparse_kernel(case):
     N, m, n, disp = case
     band, _, _ = spectrum._band(disp)
@@ -345,12 +347,52 @@ def test_packed_kernel_matches_sparse_kernel(case):
     assert spectrum.level_count(N, m, n, disp) == len(sparse)
 
 
-def test_fixed_examples_reach_both_read_backs():
+def test_fixed_examples_take_the_packed_path():
     assert spectrum._slot_bytes(66, 0, 2) == 9
     assert spectrum._slot_bytes(40, 2, 1) == 8
-    for N, m, n, disp in ((66, 0, 2, HSDispersion(66)), (40, 2, 1, HSDispersion(40))):
+    assert spectrum._slot_bytes(200, 0, 2) == 26
+    examples = ((66, 0, 2, HSDispersion(66)), (40, 2, 1, HSDispersion(40)), (200, 0, 2, PFDispersion(200)))
+    for N, m, n, disp in examples:
         band, _, _ = spectrum._band(disp)
         assert (sum(band) + 1) * 8 * spectrum._slot_bytes(N, m, n) <= spectrum._PACKED_BOUND
+
+
+@st.composite
+def transfer_steps(draw):
+    """(band, cut, width, op) over every context with m + n <= 5 and N <= 10."""
+    m = draw(st.integers(0, 5))
+    n = draw(st.integers(1 if m == 0 else 0, 5 - m))
+    N = draw(st.integers(1, 10))
+    band = draw(st.lists(st.integers(0, 7), min_size=N - 1, max_size=N - 1))
+    width, op = draw(st.sampled_from(((8, operator.add), (16, operator.add), (1, operator.or_))))
+    return band, spectrum._transfer_cuts(N, m, n), width, op
+
+
+@given(transfer_steps())
+@example(([0, 0, 3], [0, 1], 8, operator.add))
+@example(([5, 0, 7, 0], [1, 2], 1, operator.or_))
+def test_packed_step_matches_reference(case):
+    band, cut, width, op = case
+    assert spectrum._packed_rows(band, cut, width, op) == oracles.packed_rows(band, cut, width, op)
+
+
+@pytest.mark.parametrize("m,n", [(0, 2), (2, 0)])
+@pytest.mark.parametrize("op", [operator.add, operator.or_])
+def test_packed_step_makes_two_op_calls_per_site(m, n, op):
+    N = 12
+    band, _, _ = spectrum._band(HSDispersion(N))
+    cut = spectrum._transfer_cuts(N, m, n)
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return op(a, b)
+
+    assert spectrum._packed_rows(band, cut, 8, counting) == oracles.packed_rows(band, cut, 8, op)
+    assert len(calls) == 2 * (N - 1) + 1
+    calls.clear()
+    oracles.packed_rows(band, cut, 8, counting)
+    assert len(calls) == 6 * (N - 1) + 1
 
 
 @pytest.fixture
