@@ -421,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels-only", action="store_true")
     p.add_argument("--dump-terms", metavar="FILE", default=None)
 
-    p = add("diag", _cmd_diag, "diagonalization by occupation block and formula comparison")
+    p = add("diag", _cmd_diag, "diagonalization by occupation × momentum block and formula comparison")
     p.add_argument("--chain", choices=("hs", "pf", "fi", "elliptic"), required=True)
     p.add_argument("--sites", type=_checked(int, lambda v: v >= 2, "at least 2 sites"), required=True)
     p.add_argument("--m", type=bosons, default=2)

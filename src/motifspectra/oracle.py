@@ -5,9 +5,12 @@ Chains are specified by their site couplings J_ij and act on the full
 spins picks up a minus sign, and swapping a bosonic with a fermionic spin
 picks one up when an odd number of fermionic spins sits strictly between
 them.  A transposition keeps how many sites hold each local state, so
-H = sum_{i<j} J_ij (1 - S_ij) is block diagonal by occupation vector.  Each
-block is assembled and diagonalized on its own, exactly, and the union of
-the block spectra is what every closed-form level set is checked against.
+H = sum_{i<j} J_ij (1 - S_ij) is block diagonal by occupation vector.  hs and
+elliptic couplings depend only on i - j mod N, so the graded cyclic shift
+commutes with H as well and splits every occupation sector into momentum
+blocks.  Each occupation × momentum block is assembled and diagonalized on
+its own, and the union of the block spectra is what every closed-form level
+set is checked against.
 
 The coupling kinds: trigonometric (hs), rational through oscillator nodes
 (pf), hyperbolic through log-scaled Laguerre nodes (fi), and the elliptic
@@ -16,7 +19,9 @@ family interpolating between them (k^2 -> 0 degenerates to hs entrywise).
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -194,119 +199,223 @@ def coupling_table(chain: ChainSpec) -> list[float]:
     return [0.0] + [float(J[0, l]) for l in range(1, chain.sites)]
 
 
-def _check_size(N: int, base: int) -> None:
+def _check_size(N: int, base: int, G: int) -> None:
     """Raise InfeasibleSizeError, before anything is allocated, when H would not fit.
 
     With budget = DIMENSION_CAP, the side of the one dense matrix the cap
-    allows, two bounds hold, checked in this order so that the second needs
-    only small integers once the first has passed:
+    allows, and G the order of the shift group, two bounds hold, checked in
+    this order so that the second needs only small integers once the first
+    has passed:
 
     * steps: assembly makes one vectorized pass per site pair, N(N-1)/2, and
-      diagonalization one eigensolve per sector, C(N + base - 1, N); together
-      at most `budget`;
-    * words: the basis arrays take at most 4N + 16 int64 words per state
-      ((m+n)^N states), the couplings N^2, and the blocks one entry per pair
-      of states with equal occupation, P_d(j) = sum_k C(j, k)^2 P_{d-1}(j - k)
-      over the first d local states; together at most budget^2.  The words
-      bound also keeps the largest block's side below `budget`.
+      diagonalization one eigensolve per (occupation sector, momentum q <= G/2)
+      block, at most C(N + base - 1, N) (G//2 + 1); together at most `budget`;
+    * words: the orbit sweep, which holds all G shifts of every state at
+      once, takes at most 3G + N + 12 int64 words per state ((m+n)^N
+      states), the representatives 5N + 16 words each (R orbits in
+      all), the block layouts and one site pair's matrix elements 16 words
+      per representative and momentum, R (G//2 + 1), and the couplings N^2;
+      the blocks at most G O_s^2 words per sector s with O_s orbits, since a
+      block of one q has at most O_s rows and the q <= G/2 blocks, complex
+      ones counting twice, number G; together at most budget^2.  O_s comes
+      from Burnside's lemma: T^k fixes the states that repeat with period
+      gcd(k, N).  The words bound also keeps the largest block's side below
+      `budget`.
 
     Checking and diagonalizing a block adds a few transient copies of that
     one block.
     """
     budget = DIMENSION_CAP
     pairs = N * (N - 1) // 2
-    if pairs > budget or pairs + math.comb(N + base - 1, N) > budget:
-        raise InfeasibleSizeError(f"more than {budget} site pairs and occupation sectors")
+    if pairs > budget or pairs + math.comb(N + base - 1, N) * (G // 2 + 1) > budget:
+        raise InfeasibleSizeError(f"more than {budget} site pairs and blocks over occupation sectors and momenta")
+    shifts = Counter(math.gcd(k, N) for k in range(G))
+    orbits = blocks = 0
+    for sector in itertools.combinations_with_replacement(range(base), N):
+        counts = Counter(sector).values()
+        fixed = sum(
+            t * math.factorial(g) // math.prod(math.factorial(c * g // N) for c in counts)
+            for g, t in shifts.items()
+            if all(c * g % N == 0 for c in counts)
+        )
+        orbits += fixed // G
+        blocks += G * (fixed // G) ** 2
     words = budget**2
-    basis = base**N * (4 * N + 16) + N * N
-    if basis > words:
-        raise InfeasibleSizeError(f"basis arrays take more than {words} words")
-    entries = [1] * (N + 1)
-    for _ in range(base - 1):
-        entries = [sum(math.comb(j, k) ** 2 * entries[j - k] for k in range(j + 1)) for j in range(N + 1)]
-    if basis + entries[N] > words:
-        raise InfeasibleSizeError(f"basis arrays and occupation blocks take more than {words} words")
+    arrays = base**N * (3 * G + N + 12) + orbits * (5 * N + 16) + orbits * (G // 2 + 1) * 16 + N * N
+    if arrays > words:
+        raise InfeasibleSizeError(f"state and orbit arrays take more than {words} words")
+    if arrays + blocks > words:
+        raise InfeasibleSizeError(f"arrays and blocks take more than {words} words")
+
+
+def _orbits(base: int, N: int, n: int, G: int) -> tuple[np.ndarray, ...]:
+    """Every state's orbit under the graded cyclic shift T and its first G - 1 powers.
+
+    T moves digit N-1 to digit 0 and every other digit up by one.  It picks
+    up a minus sign exactly when the moved spin is fermionic (digit < n) and
+    the state's fermion count is even, the sign of carrying that spin past
+    the other fermions, so T^N = 1.  Returns per state `rep`, the smallest
+    state of its orbit, `back` and `sign` with T^back |s> = sign |rep>, and
+    `period` and `chi` with T^period |s> = chi |s>.  G = 1 gives every
+    state its own orbit.
+    """
+    idx = np.arange(base**N, dtype=np.int64)
+    if G == 1:
+        ones = np.ones(idx.size, np.int64)
+        return idx, np.zeros_like(idx), np.ones(idx.size), ones, ones
+    k = np.arange(G, dtype=np.int64)[:, None]
+    cut = base ** (N - k)
+    image = idx % cut * base**k + idx // cut
+    # T^k carries the top k digits past the others: -1 when they hold an odd
+    # number of fermions and the state an even number
+    flips = np.zeros(image.shape, bool)
+    if n:
+        fermions = (idx // base ** np.arange(N - 1, -1, -1, dtype=np.int64)[:, None]) % base < n
+        top = np.cumsum(fermions[: G - 1], axis=0) % 2 == 1
+        flips[1:] = top & (fermions.sum(axis=0) % 2 == 0)
+    back = image.argmin(axis=0)
+    rep = np.take_along_axis(image, back[None], axis=0)[0]
+    # the first k >= 1 with T^k |s> = +-|s>; T^G = 1
+    home = np.concatenate((image[1:] == idx, np.ones((1, idx.size), bool)))
+    period = home.argmax(axis=0) + 1
+    sign = np.where(np.take_along_axis(flips, back[None], axis=0)[0], -1.0, 1.0)
+    chi = np.where(np.take_along_axis(flips, period[None] % G, axis=0)[0], -1, 1)
+    return rep, back, sign, period, chi
 
 
 def build_hamiltonian(chain: ChainSpec) -> list[np.ndarray]:
-    """Diagonal blocks of H = sum_{i<j} J_ij (1 - S_ij), one per occupation sector.
+    """Diagonal blocks of H = sum_{i<j} J_ij (1 - S_ij), one per occupation sector and momentum.
 
-    Blocks are ordered by the smallest state of their sector, and the states
-    of a block ascend.
+    T is the graded cyclic shift (`_orbits`), of order G = N for hs and
+    elliptic chains and G = 1 for pf and fi chains.  Block (sector, q) acts
+    on |r, q> = p^(-1/2) sum_{a<p} e^(-2 pi i q a / G) T^a |r> over the
+    orbits of the sector: r is the smallest state of its orbit, p its period
+    and T^p |r> = chi |r>; the orbit carries q iff e^(-2 pi i q p / G) chi = 1,
+    and T |r, q> = e^(2 pi i q / G) |r, q>.
+    A graded swap S_ij |r> = (graded sign) |s>, with T^d |s> = sigma |r'>,
+    adds -J_ij (graded sign) sigma e^(-2 pi i q d / G) sqrt(p_r / p_r') at
+    (r', r).
+
+    Only q <= G/2 is built: the block of G - q is the complex conjugate of
+    the block of q.  Blocks at q = 0 and q = G/2 are real symmetric; the
+    others are complex Hermitian and each stands also for its conjugate.
+    Blocks are ordered by q, then by the smallest state of their sector, and
+    their representatives ascend; empty blocks are left out.  pf and fi
+    chains (G = 1) get one real block per occupation sector.
     """
-    base = chain.m + chain.n
-    N = chain.sites
-    _check_size(N, base)
+    m, n, N = chain.m, chain.n, chain.sites
+    # hs and elliptic couplings depend only on i - j mod N; pf and fi chains
+    # have the trivial group
+    base, G = m + n, (N if chain.kind in ("hs", "elliptic") else 1)
+    _check_size(N, base, G)
     J = coupling_matrix(chain)
-    dim = base**N
-    idx = np.arange(dim, dtype=np.int64)
-    digits = [(idx // base**p) % base for p in range(N)]
-    # a sector's key is its smallest state, the one whose digits descend from site 1
+    rep, back, sign, period, chi = _orbits(base, N, n, G)
+    reps = np.flatnonzero(rep == np.arange(rep.size))
     powers = base ** np.arange(N, dtype=np.int64)
-    key = np.sort(np.stack(digits, axis=1), axis=1)[:, ::-1] @ powers
+    digits = reps[:, None] // powers % base
+    # a sector's key is its smallest state, the one whose digits descend from site 1
+    key = np.sort(digits, axis=1)[:, ::-1] @ powers
     order = np.argsort(key, kind="stable")
-    _, start, size = np.unique(key[order], return_index=True, return_counts=True)
-    sector = np.empty(dim, np.int64)
-    sector[order] = np.repeat(np.arange(size.size), size)
-    rank = np.empty(dim, np.int64)
-    rank[order] = idx - np.repeat(start, size)
-    # the blocks share one flat buffer; row[s] is where the row of state s starts
-    offset = np.concatenate(([0], np.cumsum(size * size)[:-1]))
-    row = offset[sector] + rank * size[sector]
-    flat = np.zeros(int((size * size).sum()))
-    flat[row + rank] = J[np.triu_indices(N, 1)].sum()
-    if chain.n:
-        ferm = [d < chain.n for d in digits]
-        prefix = []
-        run = np.zeros(dim, np.int64)
-        for p in range(N):
-            run = run + ferm[p]
-            prefix.append(run)
-    for i in range(N):
-        for j in range(i + 1, N):
-            Jij = J[i, j]
-            di, dj = digits[i], digits[j]
-            swapped = idx + (dj - di) * base**i + (di - dj) * base**j
-            if chain.n == 0:
-                sign = 1.0
-            elif chain.m == 0:
-                sign = -1.0
-            else:
-                fi, fj = ferm[i], ferm[j]
-                between = prefix[j - 1] - prefix[i]
-                neg = (fi & fj) | ((fi ^ fj) & ((between & 1) == 1))
-                sign = np.where(neg, -1.0, 1.0)
-            flat[row[swapped] + rank] -= Jij * sign
-    blocks = [flat[o : o + k * k].reshape(k, k) for o, k in zip(offset, size)]
+    reps, digits = reps[order], digits[order]
+    _, start, count = np.unique(key[order], return_index=True, return_counts=True)
+    sector = np.repeat(np.arange(start.size), count)
+    where = np.empty(rep.size, np.int64)
+    where[reps] = np.arange(reps.size)
+    where = where[rep]
+    period, negative = period[reps], chi[reps] < 0
+    # the real blocks (q = 0 and G/2) share one buffer, the complex ones another;
+    # each momentum's blocks follow one another in order of their sector
+    layouts, by_q = [], {}
+    for real in (True, False):
+        qs = [q for q in range(G // 2 + 1) if (2 * q % G == 0) == real]
+        if not qs:
+            continue
+        momenta = np.array(qs)[:, None]
+        allowed = (2 * momenta * period + G * negative) % (2 * G) == 0
+        size = np.add.reduceat(allowed, start, axis=1, dtype=np.int64)
+        before = np.cumsum(allowed, axis=1) - allowed
+        local = before - before[:, start][:, sector]
+        area = size * size
+        offset = np.cumsum(area).reshape(area.shape) - area
+        head = offset[:, sector] + local * size[:, sector]
+        angle = (2 * np.pi / G) * (momenta * np.arange(G) % G)
+        phase = np.cos(angle) if real else np.exp(-1j * angle)
+        flat = np.zeros(int(area.sum()), float if real else complex)
+        flat[(head + local)[allowed]] = J[np.triu_indices(N, 1)].sum()
+        layouts.append((allowed, allowed.all(), head, local, phase, flat))
+        for k, q in enumerate(qs):
+            by_q[q] = [flat[o : o + z * z].reshape(z, z) for o, z in zip(offset[k], size[k]) if z]
+    blocks = [block for q in sorted(by_q) for block in by_q[q]]
+    # one vectorized pass per site pair adds its elements to every block
+    digits = digits.T.copy()
+    if n and m:
+        ferm = digits < n
+        prefix = np.cumsum(ferm, axis=0)
+    root = np.sqrt(period)
+    for i, j in itertools.combinations(range(N), 2):
+        di, dj = digits[i], digits[j]
+        swapped = reps + (dj - di) * powers[i] + (di - dj) * powers[j]
+        if n == 0:
+            graded = 1.0
+        elif m == 0:
+            graded = -1.0
+        else:
+            fi, fj = ferm[i], ferm[j]
+            between = prefix[j - 1] - prefix[i]
+            neg = (fi & fj) | ((fi ^ fj) & ((between & 1) == 1))
+            graded = np.where(neg, -1.0, 1.0)
+        row = where[swapped]
+        w = -J[i, j] * graded
+        if G > 1:
+            w = w * sign[swapped] * root / root[row]
+            d = back[swapped]
+        for allowed, everywhere, head, local, phase, flat in layouts:
+            at = np.take(head, row, axis=1)
+            at += local
+            # with G = 1 every phase is 1 and every orbit carries q = 0
+            v = w * phase[:, d] if G > 1 else w
+            if not everywhere:
+                keep = allowed[:, row] & allowed
+                at, v = at[keep], v[keep]
+            # positions (row[r], r) of one pair and momentum are distinct
+            flat[at] += v
     for block in blocks:
         scale = max(1.0, float(np.abs(block).max()))
-        skew = float(np.abs(block - block.T).max())
+        skew = float(np.abs(block - block.conj().T).max())
         if skew > 1e-12 * scale:
-            raise AssertionError(f"assembled block not symmetric: |H - H^T| = {skew}")
+            raise AssertionError(f"assembled block not Hermitian: |H - H^H| = {skew}")
     return blocks
 
 
 def chain_eigenvalues(chain: ChainSpec) -> np.ndarray:
-    """All eigenvalues of the chain's H, ascending: the union of its block spectra."""
-    return np.sort(np.concatenate([eigenvalues(block) for block in build_hamiltonian(chain)]))
+    """All eigenvalues of the chain's H, ascending: the union of its block spectra.
+
+    A complex block's spectrum counts twice, once for its conjugate block.
+    """
+    parts = []
+    for block in build_hamiltonian(chain):
+        lam = eigenvalues(block)
+        parts += [lam, lam] if np.iscomplexobj(block) else [lam]
+    return np.sort(np.concatenate(parts))
 
 
 def eigenvalues(a: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending.
+    """All eigenvalues of a real symmetric or complex Hermitian matrix, ascending.
 
     Cross-checked against the exact similarity invariants: the eigenvalue sum
-    must reproduce the trace and the sum of squares the Frobenius norm.
+    must reproduce the (real) trace and the sum of squares the Frobenius
+    norm sum |a_ij|^2.
     """
-    a = np.asarray(a, dtype=float)
+    a = np.asarray(a) if np.iscomplexobj(a) else np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"need a square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.abs(a).max()) * a.shape[0])
-    if float(np.abs(a - a.T).max()) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric")
+    if float(np.abs(a - a.conj().T).max()) > 1e-12 * scale:
+        raise ValueError("matrix is not Hermitian")
     lam = np.linalg.eigvalsh(a)
-    if abs(float(lam.sum()) - float(np.trace(a))) > _INVARIANT_TOL * scale:
+    if abs(float(lam.sum()) - float(np.trace(a).real)) > _INVARIANT_TOL * scale:
         raise AssertionError("eigenvalue sum does not reproduce the trace")
-    fro2 = float((a * a).sum())
+    fro2 = float((a * a.conj()).real.sum())
     if abs(float(lam @ lam) - fro2) > _INVARIANT_TOL * max(1.0, scale**2):
         raise AssertionError("eigenvalue squares do not reproduce the Frobenius norm")
     return lam

@@ -2,12 +2,13 @@
 
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from motifspectra import motif, oracle, spectrum
+from motifspectra import fibnum, motif, oracle, spectrum
 from motifspectra.motif import InfeasibleSizeError
 from motifspectra.oracle import ChainSpec
 import oracles
@@ -163,15 +164,68 @@ def _sectors(chain: ChainSpec) -> list[list[int]]:
     return sorted(groups.values())
 
 
+def _shift_matrix(chain: ChainSpec) -> np.ndarray:
+    """The graded cyclic shift T as a dense matrix.
+
+    Built by carrying the spin of site N down to site 1 through the graded
+    transpositions of neighbours, S_12 S_23 ... S_{N-1,N}.
+    """
+    base, N = chain.m + chain.n, chain.sites
+    T = np.zeros((base**N, base**N))
+    for state in range(base**N):
+        new, sign = state, 1
+        for i in range(N - 1, 0, -1):
+            new, s = oracles.graded_permutation(new, i, i + 1, chain.m, chain.n)
+            sign *= s
+        T[new, state] = sign
+    return T
+
+
+def _momentum_blocks(chain: ChainSpec, H: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(q, H projected onto the test's own momentum basis), in `build_hamiltonian`'s order.
+
+    For hs and elliptic chains the vector of orbit representative r at
+    momentum q is sum_{k<N} e^(-2 pi i q k / N) T^k |r>, normalized, kept
+    when it is not zero; pf and fi chains have the trivial group, so their
+    basis is the sector's states at q = 0.
+    """
+    G = chain.sites if chain.kind in ("hs", "elliptic") else 1
+    T = _shift_matrix(chain) if G > 1 else np.eye(H.shape[0])
+    blocks = []
+    for q in range(G // 2 + 1):
+        for states in _sectors(chain):
+            vectors = []
+            seen = set()
+            for r in states:
+                if r in seen:
+                    continue
+                v, phi = np.zeros(H.shape[0]), np.zeros(H.shape[0], complex)
+                v[r] = 1.0
+                for k in range(G):
+                    seen.update(np.flatnonzero(v).tolist())
+                    phi += np.exp(-2j * np.pi * q * k / G) * v
+                    v = T @ v
+                if np.linalg.norm(phi) > 1e-9:
+                    vectors.append(phi / np.linalg.norm(phi))
+            if vectors:
+                V = np.array(vectors).T
+                blocks.append((q, V.conj().T @ H @ V))
+    return blocks
+
+
 @pytest.mark.parametrize(
     "chain",
     [
         ChainSpec("hs", 4, 2, 0),
         ChainSpec("hs", 4, 1, 1),
+        ChainSpec("hs", 5, 2, 1),
+        ChainSpec("hs", 6, 0, 2),
         ChainSpec("pf", 4, 2, 1),
         ChainSpec("fi", 4, 0, 2, alpha=3),
         ChainSpec("elliptic", 4, 1, 2, ksq=0.5),
+        ChainSpec("elliptic", 5, 1, 2, ksq=0.5),
         ChainSpec("elliptic", 5, 3, 0, ksq=0.5),
+        ChainSpec("elliptic", 4, 2, 2, ksq=0.5),
     ],
 )
 def test_vectorized_assembly_matches_scalar(chain):
@@ -183,12 +237,34 @@ def test_vectorized_assembly_matches_scalar(chain):
     # graded transpositions conserve the occupation vector
     assert np.count_nonzero(slow[label[:, None] != label[None, :]]) == 0
     blocks = oracle.build_hamiltonian(chain)
-    assert [b.shape for b in blocks] == [(len(s), len(s)) for s in sectors]
-    for block, states in zip(blocks, sectors):
-        assert np.abs(block - slow[np.ix_(states, states)]).max() < 1e-12
+    want = _momentum_blocks(chain, slow)
+    assert [b.shape for b in blocks] == [w.shape for _, w in want]
+    for block, (q, expected) in zip(blocks, want):
+        assert np.abs(block - expected).max() < 1e-12 * max(1.0, np.abs(expected).max())
+        # only the blocks at q = 0 and q = N/2 are real
+        assert np.iscomplexobj(block) == (2 * q % chain.sites != 0 and chain.kind in ("hs", "elliptic"))
+    if chain.kind in ("pf", "fi"):
+        assert [b.shape for b in blocks] == [(len(s), len(s)) for s in sectors]
 
 
-@pytest.mark.parametrize("m,n,N", [(2, 0, 10), (0, 2, 9), (1, 1, 8), (2, 1, 6), (3, 0, 6)])
+@pytest.mark.parametrize(
+    "chain",
+    [
+        ChainSpec(kind, N, m, n, ksq=0.5 if kind == "elliptic" else None)
+        for kind in ("hs", "elliptic")
+        for m, n, N in ((2, 1, 5), (1, 2, 5), (0, 2, 6), (1, 2, 4))
+    ],
+)
+def test_graded_shift_commutes_with_hamiltonian(chain):
+    T = _shift_matrix(chain)
+    H = _scalar_hamiltonian(chain)
+    assert np.abs(T @ H - H @ T).max() < 1e-12 * np.abs(H).max()
+    assert np.array_equal(np.linalg.matrix_power(T, chain.sites), np.eye(T.shape[0]))
+
+
+@pytest.mark.parametrize(
+    "m,n,N", [(2, 0, 10), (0, 2, 9), (1, 1, 8), (2, 1, 6), (3, 0, 6), (2, 2, 5), (1, 2, 6), (1, 2, 5)]
+)
 @pytest.mark.parametrize("kind", ["hs", "pf", "fi", "elliptic"])
 def test_sector_union_matches_dense_spectrum(kind, m, n, N):
     alpha = Fraction(5, 2) if kind == "fi" else None
@@ -205,13 +281,36 @@ def test_dimension_cap():
         oracle.build_hamiltonian(ChainSpec("hs", 20, 2, 0))
 
 
-@pytest.mark.parametrize("chain", [ChainSpec("hs", 8, 2, 0), ChainSpec("pf", 5, 2, 1)])
-def test_block_storage_cap(monkeypatch, chain):
-    # basis arrays (4N + 16 words a state), couplings and block entries
-    # together take at most DIMENSION_CAP^2 words
+def _words(chain: ChainSpec) -> int:
+    """The words `_check_size` charges, from the test's own orbit enumeration.
+
+    3G + N + 12 words a state, 5N + 16 a representative, 16 a representative
+    and momentum q <= G/2, N^2 couplings, and G O_s^2 block entries per
+    sector with O_s orbits.
+    """
     N, base = chain.sites, chain.m + chain.n
-    sectors = _sectors(chain)
-    words = base**N * (4 * N + 16) + N * N + sum(len(s) ** 2 for s in sectors)
+    G = N if chain.kind in ("hs", "elliptic") else 1
+    orbits = blocks = 0
+    for states in _sectors(chain):
+        seen, count = set(), 0
+        for state in states:
+            if state not in seen:
+                count += 1
+                digits = [(state // base**p) % base for p in range(N)]
+                for k in range(G):
+                    seen.add(sum(d * base ** ((p + k) % N) for p, d in enumerate(digits)))
+        orbits += count
+        blocks += G * count**2
+    return base**N * (3 * G + N + 12) + orbits * (5 * N + 16) + orbits * (G // 2 + 1) * 16 + N * N + blocks
+
+
+@pytest.mark.parametrize(
+    "chain", [ChainSpec("hs", 8, 2, 0), ChainSpec("pf", 5, 2, 1), ChainSpec("elliptic", 6, 1, 2, ksq=0.5)]
+)
+def test_block_storage_cap(monkeypatch, chain):
+    # state and orbit arrays, couplings and momentum blocks together take
+    # at most DIMENSION_CAP^2 words
+    words = _words(chain)
     side = math.isqrt(words - 1) + 1
     monkeypatch.setattr(oracle, "DIMENSION_CAP", side)
     oracle.build_hamiltonian(chain)
@@ -220,16 +319,46 @@ def test_block_storage_cap(monkeypatch, chain):
         oracle.build_hamiltonian(chain)
 
 
-@pytest.mark.parametrize("chain", [ChainSpec("hs", 20, 1, 0), ChainSpec("hs", 2, 30, 0)])
+@pytest.mark.parametrize(
+    "chain",
+    [
+        ChainSpec("hs", 12, 2, 0),
+        ChainSpec("hs", 14, 2, 0),
+        ChainSpec("elliptic", 7, 2, 2, ksq=0.5),
+        ChainSpec("pf", 12, 2, 0),
+        ChainSpec("fi", 9, 0, 2, alpha=3),
+    ],
+)
+def test_storage_bound_covers_what_assembly_allocates(chain):
+    tracemalloc.start()
+    try:
+        blocks = oracle.build_hamiltonian(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # checking a block adds a few transient copies of it
+    assert peak <= 8 * _words(chain) + 3 * max(b.nbytes for b in blocks)
+
+
+@pytest.mark.parametrize("chain", [ChainSpec("hs", 20, 1, 0), ChainSpec("hs", 2, 30, 0), ChainSpec("pf", 20, 1, 0)])
 def test_step_cap(monkeypatch, chain):
-    # site pairs (one assembly pass each) and sectors (one eigensolve each)
-    # number at most DIMENSION_CAP together
-    steps = math.comb(chain.sites, 2) + len(_sectors(chain))
+    # site pairs (one assembly pass each) and (sector, momentum q <= G/2)
+    # blocks (one eigensolve each) number at most DIMENSION_CAP together
+    G = chain.sites if chain.kind in ("hs", "elliptic") else 1
+    steps = math.comb(chain.sites, 2) + len(_sectors(chain)) * (G // 2 + 1)
     monkeypatch.setattr(oracle, "DIMENSION_CAP", steps)
     oracle.build_hamiltonian(chain)
     monkeypatch.setattr(oracle, "DIMENSION_CAP", steps - 1)
     with pytest.raises(InfeasibleSizeError, match="sectors"):
         oracle.build_hamiltonian(chain)
+
+
+class _Admitted(Exception):
+    pass
+
+
+def _refuse_to_assemble(*args):
+    raise _Admitted
 
 
 @pytest.mark.parametrize(
@@ -240,10 +369,12 @@ def test_step_cap(monkeypatch, chain):
         (ChainSpec("hs", 3, 400, 0), "sectors"),
         # 5e13 site pairs, refused without the factorial of 10^7
         (ChainSpec("hs", 10**7, 2, 0), "sectors"),
-        # 4.2e6 states of 104 words each
-        (ChainSpec("hs", 22, 2, 0), "basis arrays take"),
-        # blocks of at most C(16, 8) = 12870, but C(32, 16) = 6e8 entries
-        (ChainSpec("hs", 16, 2, 0), "occupation blocks take"),
+        # 6.7e7 states of 116 words each
+        (ChainSpec("hs", 26, 2, 0), "orbit arrays take"),
+        # momentum blocks of at most 2704 rows, but 5.1e8 entries
+        (ChainSpec("hs", 18, 2, 0), "and blocks take"),
+        # pf has no momentum: sector blocks of C(16, 8) = 12870, 6e8 entries
+        (ChainSpec("pf", 16, 2, 0), "and blocks take"),
     ],
 )
 def test_size_caps_at_default_refuse_before_allocating(monkeypatch, chain, reason):
@@ -254,16 +385,39 @@ def test_size_caps_at_default_refuse_before_allocating(monkeypatch, chain, reaso
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize(
+    "chain", [ChainSpec("hs", 17, 2, 0), ChainSpec("elliptic", 17, 2, 0, ksq=0.5), ChainSpec("pf", 15, 2, 0)]
+)
+def test_size_caps_at_default_admit_the_edge(monkeypatch, chain):
+    # the last su(2|0) sizes that fit: 1.5e8 words with momentum, 1.6e8 without
+    monkeypatch.setattr(oracle, "coupling_matrix", _refuse_to_assemble)
+    with pytest.raises(_Admitted):
+        oracle.build_hamiltonian(chain)
+
+
 def test_eigenvalues_checks_symmetry():
     with pytest.raises(ValueError):
         oracle.eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         oracle.eigenvalues(np.zeros((2, 3)))
+    # symmetric but not Hermitian
+    with pytest.raises(ValueError, match="Hermitian"):
+        oracle.eigenvalues(np.array([[1.0, 1j], [1j, 1.0]]))
 
 
 def test_eigenvalues_on_known_matrix():
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
     assert np.allclose(oracle.eigenvalues(a), [1.0, 3.0], atol=1e-12)
+
+
+def test_eigenvalues_on_complex_hermitian_matrix():
+    # sigma_y has eigenvalues -1 and 1; a unitary rotation keeps them
+    a = np.array([[2.0, -1j, 0.0], [1j, 2.0, 0.0], [0.0, 0.0, 5.0]])
+    assert np.allclose(oracle.eigenvalues(a), [1.0, 3.0, 5.0], atol=1e-12)
+    u = np.linalg.qr(np.arange(9).reshape(3, 3) + 1j * np.eye(3) + np.eye(3))[0]
+    rotated = u @ a @ u.conj().T
+    assert np.iscomplexobj(rotated) and np.abs(rotated.imag).max() > 0.1
+    assert np.allclose(oracle.eigenvalues(rotated), [1.0, 3.0, 5.0], atol=1e-12)
 
 
 def test_cluster_levels():
@@ -315,6 +469,14 @@ def test_round_off_width_resolves_close_levels():
     for m, n, N, count in ((2, 1, 8, 275), (2, 0, 12, 493)):
         chain = ChainSpec("elliptic", N, m, n, ksq=0.1)
         assert len(oracle.cluster_levels(oracle.chain_eigenvalues(chain))) == count
+
+
+def test_elliptic_su2_beyond_criterion_6():
+    # the momentum blocks make N = 14 cheap; 1780 levels under the round-off rule
+    chain = ChainSpec("elliptic", 14, 2, 0, ksq=0.5)
+    avg = oracle.numeric_average_degeneracy(chain)
+    assert avg == Fraction(2**14, 1780)
+    assert avg < fibnum.min_avg_degeneracy(14, 2, 0)
 
 
 def test_compare_detects_wrong_dispersion():
