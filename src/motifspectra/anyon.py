@@ -1,10 +1,13 @@
 """Statistical weights of motif excitations and exclusion-statistics fits.
 
-The number of motifs of N-1 sites with exactly k ones, under the constraint
-that no m consecutive ones appear, is a polynomial combinatorial weight
-w_k(N).  Summed over k these reproduce the generalized Fibonacci count, and
-for large N the weights behave like an ideal gas of particles with a
-fractional exclusion statistics parameter that the fit below extracts.
+The number of motifs of N sites (N-1 slots) with exactly k ones, under the
+constraint that no m consecutive ones appear, is a combinatorial weight
+w_k(N).  All weights of one N come from one run of the run-length automaton
+over the slots, each of its m states holding a polynomial in the number of
+ones.  Summed over k they reproduce the generalized Fibonacci count and the
+paper's single sum over cluster profiles, and for large N they behave like
+an ideal gas of particles with a fractional exclusion statistics parameter
+that the fit below extracts.
 """
 
 from __future__ import annotations
@@ -69,56 +72,32 @@ class WeightTable:
         return len(self.weights) - 1
 
 
-def _weight_terms(N: int, m: int, k: int, fact: list[int]) -> int:
-    """Sum over cluster-size profiles of k ones with no run of length m.
+def _weight_polynomial(length: int, m: int, kmax: int) -> list[int]:
+    """Words of `length` bits with no run of m ones, counted by ones up to kmax.
 
-    A profile assigns j_i clusters of i+1 consecutive ones (i = 1..m-2, so
-    clusters of size 2..m-1); the remaining ones are isolated.  Clusters and
-    singletons are then placed among the zeros multinomially.
+    The run-length automaton: state r is the length of the word's trailing
+    run of ones, 0..m-1, and holds the polynomial, coefficient k counting
+    the words with k ones that end in that state.  A 0 sends every state to
+    state 0; a 1 moves state r to r + 1 and raises the degree by one.
     """
-    total = 0
-
-    def rec(i: int, used: int, weighted: int, denom: int) -> None:
-        nonlocal total
-        if i > m - 2:
-            j0 = k - used
-            if j0 < 0:
-                return
-            t1 = N - 2 * k + weighted
-            if t1 < 0:
-                return
-            total += fact[N - k] // (fact[t1] * fact[j0] * denom)
-            return
-        cap = (k - used) // (i + 1)
-        for j in range(cap + 1):
-            rec(i + 1, used + (i + 1) * j, weighted + i * j, denom * fact[j])
-
-    rec(1, 0, 0, 1)
-    return total
-
-
-def _single_weight(N: int, m: int, k: int) -> int:
-    """One weight w_k(N) without building the whole table."""
-    if k < 0 or k > (m - 1) * N // m:
-        return 0
-    fact = [math.factorial(i) for i in range(N + 1)]
-    return _weight_terms(N, m, k, fact)
+    runs = [[1] + [0] * kmax] + [[0] * (kmax + 1) for _ in range(m - 1)]
+    for _ in range(length):
+        runs = [[sum(c) for c in zip(*runs)]] + [[0] + p[:-1] for p in runs[:-1]]
+    return [sum(c) for c in zip(*runs)]
 
 
 def motif_weights(N: int, m: int) -> WeightTable:
     """Weights w_k = number of valid motifs on N sites with k ones, order m.
 
-    Motifs here have N - 1 slots; validity forbids m consecutive ones.  For
-    m = 2 the only profile is all singletons, so each weight is the binomial
-    C(N - k, k).
+    Motifs here have N - 1 slots; validity forbids m consecutive ones.  The
+    weights are the run-length automaton's polynomial; for m = 2 each weight
+    is the binomial C(N - k, k).
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
-    kmax = (m - 1) * N // m
-    fact = [math.factorial(i) for i in range(N + 1)]
-    weights = [_weight_terms(N, m, k, fact) for k in range(kmax + 1)]
+    weights = _weight_polynomial(N - 1, m, (m - 1) * N // m)
     while len(weights) > 1 and weights[-1] == 0:
         weights.pop()
     return WeightTable(N, m, tuple(weights))
@@ -186,7 +165,7 @@ def statistics_fit(m: int, k: int, orbital_counts: tuple[int, int]) -> FitResult
         raise ValueError(f"need two distinct orbital counts >= {2 * k}, got {orbital_counts}")
     samples = []
     for orbitals in (n1, n2):
-        w = _single_weight(orbitals + 1, m, k)
+        w = _weight_polynomial(orbitals, m, k)[k]
         ratio = Fraction(math.factorial(k) * w, orbitals**k)
         G = Fraction(orbitals, k * (k - 1)) * (ratio - 1)
         samples.append((orbitals, G))

@@ -6,8 +6,9 @@ shifted copies of these sequences, so the minimum average degeneracy of an
 N-site chain with m local states is m^N over an m-nacci number; its large-N
 behaviour is controlled by the dominant root of x^m - x^{m-1} - ... - 1.
 
-The translation-invariant refinement for two bosonic states has its own
-cubic characteristic polynomial, handled by the su2_* helpers.
+The translation-invariant refinement divides by the distinct motif halves
+instead, exact at every order; its asymptotics for two bosonic states follow
+their own cubic characteristic polynomial, handled by the su2_* helpers.
 """
 
 from __future__ import annotations
@@ -139,8 +140,6 @@ def min_avg_degeneracy(N: int, m: int, n: int) -> Fraction:
 
 def min_avg_degeneracy_translational(N: int, m: int, n: int) -> Fraction:
     """(m+n)^N over the distinct-half count, for translation-covariant spectra."""
-    if not (m and n) and (m or n) > 2:
-        raise ValueError(f"no closed half count for (m, n) = ({m}, {n})")
     return Fraction((m + n) ** N, _motif.count_half(N, m, n))
 
 

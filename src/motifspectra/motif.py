@@ -13,7 +13,6 @@ No floating point is used anywhere in this module.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -32,7 +31,6 @@ __all__ = [
     "half",
     "count_half",
     "count_half_by_enumeration",
-    "su2_half_count_series",
 ]
 
 # candidate words per block: the int64 temporaries of a block stay in cache,
@@ -215,45 +213,21 @@ def count_by_enumeration(N: int, m: int, n: int) -> int:
     return sum(arr.size for arr in _valid_word_blocks(N, m, n))
 
 
-_MU_LOCK = threading.Lock()
-_MU: list[int] = [1]  # mu_r for r = 0, 1, ...; mu_{-1} = mu_{-2} = 0
-
-
-def _mu(r: int) -> int:
-    if r < 0:
-        return 0
-    with _MU_LOCK:
-        while len(_MU) <= r:
-            k = len(_MU)
-            nxt = 2 * _MU[k - 1]
-            if k >= 2:
-                nxt += _MU[k - 2]
-            if k >= 3:
-                nxt -= _MU[k - 3]
-            # k == 1: mu_{-1} = 0 contributes nothing; k == 2: -mu_{-1} = 0
-            _MU.append(nxt)
-        return _MU[r]
-
-
-def su2_half_count_series(r_max: int) -> tuple[list[int], list[int]]:
-    """Distinct-half counts for two-state bosonic motifs, by half length r.
-
-    Returns (odd, even) where odd[r-1] counts halves of motifs on N = 2r + 1
-    sites and even[r-1] those on N = 2r sites, for r = 1..r_max.
-    """
-    if r_max < 1:
-        raise ValueError(f"need r_max >= 1, got {r_max}")
-    odd = [_mu(r) for r in range(1, r_max + 1)]
-    even = [_mu(r) - _mu(r - 2) for r in range(1, r_max + 1)]
-    return odd, even
-
-
 def count_half(N: int, m: int, n: int) -> int:
     """Number of distinct motif halves over all valid motifs on N sites.
 
-    Closed forms exist for mixed contexts (powers of three) and for the
-    two-state pure contexts (third-order recursion); other pure contexts
-    fall back to explicit enumeration.
+    Mixed contexts admit every motif, so every half occurs: powers of three.
+    A pure context of order r = m or n folds the run-length automaton, whose
+    state is the length of the trailing run of 1s (of 0s when m = 0, which
+    complements every bit and every half entry).  The fold reads d_i and
+    d_{N-i} together as the half entry d_i + d_{N-i}; its state is the set
+    of (left run, right run) pairs that some valid motif with these entries
+    reaches, and each set counts the distinct entry strings that reach it.
+    A set keeps only the pairs that no other pair of it matches or beats on
+    both runs; it then holds at most two pairs, and r(r + 1)/2 sets occur.
+    At the centre the runs meet: for odd N they join, and some a + b < r
+    must hold; for even N a middle 0 separates them, and a middle 1 needs
+    some a + b + 1 < r.
     """
     _check_context(m, n)
     if N < 1:
@@ -261,14 +235,24 @@ def count_half(N: int, m: int, n: int) -> int:
     if m and n:
         return 3 ** ((N - 1) // 2) if N % 2 else 2 * 3 ** ((N - 2) // 2)
     order = m or n
-    if order == 1:
-        return 1
-    if order == 2:
-        if N % 2:
-            return _mu((N - 1) // 2)
-        r = N // 2
-        return _mu(r) - _mu(r - 2)
-    return count_half_by_enumeration(N, m, n)
+    states = {frozenset({(0, 0)}): 1}
+    for _ in range((N - 1) // 2):
+        folded: dict[frozenset, int] = {}
+        for runs, ways in states.items():
+            one = {(a + 1, 0) for a, _ in runs if a + 1 < order}
+            one |= {(0, b + 1) for _, b in runs if b + 1 < order}
+            two = {(a + 1, b + 1) for a, b in runs if max(a, b) + 1 < order}
+            for succ in ({(0, 0)}, one, two):
+                # shorter runs on both sides admit every continuation that longer ones do
+                key = frozenset(
+                    p for p in succ if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in succ)
+                )
+                if key:
+                    folded[key] = folded.get(key, 0) + ways
+        states = folded
+    if N % 2:
+        return sum(ways for runs, ways in states.items() if any(a + b < order for a, b in runs))
+    return sum(ways * (1 + any(a + b + 1 < order for a, b in runs)) for runs, ways in states.items())
 
 
 def count_half_by_enumeration(N: int, m: int, n: int) -> int:

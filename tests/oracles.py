@@ -14,13 +14,19 @@ in `motifspectra` computes another way:
   against the vectorized Hamiltonian assembly;
 * `packed_rows` runs the packed transfer loop with full prefix and suffix
   sums, every one started from 0, against `spectrum._packed_rows`, which
-  skips the passes whose result it already holds.
+  skips the passes whose result it already holds;
+* `profile_weight` sums the paper's multinomials over cluster-size profiles,
+  against the run-length automaton of `anyon.motif_weights`;
+* `su2_half_count` and `su2_half_count_series` evaluate the paper's
+  third-order recursion for two-state half counts, against the folded
+  automaton of `motif.count_half`.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -125,3 +131,51 @@ def packed_rows(band: Sequence[int], cut: Sequence[int], width: int, op) -> int:
         shift = width * e
         z = [op(below[c], above[c] << shift) for c in cut]
     return functools.reduce(op, z)
+
+
+def profile_weight(N: int, m: int, k: int) -> int:
+    """Motifs on N sites (N - 1 slots) with k ones and no run of m ones, by profiles.
+
+    A profile assigns j_i clusters of i+1 consecutive ones (i = 1..m-2, so
+    clusters of size 2..m-1); the remaining ones are isolated.  Clusters and
+    singletons are then placed among the zeros multinomially.
+    """
+    fact = [math.factorial(i) for i in range(N + 1)]
+    total = 0
+
+    def rec(i: int, used: int, weighted: int, denom: int) -> None:
+        nonlocal total
+        if i > m - 2:
+            j0 = k - used
+            t1 = N - 2 * k + weighted
+            if j0 >= 0 and t1 >= 0:
+                total += fact[N - k] // (fact[t1] * fact[j0] * denom)
+            return
+        for j in range((k - used) // (i + 1) + 1):
+            rec(i + 1, used + (i + 1) * j, weighted + i * j, denom * fact[j])
+
+    if 0 <= k <= N:
+        rec(1, 0, 0, 1)
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def _mu(r: int) -> int:
+    # mu_r = 2 mu_{r-1} + mu_{r-2} - mu_{r-3}, mu_0 = 1 and mu_r = 0 for r < 0
+    if r < 0:
+        return 0
+    if r == 0:
+        return 1
+    return 2 * _mu(r - 1) + _mu(r - 2) - _mu(r - 3)
+
+
+def su2_half_count(N: int) -> int:
+    """Distinct halves of the two-state bosonic motifs on N sites, closed form."""
+    r = N // 2
+    return _mu(r) if N % 2 else _mu(r) - _mu(r - 2)
+
+
+def su2_half_count_series(r_max: int) -> tuple[list[int], list[int]]:
+    """Two-state half counts by half length r = 1..r_max: (N = 2r + 1, N = 2r)."""
+    rs = range(1, r_max + 1)
+    return [su2_half_count(2 * r + 1) for r in rs], [su2_half_count(2 * r) for r in rs]

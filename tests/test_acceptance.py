@@ -175,10 +175,10 @@ def test_criterion_09_translational_counts_and_constants(capsys):
     t0 = time.monotonic()
     problems = []
     for N in range(2, 26):
-        rec = motif.count_half(N, 2, 0)
+        folded = motif.count_half(N, 2, 0)
         brute = motif.count_half_by_enumeration(N, 2, 0)
-        if rec != brute:
-            problems.append(f"N={N}: {rec} != {brute}")
+        if folded != brute:
+            problems.append(f"N={N}: {folded} != {brute}")
     consts = fibnum.su2_translational_constants()
     for name, got, want in (
         ("root", consts.root, 2.24698),

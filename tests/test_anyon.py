@@ -4,6 +4,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import oracles
 import pytest
 
 from motifspectra import anyon, fibnum, motif
@@ -62,6 +63,14 @@ def test_identities(m):
         assert report["total"] == fibnum.fib(m, N + m - 1)
 
 
+def test_weights_match_profile_sum():
+    for m in range(2, 7):
+        for N in range(1, 41):
+            table = anyon.motif_weights(N, m)
+            for k in range(N + 1):
+                assert table.weight(k) == oracles.profile_weight(N, m, k)
+
+
 def test_total_matches_motif_count():
     for m in (2, 3, 5):
         for N in range(1, 15):
@@ -74,6 +83,19 @@ def test_statistics_fit_m2_is_exact_anyon():
     assert abs(float(fit.g) - 2) < 0.01
     better = anyon.statistics_fit(2, 4, (200, 400))
     assert abs(float(better.g) - 2) < 4e-4
+
+
+@pytest.mark.parametrize(
+    ("m", "samples", "g"),
+    [
+        (2, (Fraction(-44353, 30000), Fraction(-178703, 120000)), Fraction(39999, 20000)),
+        (3, (Fraction(-30197, 60000), Fraction(-120397, 240000)), Fraction(40001, 40000)),
+    ],
+)
+def test_statistics_fit_pinned(m, samples, g):
+    fit = anyon.statistics_fit(m, 3, (200, 400))
+    assert fit.samples == tuple(zip((200, 400), samples))
+    assert fit.g == g
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])

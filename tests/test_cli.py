@@ -107,6 +107,12 @@ def test_dmin_rows():
     assert lines[1].split(",")[1] == "1024/89"
 
 
+def test_dmin_translational_higher_order():
+    code, out, _ = run_cli("dmin", "--sites", "12", "--m", "3", "--translational")
+    assert code == 0
+    assert out.strip().splitlines()[1:] == ["generic,59049/103,573.291", "translational,531441/280,1898"]
+
+
 def test_fib_table():
     code, out, _ = run_cli("fib", "--m", "3", "--upto", "8")
     assert code == 0
@@ -155,9 +161,15 @@ def test_diag_compare_exit_codes():
     assert out.splitlines()[1].split(",")[4] == "true"
     code, _, err = run_cli("diag", "--chain", "elliptic", "--sites", "5", "--compare")
     assert code == 2  # missing --ksq
-    code, _, err = run_cli("diag", "--chain", "elliptic", "--ksq", "0.5", "--sites", "8", "--compare")
+    # su(2|0) elliptic has no formula level set: it must fall below the motif floor
+    code, out, _ = run_cli("diag", "--chain", "elliptic", "--ksq", "0.5", "--sites", "8", "--compare")
+    assert code == 0
+    assert out.splitlines()[1] == "elliptic,8,2,0,true,nan,43"
+    # at ksq = 0 the chain is hs, Yangian-invariant, and stays above the floor
+    code, out, err = run_cli("diag", "--chain", "elliptic", "--ksq", "0", "--sites", "8", "--compare")
     assert code == 1
-    assert "closed dispersion only for (m, n) = (1, 1)" in err
+    assert out.splitlines()[1] == "elliptic,8,2,0,false,nan,19"
+    assert "not below the motif floor" in err
 
 
 def test_anyon_subcommand():
@@ -327,10 +339,5 @@ def test_readme_examples_run_as_documented(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in examples:
         code, out, err = run_cli(*argv.split())
-        if argv == "diag --chain elliptic --ksq 0.5 --sites 8 --m 2 --n 0 --compare":
-            # documented: elliptic --compare outside (1, 1) exits 1 before diagonalizing
-            assert (code, out) == (1, ""), argv
-            assert workloads.KNOWN_DEFECT in err
-        else:
-            assert code == 0, (argv, err)
-            assert out
+        assert code == 0, (argv, err)
+        assert out

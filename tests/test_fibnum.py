@@ -90,8 +90,9 @@ def test_min_avg_degeneracy_translational_values():
     assert fibnum.min_avg_degeneracy_translational(9, 2, 0) == Fraction(512, 25)
     assert fibnum.min_avg_degeneracy_translational(8, 2, 0) == Fraction(256, 20)
     assert fibnum.min_avg_degeneracy_translational(7, 1, 1) == Fraction(128, 27)
-    with pytest.raises(ValueError):
-        fibnum.min_avg_degeneracy_translational(8, 3, 0)
+    # every pure order has a half count
+    halves = motif.count_half_by_enumeration(8, 3, 0)
+    assert fibnum.min_avg_degeneracy_translational(8, 3, 0) == Fraction(3**8, halves)
 
 
 def test_translational_floor_exceeds_generic():

@@ -1,5 +1,6 @@
 """Motif validity, enumeration, counting and half-motif reductions."""
 
+import math
 import tracemalloc
 from itertools import product
 from unittest import mock
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import oracles
 from motifspectra import fibnum, motif
 
 
@@ -128,13 +130,13 @@ def _brute_mu_tilde(r):
 
 
 def test_half_count_series_against_characterization():
-    odd, even = motif.su2_half_count_series(8)
+    odd, even = oracles.su2_half_count_series(8)
     assert odd == [_brute_mu(r) for r in range(1, 9)]
     assert even == [_brute_mu_tilde(r) for r in range(1, 9)]
 
 
 def test_half_count_series_values():
-    odd, even = motif.su2_half_count_series(6)
+    odd, even = oracles.su2_half_count_series(6)
     assert odd == [2, 5, 11, 25, 56, 126]
     assert even == [2, 4, 9, 20, 45, 101]
 
@@ -145,6 +147,11 @@ def test_half_count_against_enumeration():
         assert motif.count_half(N, 0, 2) == motif.count_half_by_enumeration(N, 0, 2)
 
 
+def test_half_count_order_two_matches_closed_form():
+    for N in range(1, 200):
+        assert motif.count_half(N, 2, 0) == motif.count_half(N, 0, 2) == oracles.su2_half_count(N)
+
+
 def test_half_count_mixed_powers_of_three():
     for N in range(2, 16):
         expect = 3 ** ((N - 1) // 2) if N % 2 else 2 * 3 ** ((N - 2) // 2)
@@ -152,9 +159,29 @@ def test_half_count_mixed_powers_of_three():
         assert motif.count_half_by_enumeration(N, 1, 1) == expect
 
 
-def test_half_count_higher_order_falls_back_to_enumeration():
-    for N in range(2, 13):
-        assert motif.count_half(N, 3, 0) == motif.count_half_by_enumeration(N, 3, 0)
+def test_half_count_higher_order_matches_enumeration():
+    for order in (3, 4, 5):
+        for N in range(1, 15):
+            assert motif.count_half(N, order, 0) == motif.count_half_by_enumeration(N, order, 0)
+
+
+@given(st.integers(1, 5), st.integers(1, 22), st.booleans())
+@example(3, 22, False)
+@example(5, 21, True)
+@example(4, 2, False)
+def test_half_count_automaton_matches_enumeration(order, N, bosonic):
+    m, n = (order, 0) if bosonic else (0, order)
+    assert motif.count_half(N, m, n) == motif.count_half_by_enumeration(N, m, n)
+
+
+def test_half_count_past_the_enumeration_cap():
+    # 2^39 candidate words: the enumeration oracle refuses, the automaton does not
+    with pytest.raises(motif.InfeasibleSizeError):
+        motif.count_half_by_enumeration(40, 3, 0)
+    assert motif.count_half(40, 3, 0) == motif.count_half(40, 0, 3) == 335576513
+    # per-site growth of the order-3 half count
+    growth = math.sqrt(motif.count_half(402, 3, 0) / motif.count_half(400, 3, 0))
+    assert round(growth, 5) == 1.64852
 
 
 def test_half_count_order_one():

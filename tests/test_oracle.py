@@ -403,6 +403,11 @@ def test_eigenvalues_checks_symmetry():
     # symmetric but not Hermitian
     with pytest.raises(ValueError, match="Hermitian"):
         oracle.eigenvalues(np.array([[1.0, 1j], [1j, 1.0]]))
+    # the skew is measured against the largest entry, not that times the dimension
+    lopsided = np.eye(4)
+    lopsided[0, 1] = 2e-12
+    with pytest.raises(ValueError, match="Hermitian"):
+        oracle.eigenvalues(lopsided)
 
 
 def test_eigenvalues_on_known_matrix():
@@ -484,10 +489,17 @@ def test_compare_detects_wrong_dispersion():
     assert not report.matched
 
 
-def test_compare_rejects_unsupported_formula_before_diagonalizing(monkeypatch):
-    monkeypatch.setattr(oracle, "build_hamiltonian", lambda *a, **k: pytest.fail("diagonalized"))
-    with pytest.raises(ValueError, match=r"\(m, n\) = \(1, 1\)"):
-        oracle.compare(ChainSpec("elliptic", 8, 2, 0, ksq=0.5))
+def test_compare_without_formula_checks_the_motif_floor():
+    # elliptic su(2|0) has no closed dispersion; criterion 6's claim is checked instead
+    report = oracle.compare(ChainSpec("elliptic", 8, 2, 0, ksq=0.5))
+    assert report.matched and report.mismatch is None
+    assert len(report.levels_numeric) == 43 and report.levels_formula == ()
+    assert math.isnan(report.max_energy_error) and not report.degeneracies_match
+    assert Fraction(2**8, 43) < fibnum.min_avg_degeneracy(8, 2, 0)
+    # ksq = 0 is the Yangian-invariant hs chain: not below the floor
+    report = oracle.compare(ChainSpec("elliptic", 7, 3, 0, ksq=0.0))
+    assert not report.matched
+    assert "not below the motif floor" in report.mismatch
 
 
 def test_graded_mirror_spectra():
