@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -20,12 +21,15 @@ from fractions import Fraction
 from . import __version__, anyon, fibnum, figures, motif, oracle, partition, spectrum, tableau
 
 _TOOL = "motifspectra"
+_SYMBOLIC = object()  # --alpha irrational: the generic coupling, kept symbolic
+# the coupling flags each chain reads
+_CHAIN_FLAGS = {"hs": (), "pf": (), "fi": ("alpha",), "elliptic": ("ksq",)}
 
 
-def _parse_alpha(text: str) -> Fraction | None:
-    """Fraction like '3' or '5/2', or None for the symbolic generic value."""
+def _parse_alpha(text: str):
+    """Fraction like '3' or '5/2', or `_SYMBOLIC` for the generic value."""
     if text.lower() in ("irrational", "symbolic", "generic"):
-        return None
+        return _SYMBOLIC
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -61,13 +65,15 @@ def _cell(v) -> str:
 def _jsonable(v):
     if isinstance(v, Fraction):
         return str(v)
+    if isinstance(v, float) and not math.isfinite(v):
+        return None  # strict JSON has no nan or infinity
     return v
 
 
 def _config(args: argparse.Namespace) -> dict:
     out = {}
     for k, v in vars(args).items():
-        if k == "func" or v is None:
+        if k == "func" or v is None or v is _SYMBOLIC:
             continue
         out[k] = str(v) if isinstance(v, Fraction) else v
     return out
@@ -80,7 +86,7 @@ def _emit(args: argparse.Namespace, columns: list[str], rows: list[tuple]) -> No
             "meta": {"tool": _TOOL, "version": __version__, "config": cfg},
             "rows": [{c: _jsonable(v) for c, v in zip(columns, row)} for row in rows],
         }
-        json.dump(payload, sys.stdout, sort_keys=True, separators=(",", ": "))
+        json.dump(payload, sys.stdout, sort_keys=True, separators=(",", ": "), allow_nan=False)
         sys.stdout.write("\n")
     else:
         print(",".join(columns))
@@ -194,12 +200,12 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_dispersion(chain: str, N: int, alpha: Fraction | None):
+def _make_dispersion(chain: str, N: int, alpha):
     if chain == "hs":
         return spectrum.HSDispersion(N)
     if chain == "pf":
         return spectrum.PFDispersion(N)
-    if alpha is None:
+    if alpha is _SYMBOLIC:
         return spectrum.SymbolicAlphaDispersion(N)
     return spectrum.FIDispersion(N, alpha)
 
@@ -231,12 +237,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_partition(args: argparse.Namespace) -> int:
     N = args.sites
-    if args.chain == "hs":
-        qp = partition.hs_partition(N)
-    else:
-        if args.alpha is None:
-            return _fail("the partition function needs a rational coupling parameter")
-        qp = partition.fi_partition(N, args.alpha)
+    qp = partition.hs_partition(N) if args.chain == "hs" else partition.fi_partition(N, args.alpha)
     if args.dump_terms:
         with open(args.dump_terms, "wb") as fh:
             partition.dump_terms(qp, fh)
@@ -256,12 +257,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 
 def _cmd_diag(args: argparse.Namespace) -> int:
-    if args.chain == "fi" and args.alpha is None:
-        print("error: diagonalization needs a numeric --alpha", file=sys.stderr)
-        return 2
-    if args.chain == "elliptic" and args.ksq is None:
-        print("error: elliptic couplings need --ksq", file=sys.stderr)
-        return 2
     chain = oracle.ChainSpec(args.chain, args.sites, args.m, args.n, alpha=args.alpha, ksq=args.ksq)
     if args.compare:
         report = oracle.compare(chain)
@@ -327,12 +322,7 @@ def _cmd_anyon(args: argparse.Namespace) -> int:
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     builder, title, xlabel, ylabel = figures.FIGURES[args.name]
-    params = inspect.signature(builder).parameters
     kwargs = {k: getattr(args, k) for k in ("max_sites", "ksq") if getattr(args, k) is not None}
-    for k in kwargs:
-        if k not in params:
-            print(f"error: figure {args.name} takes no --{k.replace('_', '-')}", file=sys.stderr)
-            return 2
     series = builder(**kwargs)
     svg = figures.render_svg(series, title, xlabel, ylabel)
     prefix = args.output if args.output else args.name
@@ -362,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sites = _checked(int, lambda v: v >= 1, "at least 1 site")
     ksq = _checked(float, lambda v: 0.0 <= v < 1.0, "0 <= ksq < 1")
-    alpha = _checked(_parse_alpha, lambda v: v > 0, "alpha > 0")
+    alpha = _checked(_parse_alpha, lambda v: v is _SYMBOLIC or v > 0, "alpha > 0")
     bosons = _checked(int, lambda v: v >= 0, "m >= 0")
     fermions = _checked(int, lambda v: v >= 0, "n >= 0")
     order = _checked(int, lambda v: v >= 2, "m >= 2")
@@ -449,11 +439,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_error(args: argparse.Namespace) -> str | None:
+    """Why a parsed flag does not fit the command or its chain, or None when all fit.
+
+    A figure takes the flags of its builder.  A chain takes the coupling
+    flag it reads, --alpha (fi) or --ksq (elliptic), needs it, and takes no
+    other; `spectrum` also takes the symbolic --alpha, which `partition`
+    and `diag` cannot compute with.
+    """
+    if args.command == "figure":
+        params = inspect.signature(figures.FIGURES[args.name][0]).parameters
+        for k in ("max_sites", "ksq"):
+            if getattr(args, k) is not None and k not in params:
+                return f"figure {args.name} takes no --{k.replace('_', '-')}"
+        return None
+    if not hasattr(args, "chain"):
+        return None
+    uses = _CHAIN_FLAGS[args.chain]
+    for flag in ("alpha", "ksq"):
+        given = getattr(args, flag, None) is not None
+        if given and flag not in uses:
+            return f"--chain {args.chain} takes no --{flag}"
+        if not given and flag in uses:
+            return f"--chain {args.chain} needs --{flag}"
+    if args.alpha is _SYMBOLIC and args.command != "spectrum":
+        return f"{args.command} needs a numeric --alpha"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if hasattr(args, "n") and args.m + args.n < 1:
         parser.error(f"need m + n >= 1, got m={args.m}, n={args.n}")
+    message = _flag_error(args)
+    if message:
+        print(f"error: {message}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (ValueError, AssertionError, NotImplementedError) as exc:

@@ -4,7 +4,8 @@ The order-m sequence starts with m-1 zeros and a single 1, after which each
 term is the sum of its m predecessors.  Counts of run-constrained motifs are
 shifted copies of these sequences, so the minimum average degeneracy of an
 N-site chain with m local states is m^N over an m-nacci number; its large-N
-behaviour is controlled by the dominant root of x^m - x^{m-1} - ... - 1.
+behaviour is controlled by the dominant root of x^m - x^{m-1} - ... - 1,
+found by one Newton run and pinned to the double of smallest exact residual.
 
 The translation-invariant refinement divides by the distinct motif halves
 instead, exact at every order; its asymptotics for two bosonic states follow
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,10 +39,6 @@ __all__ = [
     "translational_growth_ratio",
 ]
 
-_ROOT_TOL = 1e-12  # |p(lambda)| that ends the dominant root's Newton polish
-_FIB_LOCK = threading.Lock()
-_FIB: dict[int, list[int]] = {}
-
 
 def fib_table(m: int, n_max: int) -> list[int]:
     """Order-m generalized Fibonacci numbers F_0..F_{n_max}."""
@@ -50,52 +46,50 @@ def fib_table(m: int, n_max: int) -> list[int]:
         raise ValueError(f"need order m >= 2, got {m}")
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
-    with _FIB_LOCK:
-        vals = _FIB.setdefault(m, [0] * (m - 1) + [1])
-        while len(vals) <= n_max:
-            vals.append(sum(vals[-m:]))
-        return vals[: n_max + 1]
+    vals = [0] * (m - 1) + [1]
+    while len(vals) <= n_max:
+        vals.append(sum(vals[-m:]))
+    return vals[: n_max + 1]
 
 
 def fib(m: int, n: int) -> int:
     return fib_table(m, n)[n]
 
 
-def _poly(m: int, z: complex) -> complex:
-    # x^m - x^{m-1} - ... - x - 1 by Horner
-    acc: complex = 1
+def _exact_p(m: int, x: float) -> Fraction:
+    """x^m - x^(m-1) - ... - x - 1 at the double x, exactly, by Horner over num / den."""
+    num, den = x.as_integer_ratio()
+    acc = scale = 1
     for _ in range(m):
-        acc = acc * z - 1
-    return acc
-
-
-def _poly_deriv(m: int, z: complex) -> complex:
-    acc: complex = m
-    for k in range(m - 1, 0, -1):
-        acc = acc * z - k
-    return acc
+        scale *= den
+        acc = acc * num - scale
+    return Fraction(acc, scale)
 
 
 def dominant_root(m: int) -> float:
-    """Largest real root of the order-m characteristic polynomial.
+    """Largest real root of x^m - x^(m-1) - ... - 1: the double of smallest exact |p|.
 
-    Fixed-point iteration of x = 2 - x^(-m) from x = 2, then Newton polish.
+    Newton on (x - 1) p(x) = x^(m+1) - 2x^m + 1 from x = 2: on [lambda, 2]
+    that function is increasing and convex, so the iterates fall until
+    round-off stops them.  Both sides of the step are divided by x^(m-1),
+    which overflows no double.  From the last iterate, steps of one double
+    towards smaller exact |p| end at the double with the smallest |p| of
+    all, and p must change sign across it.
     """
     if m < 2:
         raise ValueError(f"need order m >= 2, got {m}")
     x = 2.0
-    for _ in range(400):
-        nxt = 2.0 - x**-m
-        if abs(nxt - x) < 1e-9:
-            x = nxt
-            break
+    while (nxt := x - (x * (x - 2) + x ** (1 - m)) / ((m + 1) * x - 2 * m)) < x:
         x = nxt
-    for _ in range(60):
-        p = _poly(m, x).real
-        if abs(p) < _ROOT_TOL:
-            return x
-        x -= p / _poly_deriv(m, x).real
-    raise RuntimeError(f"dominant root iteration failed to reach |p| < {_ROOT_TOL} for m={m}")
+    while True:
+        down, up = math.nextafter(x, 0.0), math.nextafter(x, 4.0)
+        best = min((x, down, up), key=lambda y: abs(_exact_p(m, y)))
+        if best == x:
+            break
+        x = best
+    if not _exact_p(m, down) < 0 < _exact_p(m, up):
+        raise AssertionError(f"p of order {m} does not change sign across {x!r}")
+    return x
 
 
 @dataclass(frozen=True)

@@ -228,7 +228,7 @@ def degeneracy_growth(max_sites: int = 30) -> list[Series]:
 
     All series are exact: level counts come from the packed transfer kernel
     `spectrum.level_count` (the generic-alpha series through its symbolic
-    band) or from the closed rational level-count formula.
+    band) or from the closed rational level count, `spectrum.level_bounds`.
     """
     sizes = list(range(4, max_sites + 1))
     hs_avg = []
@@ -239,7 +239,7 @@ def degeneracy_growth(max_sites: int = 30) -> list[Series]:
     for N in sizes:
         states = 2**N
         hs_avg.append(states / _hs_level_count(N))
-        pf_avg.append(states / ((N * N - N % 2) // 4 + 1))
+        pf_avg.append(states / spectrum.level_bounds(spectrum.PFDispersion(N), 2, 0))
         fi_avg.append(states / spectrum.level_count(N, 0, 2, spectrum.FIDispersion(N, 3)))
         trans_floor.append(float(fibnum.min_avg_degeneracy_translational(N, 2, 0)))
         generic_floor.append(float(fibnum.min_avg_degeneracy(N, 2, 0)))
@@ -293,8 +293,8 @@ def level_count_bounds(max_sites: int = 30) -> list[Series]:
     odd = [N for N in range(5, max_sites + 1) if N % 2 == 1]
     counts_even = [float(_hs_level_count(N)) for N in even]
     counts_odd = [float(_hs_level_count(N)) for N in odd]
-    bound_even = [N * (N * N + 2) / 12 + 1 for N in even]
-    bound_odd = [N * (N * N - 1) / 24 + 1 for N in odd]
+    bound_even = [float(spectrum.level_bounds(spectrum.HSDispersion(N), 2, 0)) for N in even]
+    bound_odd = [float(spectrum.level_bounds(spectrum.HSDispersion(N), 2, 0)) for N in odd]
     return [
         Series("count, even sizes", tuple(map(float, even)), tuple(counts_even), "circle"),
         Series("count, odd sizes", tuple(map(float, odd)), tuple(counts_odd), "square"),

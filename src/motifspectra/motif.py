@@ -36,8 +36,7 @@ __all__ = [
 # candidate words per block: the int64 temporaries of a block stay in cache,
 # and far below the memory the exact kernels need
 _BLOCK = 1 << 16
-_MAX_ENUM_BITS = 62  # candidate words are generated as signed 64-bit blocks
-_HALF_CAP = 1 << 26  # candidate words count_half_by_enumeration may sweep
+_ENUM_BITS = 26  # any enumeration sweeps at most 2^_ENUM_BITS candidate words
 
 
 class InfeasibleSizeError(ValueError):
@@ -178,11 +177,14 @@ def count(N: int, m: int, n: int) -> int:
 
 
 def _valid_word_blocks(N: int, m: int, n: int) -> Iterator[np.ndarray]:
-    """Yield ascending int64 arrays of the valid words, `_BLOCK` candidates at a time."""
+    """Yield ascending int64 arrays of the valid words, `_BLOCK` candidates at a time.
+
+    Raises InfeasibleSizeError, before the first block, past 2^`_ENUM_BITS` candidates.
+    """
     _check_context(m, n)
     length = N - 1
-    if length > _MAX_ENUM_BITS:
-        raise InfeasibleSizeError(f"cannot enumerate {length}-bit motif words")
+    if length > _ENUM_BITS:
+        raise InfeasibleSizeError(f"2^{length} candidate words exceed cap 2^{_ENUM_BITS}")
     total = 1 << length
     mask = total - 1
     run = 0 if (m and n) else (m or n)
@@ -261,8 +263,6 @@ def count_half_by_enumeration(N: int, m: int, n: int) -> int:
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     length = N - 1
-    if length > _MAX_ENUM_BITS or (1 << length) > _HALF_CAP:
-        raise InfeasibleSizeError(f"2^{length} candidate words exceed cap {_HALF_CAP}")
     npairs = (N - 1) // 2
     keys: set[int] = set()
     for words in _valid_word_blocks(N, m, n):

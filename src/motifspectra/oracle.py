@@ -15,6 +15,10 @@ set is checked against.
 The coupling kinds: trigonometric (hs), rational through oscillator nodes
 (pf), hyperbolic through log-scaled Laguerre nodes (fi), and the elliptic
 family interpolating between them (k^2 -> 0 degenerates to hs entrywise).
+Each kind is one pair function J(i, j) filled over the pairs i < j.  The
+elliptic functions K, E and sn read one AGM sequence, `_agm`, with one
+stopping rule; the quadrature nodes are eigenvalues of one tridiagonal
+recurrence matrix at every N.
 """
 
 from __future__ import annotations
@@ -83,56 +87,48 @@ class ChainSpec:
                 raise ValueError(f"need 0 <= ksq < 1, got {self.ksq}")
 
 
-def elliptic_K(k: float) -> float:
-    """Complete elliptic integral of the first kind, modulus k, via the AGM."""
-    if not 0.0 <= k < 1.0:
-        raise ValueError(f"need 0 <= k < 1, got {k}")
-    a, b = 1.0, math.sqrt(1.0 - k * k)
-    while abs(a - b) > 1e-15 * a:
-        a, b = (a + b) / 2, math.sqrt(a * b)
-    return math.pi / (2 * a)
+_AGM_STEPS = 60  # the AGM takes at most 9 steps for any double 0 <= k < 1
 
 
-def elliptic_E(k: float) -> float:
-    """Complete elliptic integral of the second kind, modulus k, via the AGM."""
-    if not 0.0 <= k < 1.0:
-        raise ValueError(f"need 0 <= k < 1, got {k}")
-    a, b, c = 1.0, math.sqrt(1.0 - k * k), k
-    s = c * c / 2
-    pw = 0.5
-    for _ in range(60):
-        if c == 0.0 or abs(c) < 1e-18 * a:
-            break
-        a, b, c = (a + b) / 2, math.sqrt(a * b), (a - b) / 2
-        pw *= 2
-        s += pw * c * c
-    return math.pi / (2 * a) * (1 - s)
+def _agm(k: float) -> tuple[list[float], list[float]]:
+    """The AGM of 1 and sqrt(1 - k^2): the a_n and c_n = (a_{n-1} - b_{n-1})/2, c_0 = k.
 
-
-def jacobi_sn(u: float, k: float) -> float:
-    """Jacobi sn(u, k) by the descending AGM/Landen phase recursion.
-
-    The argument is reduced over the real period 4K first.
+    Runs until c_N <= 1e-15 a_N, and raises past `_AGM_STEPS` steps.
     """
     if not 0.0 <= k < 1.0:
         raise ValueError(f"need 0 <= k < 1, got {k}")
-    if k == 0.0:
-        return math.sin(u)
-    period = 4 * elliptic_K(k)
-    u = math.remainder(u, period)
-    a_seq = [1.0]
-    c_seq = [k]
-    b = math.sqrt(1.0 - k * k)
-    while c_seq[-1] > 1e-15 * a_seq[-1]:
-        a, b, c = (a_seq[-1] + b) / 2, math.sqrt(a_seq[-1] * b), (a_seq[-1] - b) / 2
-        a_seq.append(a)
-        c_seq.append(c)
-        if len(a_seq) > 60:
-            break
-    phi = 2 ** (len(a_seq) - 1) * a_seq[-1] * u
-    for i in range(len(a_seq) - 1, 0, -1):
-        s = max(-1.0, min(1.0, c_seq[i] / a_seq[i] * math.sin(phi)))
-        phi = (phi + math.asin(s)) / 2
+    a, b, c = [1.0], math.sqrt(1.0 - k * k), [k]
+    while c[-1] > 1e-15 * a[-1]:
+        if len(a) > _AGM_STEPS:
+            raise AssertionError(f"AGM of modulus {k!r} did not converge in {_AGM_STEPS} steps")
+        a.append((a[-1] + b) / 2)
+        c.append((a[-2] - b) / 2)
+        b = math.sqrt(a[-2] * b)
+    return a, c
+
+
+def elliptic_K(k: float) -> float:
+    """Complete elliptic integral of the first kind, modulus k: pi / (2 a_N)."""
+    a, _ = _agm(k)
+    return math.pi / (2 * a[-1])
+
+
+def elliptic_E(k: float) -> float:
+    """Complete elliptic integral of the second kind, modulus k: K (1 - sum 2^(n-1) c_n^2)."""
+    a, c = _agm(k)
+    return math.pi / (2 * a[-1]) * (1 - math.fsum(2.0 ** (i - 1) * x * x for i, x in enumerate(c)))
+
+
+def jacobi_sn(u: float, k: float) -> float:
+    """Jacobi sn(u, k) by the descending Landen phase recursion over the AGM.
+
+    The argument is reduced over the real period 4K = 2 pi / a_N first.
+    """
+    a, c = _agm(k)
+    u = math.remainder(u, 2 * math.pi / a[-1])
+    phi = 2 ** (len(a) - 1) * a[-1] * u
+    for i in range(len(a) - 1, 0, -1):
+        phi = (phi + math.asin(max(-1.0, min(1.0, c[i] / a[i] * math.sin(phi))))) / 2
     return math.sin(phi)
 
 
@@ -144,8 +140,6 @@ def hermite_zeros(N: int) -> np.ndarray:
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    if N == 1:
-        return np.zeros(1)
     off = np.sqrt(np.arange(1, N) / 2.0)
     return np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
 
@@ -157,8 +151,6 @@ def laguerre_zeros(N: int, a: float) -> np.ndarray:
     if a <= -1:
         raise ValueError(f"need a > -1, got {a}")
     diag = 2 * np.arange(N) + a + 1
-    if N == 1:
-        return diag.astype(float)
     k = np.arange(1, N)
     off = np.sqrt(k * (k + a))
     return np.linalg.eigvalsh(np.diag(diag.astype(float)) + np.diag(off, 1) + np.diag(off, -1))
@@ -167,27 +159,21 @@ def laguerre_zeros(N: int, a: float) -> np.ndarray:
 def coupling_matrix(chain: ChainSpec) -> np.ndarray:
     """Symmetric J_ij matrix of the chain, zero diagonal."""
     N = chain.sites
-    J = np.zeros((N, N))
     if chain.kind == "hs":
-        for i in range(N):
-            for j in range(i + 1, N):
-                J[i, j] = 0.5 / math.sin(math.pi * (i - j) / N) ** 2
+        pair = lambda i, j: 0.5 / math.sin(math.pi * (i - j) / N) ** 2
     elif chain.kind == "pf":
         xi = hermite_zeros(N)
-        for i in range(N):
-            for j in range(i + 1, N):
-                J[i, j] = 1.0 / (xi[i] - xi[j]) ** 2
+        pair = lambda i, j: 1.0 / (xi[i] - xi[j]) ** 2
     elif chain.kind == "fi":
         zeta = 0.5 * np.log(laguerre_zeros(N, float(chain.alpha) - 1))
-        for i in range(N):
-            for j in range(i + 1, N):
-                J[i, j] = 0.5 / math.sinh(zeta[i] - zeta[j]) ** 2
+        pair = lambda i, j: 0.5 / math.sinh(zeta[i] - zeta[j]) ** 2
     else:
         k = math.sqrt(chain.ksq)
         bigk = elliptic_K(k)
-        for i in range(N):
-            for j in range(i + 1, N):
-                J[i, j] = 0.5 / jacobi_sn(2 * (i - j) * bigk / N, k) ** 2
+        pair = lambda i, j: 0.5 / jacobi_sn(2 * (i - j) * bigk / N, k) ** 2
+    J = np.zeros((N, N))
+    for i, j in itertools.combinations(range(N), 2):
+        J[i, j] = pair(i, j)
     return J + J.T
 
 
@@ -260,9 +246,6 @@ def _orbits(base: int, N: int, n: int, G: int) -> tuple[np.ndarray, ...]:
     state its own orbit.
     """
     idx = np.arange(base**N, dtype=np.int64)
-    if G == 1:
-        ones = np.ones(idx.size, np.int64)
-        return idx, np.zeros_like(idx), np.ones(idx.size), ones, ones
     k = np.arange(G, dtype=np.int64)[:, None]
     cut = base ** (N - k)
     image = idx % cut * base**k + idx // cut

@@ -307,8 +307,10 @@ def _level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> dict[int, 
     slots = sum(band) + 1
     if slots * 8 * nbytes > _PACKED_BOUND:
         return _sparse_level_polynomial(N, m, n, band)
-    total = _packed_rows(band, cut, 8 * nbytes, operator.add)
-    raw = np.frombuffer(total.to_bytes(slots * nbytes, "little"), dtype=np.uint8).reshape(slots, nbytes)
+    # only the bytes outlive this line: the megabyte-wide int, kept through the
+    # read-back, moved peak RSS by up to 4 MB with where the heap put it
+    total = _packed_rows(band, cut, 8 * nbytes, operator.add).to_bytes(slots * nbytes, "little")
+    raw = np.frombuffer(total, dtype=np.uint8).reshape(slots, nbytes)
     exponents = np.flatnonzero(raw.any(axis=1))
     # each nonzero slot padded to whole little-endian 64-bit limbs, folded high to low
     limbs = -(-nbytes // 8)
@@ -425,15 +427,12 @@ def level_bounds(disp, m: int, n: int) -> int:
     Closed formulas exist for the two-state chains (exact for the linear
     band).
     """
+    if (m, n) not in ((2, 0), (0, 2)):
+        raise ValueError("closed bound requires a two-state pure context")
     N = disp.sites
-    su2like = (m, n) in ((2, 0), (0, 2))
     if isinstance(disp, PFDispersion):
-        if not su2like:
-            raise ValueError("closed bound requires a two-state pure context")
         return (N * N - N % 2) // 4 + 1
     if isinstance(disp, HSDispersion):
-        if not su2like:
-            raise ValueError("closed bound requires a two-state pure context")
         if N % 2 == 0:
             q, r = divmod(N * (N * N + 2), 12)
         else:
@@ -441,8 +440,6 @@ def level_bounds(disp, m: int, n: int) -> int:
         assert r == 0
         return q + 1
     if isinstance(disp, FIDispersion):
-        if not su2like:
-            raise ValueError("closed bound requires a two-state pure context")
         a, b = disp.alpha.numerator, disp.alpha.denominator
         if N % 2 == 0:
             q, r = divmod(N * (2 * b * N * N + 3 * (a - b) * N - 2 * b), 12)
@@ -451,8 +448,5 @@ def level_bounds(disp, m: int, n: int) -> int:
         assert r == 0
         return q + 1
     if isinstance(disp, SymbolicAlphaDispersion):
-        if not su2like:
-            raise ValueError("closed bound requires a two-state pure context")
         return max(N**5 // 6, 1)  # the lone empty motif of one site
     raise ValueError(f"no closed bound for dispersion {type(disp).__name__}")
-

@@ -3,12 +3,13 @@
 import importlib.util
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from motifspectra import fibnum, partition, tableau
+from motifspectra import fibnum, oracle, partition, spectrum, tableau
 from motifspectra.cli import main
 
 
@@ -256,6 +257,86 @@ def test_usage_errors_exit_two():
             main(list(argv))
         assert exc.value.code == 2, argv
         assert reason in err.getvalue(), argv
+    # a coupling flag the chain does not read, or one it needs and lacks
+    unfit = [
+        (("spectrum", "--chain", "fi", "--sites", "5"), "--chain fi needs --alpha"),
+        (("partition", "--chain", "fi", "--sites", "5"), "--chain fi needs --alpha"),
+        (("diag", "--chain", "fi", "--sites", "5"), "--chain fi needs --alpha"),
+        (("diag", "--chain", "elliptic", "--sites", "5"), "--chain elliptic needs --ksq"),
+        (("partition", "--chain", "fi", "--alpha", "irrational", "--sites", "5"), "partition needs a numeric"),
+        (("diag", "--chain", "fi", "--alpha", "generic", "--sites", "5"), "diag needs a numeric"),
+        (("spectrum", "--chain", "hs", "--alpha", "3", "--sites", "5"), "--chain hs takes no --alpha"),
+        (("spectrum", "--chain", "pf", "--alpha", "irrational", "--sites", "5"), "--chain pf takes no --alpha"),
+        (("partition", "--chain", "hs", "--alpha", "3", "--sites", "5"), "--chain hs takes no --alpha"),
+        (("diag", "--chain", "hs", "--ksq", "0.5", "--sites", "5"), "--chain hs takes no --ksq"),
+        (("diag", "--chain", "pf", "--alpha", "3", "--sites", "5"), "--chain pf takes no --alpha"),
+        (("diag", "--chain", "fi", "--alpha", "3", "--ksq", "0.5", "--sites", "5"), "--chain fi takes no --ksq"),
+        (("diag", "--chain", "elliptic", "--ksq", "0.5", "--alpha", "3", "--sites", "5"), "takes no --alpha"),
+        (("figure", "--name", "fig5", "--ksq", "0.5"), "figure fig5 takes no --ksq"),
+    ]
+    for argv, reason in unfit:
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, ""), argv
+        assert reason in err, argv
+
+
+def refuse_constants(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+def test_json_output_is_strict(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    invocations = [
+        "motifs --sites 6 --list",
+        "motifs --sites 9 --half-count --brute",
+        "tableau --sites 4 --m 2 --n 1",
+        "tableau --spins=-3,1,1,0,-2,-1,-1 --m 3 --n 3",
+        "fib --m 3 --upto 8",
+        "dmin --sites 10 --translational --asymptotic",
+        "dmin --sites 10 --m 30 --asymptotic",
+        "table1",
+        "spectrum --chain hs --sites 8 --levels",
+        "spectrum --chain fi --alpha irrational --sites 5 --levels",
+        "spectrum --chain pf --sites 9 --bounds",
+        "partition --chain fi --alpha 5/2 --sites 8 --levels-only",
+        "partition --chain hs --sites 6",
+        "diag --chain pf --sites 5",
+        "diag --chain elliptic --ksq 0.5 --sites 6 --m 2 --n 0 --compare",
+        "anyon --m 2 --sites 5 --weights",
+        "anyon --m 2 --fit-g --k 3 --orbitals 60,120",
+        "figure --name fig5 --max-sites 8",
+    ]
+    rows = {}
+    for argv in invocations:
+        code, out, err = run_cli(*argv.split(), "--format", "json")
+        assert code == 0, (argv, err)
+        rows[argv] = json.loads(out, parse_constant=refuse_constants)["rows"]
+    # a chain without a formula level set has no energy error: nan in CSV, null in JSON
+    compare = rows["diag --chain elliptic --ksq 0.5 --sites 6 --m 2 --n 0 --compare"]
+    assert compare[0]["max_error"] is None and compare[0]["matched"] is True
+    # a level-count mismatch has an infinite one
+    monkeypatch.setattr(oracle, "formula_dispersion", lambda chain: spectrum.PFDispersion(chain.sites))
+    code, out, err = run_cli("diag", "--chain", "hs", "--sites", "5", "--compare", "--format", "json")
+    assert code == 1 and "level count" in err
+    row = json.loads(out, parse_constant=refuse_constants)["rows"][0]
+    assert row["max_error"] is None and row["matched"] is False
+    code, out, _ = run_cli("diag", "--chain", "hs", "--sites", "5", "--compare")
+    assert out.splitlines()[1].split(",")[5] == "inf"
+
+
+def test_dmin_asymptotic_at_high_order():
+    code, out, err = run_cli("dmin", "--sites", "10", "--m", "30", "--asymptotic")
+    assert code == 0, err
+    assert out.splitlines()[1:] == ["generic,1153300781250,1.1533e+12", "asymptotic,,1.1533e+12"]
+
+
+@pytest.mark.parametrize("action", ["--brute", "--list"])
+def test_motif_sweeps_past_the_cap_fail_fast(action):
+    start = time.perf_counter()
+    code, out, err = run_cli("motifs", "--sites", "28", "--m", "2", action)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert "exceed cap" in err
 
 
 def test_figure_rejects_flag_its_builder_does_not_take(tmp_path, monkeypatch):

@@ -34,6 +34,51 @@ def test_dominant_root_closed_forms():
     assert abs(fibnum.dominant_root(3) - 1.839286755214161) < 1e-10
 
 
+# pinned: table1, criterion 1 and dmin --asymptotic print these doubles
+ROOTS = {
+    2: "0x1.9e3779b97f4a8p+0",
+    3: "0x1.d6db7f2d9c5c1p+0",
+    4: "0x1.ed74b39db65a8p+0",
+    5: "0x1.f7486236056f3p+0",
+    6: "0x1.fbcc15d16a071p+0",
+    7: "0x1.fdf15d9738b6dp+0",
+    8: "0x1.fefbe63ec2891p+0",
+    9: "0x1.ff7edbff38818p+0",
+    10: "0x1.ffbfaf6395a32p+0",
+    11: "0x1.ffdfe9e882305p+0",
+    12: "0x1.ffeff9fc8599bp+0",
+    13: "0x1.fff7fe5f7dcf8p+0",
+    14: "0x1.fffbff8fed2c4p+0",
+}
+
+
+@pytest.mark.parametrize("m", sorted(ROOTS))
+def test_dominant_root_pinned(m):
+    assert fibnum.dominant_root(m) == float.fromhex(ROOTS[m])
+
+
+def exact_p(m, x):
+    q = Fraction(x)
+    return q**m - sum(q**k for k in range(m))
+
+
+@pytest.mark.parametrize("m", range(2, 61))
+def test_dominant_root_brackets_a_sign_change(m):
+    lam = fibnum.dominant_root(m)
+    down, up = math.nextafter(lam, 0.0), math.nextafter(lam, 4.0)
+    assert exact_p(m, down) < 0 < exact_p(m, up)
+    # no double has a smaller residual than the one returned
+    assert abs(exact_p(m, lam)) <= min(abs(exact_p(m, down)), abs(exact_p(m, up)))
+
+
+def test_high_orders_have_roots():
+    # no double brings |p| below 1e-12 at these orders, so no residual threshold ends the search
+    assert round(fibnum.binet(15, 20)) == fibnum.fib(15, 20) == 32
+    lam = fibnum.characteristic_roots(30).dominant
+    assert abs((2 - lam) - lam**-30) < 1e-15  # lambda = 2 - lambda^(-m)
+    assert fibnum.dominant_root(100) == 2.0
+
+
 @pytest.mark.parametrize("m", range(2, 11))
 def test_root_bounds_and_gamma_identity(m):
     rd = fibnum.characteristic_roots(m)

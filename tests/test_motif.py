@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from motifspectra import fibnum, motif
+from motifspectra import fibnum, motif, spectrum
 
 
 def test_validity_examples():
@@ -217,3 +217,19 @@ def test_enumeration_blocks_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+def test_every_enumeration_has_one_cap():
+    # 2^26 candidate words (N = 27) are admitted: the first block comes back
+    assert next(motif._valid_word_blocks(27, 2, 0))[:3].tolist() == [0, 1, 2]
+    assert str(next(motif.enumerate_motifs(27, 1, 1))) == "0" * 26
+    # 2^27 are refused, before any block is made
+    table = tuple(float(j) for j in range(1, 28))
+    for sweep in (
+        lambda: motif.count_by_enumeration(28, 2, 0),
+        lambda: list(motif.enumerate_motifs(28, 0, 3)),
+        lambda: motif.count_half_by_enumeration(28, 1, 1),
+        lambda: spectrum.level_count_by_enumeration(28, 1, 1, spectrum.NumericDispersion(28, table)),
+    ):
+        with pytest.raises(motif.InfeasibleSizeError, match="exceed cap"):
+            sweep()

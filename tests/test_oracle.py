@@ -38,6 +38,20 @@ def test_elliptic_modulus_range():
 def test_sn_degenerates_to_sine():
     for u in (-2.0, 0.3, 1.7):
         assert abs(oracle.jacobi_sn(u, 0.0) - math.sin(u)) < 1e-15
+    # below half the period the reduction and the descent are exact
+    for u in np.linspace(-math.pi, math.pi, 1001)[1:-1]:
+        assert oracle.jacobi_sn(float(u), 0.0) == math.sin(u)
+
+
+def test_agm_stops_within_its_bound():
+    for k in (0.0, 0.5, 1 - 2**-53):
+        a, c = oracle._agm(k)
+        assert len(a) == len(c) <= oracle._AGM_STEPS
+        assert c[0] == k and a[0] == 1.0
+        assert c[-1] <= 1e-15 * a[-1]
+    # K grows like log(4 / k') as k -> 1, and k' = sqrt(2^-52) here
+    k = 1 - 2**-53
+    assert abs(oracle.elliptic_K(k) - math.log(4 * 2**26)) < 1e-12
 
 
 @pytest.mark.parametrize("ksq", [0.1, 0.5, 0.9])
