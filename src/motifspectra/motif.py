@@ -125,7 +125,7 @@ class Motif:
         return Motif(word, self.sites)
 
     def __str__(self) -> str:
-        return "".join(map(str, self.bits))
+        return format(self.word, f"0{self.length}b") if self.length else ""
 
 
 @dataclass(frozen=True)

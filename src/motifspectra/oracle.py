@@ -252,7 +252,7 @@ def _orbits(base: int, N: int, n: int, G: int) -> tuple[np.ndarray, ...]:
     # T^k carries the top k digits past the others: -1 when they hold an odd
     # number of fermions and the state an even number
     flips = np.zeros(image.shape, bool)
-    if n:
+    if n and G > 1:
         fermions = (idx // base ** np.arange(N - 1, -1, -1, dtype=np.int64)[:, None]) % base < n
         top = np.cumsum(fermions[: G - 1], axis=0) % 2 == 1
         flips[1:] = top & (fermions.sum(axis=0) % 2 == 0)

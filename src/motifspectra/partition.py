@@ -104,6 +104,8 @@ def levels(qp: QPolynomial) -> LevelSummary:
 
 _MAGIC = b"MSQP"
 _VERSION = 1
+_HEAD = struct.Struct("<4sBQQ")
+_LENGTH = struct.Struct("<I")
 
 
 def dump_terms(qp: QPolynomial, fh: BinaryIO) -> None:
@@ -111,39 +113,60 @@ def dump_terms(qp: QPolynomial, fh: BinaryIO) -> None:
 
     Layout: magic "MSQP", u8 version, u64 term count, u64 scale, then per
     term (sorted by exponent) u32 byte length + signed little-endian exponent
-    and u32 byte length + unsigned little-endian coefficient.
+    and u32 byte length + unsigned little-endian coefficient.  The dump is
+    built in one bytearray and written once.
     """
     items = qp.sorted_terms()
     if any(not isinstance(e, int) for e, _ in items):
         raise TypeError("only integer-exponent polynomials can be dumped")
-    fh.write(_MAGIC + struct.pack("<BQQ", _VERSION, len(items), qp.scale))
-    for e, c in items:
-        eb = e.to_bytes(max(1, (e.bit_length() + 8) // 8), "little", signed=True)
-        cb = c.to_bytes(max(1, (c.bit_length() + 7) // 8), "little")
-        fh.write(struct.pack("<I", len(eb)) + eb + struct.pack("<I", len(cb)) + cb)
-
-
-def _read_exact(fh: BinaryIO, size: int) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
-        raise ValueError(f"truncated term dump: wanted {size} bytes, got {len(data)}")
-    return data
+    out = bytearray(_HEAD.pack(_MAGIC, _VERSION, len(items), qp.scale))
+    if items:
+        # the extreme exponents and the largest coefficient need the longest records
+        widest = max(
+            (items[0][0].bit_length() + 8) // 8,
+            (items[-1][0].bit_length() + 8) // 8,
+            (qp.max_coefficient().bit_length() + 7) // 8,
+        )
+        prefix = [_LENGTH.pack(k) for k in range(widest + 1)]
+        for e, c in items:
+            el = (e.bit_length() + 8) // 8  # room for the sign bit: 0 takes one byte
+            cl = (c.bit_length() + 7) // 8  # coefficients are positive
+            # in place: a list of per-term records held 10 MB more at fi 5/2, N = 60
+            out += prefix[el]
+            out += e.to_bytes(el, "little", signed=True)
+            out += prefix[cl]
+            out += c.to_bytes(cl, "little")
+    fh.write(out)
 
 
 def load_terms(fh: BinaryIO) -> QPolynomial:
-    """Inverse of dump_terms; raises ValueError on a truncated or overlong dump."""
-    head = _read_exact(fh, 4 + struct.calcsize("<BQQ"))
-    if head[:4] != _MAGIC:
+    """Inverse of dump_terms; raises ValueError on a truncated or overlong dump.
+
+    The dump is read once and walked in place.
+    """
+    data = fh.read()
+    if len(data) < _HEAD.size:
+        raise ValueError(f"truncated term dump: wanted {_HEAD.size} header bytes, got {len(data)}")
+    magic, version, count, scale = _HEAD.unpack_from(data)
+    if magic != _MAGIC:
         raise ValueError("bad magic")
-    version, count, scale = struct.unpack("<BQQ", head[4:])
     if version != _VERSION:
         raise ValueError(f"unsupported version {version}")
+    length, from_bytes = _LENGTH.unpack_from, int.from_bytes
     terms: dict = {}
-    for _ in range(count):
-        (elen,) = struct.unpack("<I", _read_exact(fh, 4))
-        e = int.from_bytes(_read_exact(fh, elen), "little", signed=True)
-        (clen,) = struct.unpack("<I", _read_exact(fh, 4))
-        terms[e] = int.from_bytes(_read_exact(fh, clen), "little")
-    if fh.read(1):
+    pos = _HEAD.size
+    try:
+        for _ in range(count):
+            (size,) = length(data, pos)
+            pos += 4 + size
+            e = from_bytes(data[pos - size : pos], "little", signed=True)
+            (size,) = length(data, pos)
+            pos += 4 + size
+            terms[e] = from_bytes(data[pos - size : pos], "little")
+    except struct.error:
+        raise ValueError(f"truncated term dump: a length prefix runs past byte {len(data)}") from None
+    if pos > len(data):
+        raise ValueError(f"truncated term dump: the last record ends at byte {pos} of {len(data)}")
+    if pos < len(data):
         raise ValueError("trailing bytes after the last term")
     return QPolynomial(terms, scale)

@@ -12,9 +12,13 @@ Every exact level polynomial, the sum over motifs of dim(V) q^E, comes from
 one transfer-matrix kernel over the spins of the chain, fed with the
 dispersion's band scaled to integers.  Each spin's row is one Python int
 with a fixed-width slot per scaled energy; level counts without
-degeneracies run the same loop with one-bit slots and OR.  A band too wide
-for packed rows goes through a sparse kernel that keeps only the energies
-that occur.
+degeneracies run the same loop with one-bit slots and OR.  A pure-fermionic
+context (0, n) runs as its bosonic dual (n, 0), whose rows start at the
+bottom of the band instead of near its middle, and the border-strip duality
+E -> band sum - E reflects the result back.  A band too wide for packed
+rows goes through a sparse kernel that keeps only the energies that occur;
+it and the fiber table keep the (m, n) orientation, as the independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -299,10 +303,16 @@ def _level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> dict[int, 
 
     Rows of (band sum + 1) slots of `_slot_bytes` each run `_packed_rows`
     with +, when they fit in `_PACKED_BOUND` bits, and the coefficients are
-    read back from the total in one pass.  Wider bands (an alpha with a
-    large numerator or denominator) go through `_sparse_level_polynomial`.
+    read back from the total in one pass.  A context with m = 0 runs with the
+    cuts of (n, 0): complementing a motif's bits maps the valid (0, n) motifs
+    onto the valid (n, 0) ones, with the same dimension and the energy
+    band sum - E, so the dual's slots are read back in reverse.  A (0, n)
+    row enters at about half the band sum and carries that many empty low
+    slots; its dual's rows carry none, so they are about half as wide.
+    Wider bands (an alpha with a large numerator or denominator) go through
+    `_sparse_level_polynomial`.
     """
-    cut = _transfer_cuts(N, m, n)
+    cut = _transfer_cuts(N, m, n) if m else _transfer_cuts(N, n, 0)
     nbytes = _slot_bytes(N, m, n)
     slots = sum(band) + 1
     if slots * 8 * nbytes > _PACKED_BOUND:
@@ -311,6 +321,8 @@ def _level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> dict[int, 
     # read-back, moved peak RSS by up to 4 MB with where the heap put it
     total = _packed_rows(band, cut, 8 * nbytes, operator.add).to_bytes(slots * nbytes, "little")
     raw = np.frombuffer(total, dtype=np.uint8).reshape(slots, nbytes)
+    if not m:
+        raw = raw[::-1]  # slot E of the dual holds exponent sum(band) - E
     exponents = np.flatnonzero(raw.any(axis=1))
     # each nonzero slot padded to whole little-endian 64-bit limbs, folded high to low
     limbs = -(-nbytes // 8)
@@ -329,15 +341,17 @@ def level_count(N: int, m: int, n: int, disp) -> int:
     `_packed_rows` over the Boolean semiring: row t is a Python-int bitset
     with bit E set when some configuration of the sites seen so far ends in
     spin t - n at scaled energy E, and the count is the popcount of their OR.
-    A band whose one-bit rows pass `_PACKED_BOUND` (an alpha with a large
-    numerator or denominator makes one) is counted as the term count of
+    A context with m = 0 runs its dual (n, 0), as `_level_polynomial` does;
+    reflecting the energies leaves their number unchanged.  A band whose
+    one-bit rows pass `_PACKED_BOUND` (an alpha with a large numerator or
+    denominator makes one) is counted as the term count of
     `_sparse_level_polynomial`, whose size follows the distinct energies
     rather than the band's width.
     """
     if disp.sites != N:
         raise ValueError(f"dispersion is for {disp.sites} sites, not {N}")
     band, _, _ = _band(disp)
-    cut = _transfer_cuts(N, m, n)
+    cut = _transfer_cuts(N, m, n) if m else _transfer_cuts(N, n, 0)
     if sum(band) + 1 > _PACKED_BOUND:
         return len(_sparse_level_polynomial(N, m, n, band))
     return _packed_rows(band, cut, 1, operator.or_).bit_count()

@@ -45,6 +45,13 @@ def test_motif_accessors():
     assert str(mot.reversed()) == "101100"
 
 
+def test_str_lists_the_bits():
+    for N in range(1, 13):
+        for word in range(1 << (N - 1)):
+            mot = motif.Motif(word, N)
+            assert str(mot) == "".join(map(str, mot.bits))
+
+
 def test_enumeration_is_lexicographic():
     mots = list(motif.enumerate_motifs(6, 2, 0))
     words = [mt.word for mt in mots]

@@ -68,7 +68,8 @@ def test_duality_reflects_level_sets(make):
             disp = make(N)
             pivot = spectrum.ground_state_energy(disp)
             direct = spectrum.level_set(N, m, n, disp)
-            mirrored = sorted((pivot - e, d) for e, d in spectrum.level_set(N, n, m, disp))
+            # the kernel runs (0, n) as (n, 0), so the dual side comes from the fiber table
+            mirrored = sorted((pivot - e, d) for e, d in fiber_level_set(N, n, m, disp))
             assert direct == mirrored
 
 
@@ -339,12 +340,30 @@ def test_level_count_matches_polynomial_and_enumeration(case):
 @example((40, 2, 1, HSDispersion(40)))  # 3^40 < 2^64: 8-byte slots through uint64
 @example((30, 0, 2, FIDispersion(30, Fraction(5, 2))))
 @example((200, 0, 2, PFDispersion(200)))  # 26-byte slots: four limbs
+@example((12, 0, 1, HSDispersion(12)))  # pure-fermionic contexts run reflected from (n, 0)
+@example((20, 0, 3, HSDispersion(20)))
+@example((14, 0, 4, FIDispersion(14, Fraction(5, 2))))
+@example((20, 0, 2, SymbolicAlphaDispersion(20)))
 def test_packed_kernel_matches_sparse_kernel(case):
     N, m, n, disp = case
     band, _, _ = spectrum._band(disp)
     sparse = spectrum._sparse_level_polynomial(N, m, n, band)
     assert list(spectrum._level_polynomial(N, m, n, band).items()) == list(sparse.items())
     assert spectrum.level_count(N, m, n, disp) == len(sparse)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fermionic_context_runs_its_bosonic_dual(n, monkeypatch):
+    N, disp = 9, HSDispersion(9)
+    band, _, _ = spectrum._band(disp)
+    calls = []
+    kernel = spectrum._packed_rows
+    monkeypatch.setattr(spectrum, "_packed_rows", lambda *a: calls.append(a[1]) or kernel(*a))
+    spectrum._level_polynomial(N, 0, n, band)
+    assert calls == [spectrum._transfer_cuts(N, n, 0)]
+    calls.clear()
+    spectrum.level_count(N, 0, n, disp)
+    assert calls == [spectrum._transfer_cuts(N, n, 0)]
 
 
 def test_fixed_examples_take_the_packed_path():
