@@ -6,11 +6,18 @@ configuration.  Output is deterministic: identical invocations produce
 byte-identical stdout.  Exit status 0 means success, 1 a computational
 check that failed (a cross-check mismatch or a broken identity), 2 a usage
 error.
+
+`main` owns the boundary.  The argparse types and groups and `_flag_error`
+decide every usage error before a handler runs.  A handler `_cmd_*` returns
+its table as (columns, rows) for `main` to write, or raises for exit 1;
+only `tableau --art` prints itself, and `diag --compare` writes its row
+before it raises on a mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -24,6 +31,7 @@ _TOOL = "motifspectra"
 _SYMBOLIC = object()  # --alpha irrational: the generic coupling, kept symbolic
 # the coupling flags each chain reads
 _CHAIN_FLAGS = {"hs": (), "pf": (), "fi": ("alpha",), "elliptic": ("ksq",)}
+_Table = tuple[list[str], list[tuple]]  # a handler's (columns, rows)
 
 
 def _parse_alpha(text: str):
@@ -60,6 +68,10 @@ def _cell(v) -> str:
     if isinstance(v, float):
         return f"{v:.6g}"
     return str(v)
+
+
+def _joined(values) -> str:
+    return ";".join(map(str, values))
 
 
 def _jsonable(v):
@@ -100,36 +112,35 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _cmd_motifs(args: argparse.Namespace) -> int:
+def _orbital_counts(text: str) -> tuple[int, ...]:
+    """The comma-separated orbital counts of --orbitals, or () when one is not an integer."""
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        return ()
+
+
+def _cmd_motifs(args: argparse.Namespace) -> _Table:
     N, m, n = args.sites, args.m, args.n
     if args.list:
         rows = []
         for k, mot in enumerate(motif.enumerate_motifs(N, m, n)):
-            rows.append((k, str(mot), mot.ones(), ";".join(map(str, mot.rapidities()))))
-        _emit(args, ["index", "bits", "ones", "rapidities"], rows)
-        return 0
+            rows.append((k, str(mot), mot.ones(), _joined(mot.rapidities())))
+        return ["index", "bits", "ones", "rapidities"], rows
     if args.half_count:
-        val = motif.count_half(N, m, n)
-        if args.brute:
-            brute = motif.count_half_by_enumeration(N, m, n)
-            if brute != val:
-                return _fail(f"half count {val} != enumerated {brute}")
-            _emit(args, ["sites", "m", "n", "half_count", "enumerated"], [(N, m, n, val, brute)])
-        else:
-            _emit(args, ["sites", "m", "n", "half_count"], [(N, m, n, val)])
-        return 0
-    val = motif.count(N, m, n)
-    if args.brute:
-        brute = motif.count_by_enumeration(N, m, n)
-        if brute != val:
-            return _fail(f"count {val} != enumerated {brute}")
-        _emit(args, ["sites", "m", "n", "count", "enumerated"], [(N, m, n, val, brute)])
+        name, count, enumerated = "half_count", motif.count_half, motif.count_half_by_enumeration
     else:
-        _emit(args, ["sites", "m", "n", "count"], [(N, m, n, val)])
-    return 0
+        name, count, enumerated = "count", motif.count, motif.count_by_enumeration
+    val = count(N, m, n)
+    if not args.brute:
+        return ["sites", "m", "n", name], [(N, m, n, val)]
+    brute = enumerated(N, m, n)
+    if brute != val:
+        raise AssertionError(f"{name.replace('_', ' ')} {val} != enumerated {brute}")
+    return ["sites", "m", "n", name, "enumerated"], [(N, m, n, val, brute)]
 
 
-def _cmd_tableau(args: argparse.Namespace) -> int:
+def _cmd_tableau(args: argparse.Namespace) -> _Table | None:
     m, n = args.m, args.n
     if args.spins is not None:
         spins = args.spins
@@ -137,67 +148,48 @@ def _cmd_tableau(args: argparse.Namespace) -> int:
         if args.art:
             for line in tableau.tableau_lines(spins, m, n):
                 print(line)
-            return 0
+            return None
         dim = tableau.module_dimension(mot, m, n)
-        rows = [
-            (
-                ";".join(map(str, spins)),
-                str(mot),
-                ";".join(map(str, mot.rapidities())),
-                ";".join(map(str, tableau.dual_spins(spins))),
-                dim,
-            )
-        ]
-        _emit(args, ["spins", "bits", "rapidities", "dual_spins", "dimension"], rows)
-        return 0
+        row = (_joined(spins), str(mot), _joined(mot.rapidities()), _joined(tableau.dual_spins(spins)), dim)
+        return ["spins", "bits", "rapidities", "dual_spins", "dimension"], [row]
     N = args.sites
-    if N is None:
-        print("error: need --spins or --sites", file=sys.stderr)
-        return 2
     rows = [(str(motif.Motif(word, N)), d) for word, d in sorted(tableau.fiber_sizes(N, m, n).items())]
     total = sum(d for _, d in rows)
     if total != (m + n) ** N:
-        return _fail(f"fiber dimensions sum to {total}, expected {(m + n) ** N}")
-    _emit(args, ["bits", "dimension"], rows)
-    return 0
+        raise AssertionError(f"fiber dimensions sum to {total}, expected {(m + n) ** N}")
+    return ["bits", "dimension"], rows
 
 
-def _cmd_fib(args: argparse.Namespace) -> int:
-    table = fibnum.fib_table(args.m, args.upto)
-    _emit(args, ["n", "value"], list(enumerate(table)))
-    return 0
+def _cmd_fib(args: argparse.Namespace) -> _Table:
+    return ["n", "value"], list(enumerate(fibnum.fib_table(args.m, args.upto)))
 
 
-def _cmd_dmin(args: argparse.Namespace) -> int:
+def _cmd_dmin(args: argparse.Namespace) -> _Table:
     N, m, n = args.sites, args.m, args.n
-    rows = [("generic", str(fibnum.min_avg_degeneracy(N, m, n)), float(fibnum.min_avg_degeneracy(N, m, n)))]
+    generic = fibnum.min_avg_degeneracy(N, m, n)
+    rows = [("generic", str(generic), float(generic))]
     if args.translational:
         v = fibnum.min_avg_degeneracy_translational(N, m, n)
         rows.append(("translational", str(v), float(v)))
     if args.asymptotic:
-        if n == 0:
-            rows.append(("asymptotic", "", fibnum.min_avg_degeneracy_asymptotic(N, m)))
-        elif m == 0:
-            rows.append(("asymptotic", "", fibnum.min_avg_degeneracy_asymptotic(N, n)))
-        else:
-            return _fail("asymptotic form exists only for pure contexts")
+        if m and n:
+            raise ValueError("asymptotic form exists only for pure contexts")
+        rows.append(("asymptotic", "", fibnum.min_avg_degeneracy_asymptotic(N, m or n)))
         if args.translational and (m, n) in ((2, 0), (0, 2)):
             rows.append(
                 ("translational asymptotic", "", fibnum.min_avg_degeneracy_translational_asymptotic(N))
             )
-    _emit(args, ["kind", "exact", "value"], rows)
-    return 0
+    return ["kind", "exact", "value"], rows
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
+def _cmd_table1(args: argparse.Namespace) -> _Table:
     rows = []
     for m in range(2, 11):
         rd = fibnum.characteristic_roots(m)
         rows.append(
             (m, f"{rd.dominant:.5f}", f"{rd.gamma:.5f}", f"{rd.coefficient:.5f}", f"{rd.kappa:.5f}")
         )
-    _emit(args, ["m", "lambda", "gamma", "coefficient", "kappa"], rows)
-    return 0
+    return ["m", "lambda", "gamma", "coefficient", "kappa"], rows
 
 
 def _make_dispersion(chain: str, N: int, alpha):
@@ -210,117 +202,64 @@ def _make_dispersion(chain: str, N: int, alpha):
     return spectrum.FIDispersion(N, alpha)
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
+def _cmd_spectrum(args: argparse.Namespace) -> _Table:
     N, m, n = args.sites, args.m, args.n
     disp = _make_dispersion(args.chain, N, args.alpha)
     if args.bounds:
-        bound = spectrum.level_bounds(disp, m, n)
-        _emit(args, ["sites", "m", "n", "bound"], [(N, m, n, bound)])
-        return 0
+        return ["sites", "m", "n", "bound"], [(N, m, n, spectrum.level_bounds(disp, m, n))]
     if args.avg_deg:
         count = spectrum.level_count(N, m, n, disp)
         avg = Fraction((m + n) ** N, count)
-        _emit(
-            args,
-            ["sites", "m", "n", "levels", "average", "value"],
-            [(N, m, n, count, str(avg), float(avg))],
-        )
-        return 0
+        return ["sites", "m", "n", "levels", "average", "value"], [(N, m, n, count, str(avg), float(avg))]
     lv = spectrum.level_set(N, m, n, disp)
     if isinstance(disp, spectrum.SymbolicAlphaDispersion):
-        rows = [(e[0], e[1], d) for e, d in lv]
-        _emit(args, ["alpha_coeff", "const_coeff", "degeneracy"], rows)
-    else:
-        _emit(args, ["energy", "degeneracy"], [(e, d) for e, d in lv])
-    return 0
+        return ["alpha_coeff", "const_coeff", "degeneracy"], [(e[0], e[1], d) for e, d in lv]
+    return ["energy", "degeneracy"], lv
 
 
-def _cmd_partition(args: argparse.Namespace) -> int:
+def _cmd_partition(args: argparse.Namespace) -> _Table:
     N = args.sites
     qp = partition.hs_partition(N) if args.chain == "hs" else partition.fi_partition(N, args.alpha)
     if args.dump_terms:
         with open(args.dump_terms, "wb") as fh:
             partition.dump_terms(qp, fh)
-        _emit(args, ["sites", "terms", "file"], [(N, qp.term_count(), args.dump_terms)])
-        return 0
+        return ["sites", "terms", "file"], [(N, qp.term_count(), args.dump_terms)]
     if args.levels_only:
         s = partition.levels(qp)
-        _emit(
-            args,
-            ["sites", "count", "max_degeneracy", "average", "value"],
-            [(N, s.count, s.max_degeneracy, str(s.average), float(s.average))],
-        )
-        return 0
-    rows = [(str(e), c) for (e, c) in zip(qp.energies(), (c for _, c in qp.sorted_terms()))]
-    _emit(args, ["energy", "degeneracy"], rows)
-    return 0
+        columns = ["sites", "count", "max_degeneracy", "average", "value"]
+        return columns, [(N, s.count, s.max_degeneracy, str(s.average), float(s.average))]
+    return ["energy", "degeneracy"], [(str(e), c) for e, (_, c) in zip(qp.energies(), qp.sorted_terms())]
 
 
-def _cmd_diag(args: argparse.Namespace) -> int:
+def _cmd_diag(args: argparse.Namespace) -> _Table | None:
     chain = oracle.ChainSpec(args.chain, args.sites, args.m, args.n, alpha=args.alpha, ksq=args.ksq)
-    if args.compare:
-        report = oracle.compare(chain)
-        rows = [
-            (
-                args.chain,
-                args.sites,
-                args.m,
-                args.n,
-                report.matched,
-                report.max_energy_error,
-                len(report.levels_numeric),
-            )
-        ]
-        _emit(args, ["chain", "sites", "m", "n", "matched", "max_error", "levels"], rows)
-        if not report.matched:
-            return _fail(report.mismatch or "levels do not match")
-        return 0
-    _emit(args, ["energy", "multiplicity"], oracle.cluster_levels(oracle.chain_eigenvalues(chain)))
-    return 0
+    if not args.compare:
+        return ["energy", "multiplicity"], oracle.cluster_levels(oracle.chain_eigenvalues(chain))
+    report = oracle.compare(chain)
+    levels = len(report.levels_numeric)
+    rows = [(args.chain, args.sites, args.m, args.n, report.matched, report.max_energy_error, levels)]
+    # the row is printed on a mismatch too, before the exit 1
+    _emit(args, ["chain", "sites", "m", "n", "matched", "max_error", "levels"], rows)
+    if not report.matched:
+        raise AssertionError(report.mismatch or "levels do not match")
+    return None
 
 
-def _cmd_anyon(args: argparse.Namespace) -> int:
+def _cmd_anyon(args: argparse.Namespace) -> _Table:
     m = args.m
     if args.fit_g:
-        if args.k is None or args.orbitals is None:
-            print("error: --fit-g needs --k and --orbitals", file=sys.stderr)
-            return 2
-        try:
-            counts = tuple(int(t) for t in args.orbitals.split(","))
-        except ValueError:
-            counts = ()
-        if len(counts) != 2:
-            print("error: --orbitals wants two comma-separated counts", file=sys.stderr)
-            return 2
-        fit = anyon.statistics_fit(m, args.k, counts)
+        fit = anyon.statistics_fit(m, args.k, _orbital_counts(args.orbitals))
         (a1, g1), (a2, g2) = fit.samples
-        rows = [(m, args.k, a1, str(g1), a2, str(g2), str(fit.g_infinity), str(fit.g), float(fit.g))]
-        _emit(
-            args,
-            ["m", "k", "orbitals1", "G1", "orbitals2", "G2", "G_infinity", "g", "value"],
-            rows,
-        )
-        return 0
-    if args.sites is None:
-        print("error: this action needs --sites", file=sys.stderr)
-        return 2
+        columns = ["m", "k", "orbitals1", "G1", "orbitals2", "G2", "G_infinity", "g", "value"]
+        return columns, [(m, args.k, a1, str(g1), a2, str(g2), str(fit.g_infinity), str(fit.g), float(fit.g))]
     if args.identities:
-        try:
-            report = anyon.verify_identities(m, args.sites)
-        except anyon.IdentityError as exc:
-            return _fail(str(exc))
-        _emit(
-            args,
-            ["m", "sites", "total", "diagonal", "fibonacci"],
-            [(m, args.sites, report["total"], report["diagonal"], report["fibonacci"])],
-        )
-        return 0
-    table = anyon.motif_weights(args.sites, m)
-    _emit(args, ["k", "weight"], list(enumerate(table.weights)))
-    return 0
+        report = anyon.verify_identities(m, args.sites)
+        columns = ["m", "sites", "total", "diagonal", "fibonacci"]
+        return columns, [(m, args.sites, report["total"], report["diagonal"], report["fibonacci"])]
+    return ["k", "weight"], list(enumerate(anyon.motif_weights(args.sites, m).weights))
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
+def _cmd_figure(args: argparse.Namespace) -> _Table:
     builder, title, xlabel, ylabel = figures.FIGURES[args.name]
     kwargs = {k: getattr(args, k) for k in ("max_sites", "ksq") if getattr(args, k) is not None}
     series = builder(**kwargs)
@@ -335,15 +274,12 @@ def _cmd_figure(args: argparse.Namespace) -> int:
                 fh.write(f"{s.label},{x:.6g},{y:.6g}\n")
     with open(svg_path, "w") as fh:
         fh.write(svg)
-    _emit(
-        args,
-        ["file", "bytes"],
-        [(csv_path, os.path.getsize(csv_path)), (svg_path, os.path.getsize(svg_path))],
-    )
-    return 0
+    return ["file", "bytes"], [(csv_path, os.path.getsize(csv_path)), (svg_path, os.path.getsize(svg_path))]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog=_TOOL,
         description="Exact spectra, degeneracies and counting bounds of motif-solvable chains.",
@@ -374,11 +310,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--brute", action="store_true", help="cross-check against enumeration")
 
     p = add("tableau", _cmd_tableau, "spin configurations, motifs and fiber dimensions")
-    p.add_argument("--spins", type=_parse_spins, default=None, help="comma-separated spin values")
-    p.add_argument("--sites", type=sites, default=None, help="list dimensions of all motifs")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--spins", type=_parse_spins, default=None, help="comma-separated spin values")
+    g.add_argument("--sites", type=sites, default=None, help="list dimensions of all motifs")
     p.add_argument("--m", type=bosons, default=2)
     p.add_argument("--n", type=fermions, default=0)
-    p.add_argument("--art", action="store_true", help="print the border-strip rendering")
+    p.add_argument("--art", action="store_true", help="print the border-strip rendering of --spins")
 
     p = add("fib", _cmd_fib, "generalized Fibonacci numbers")
     p.add_argument("--m", type=order, required=True)
@@ -445,8 +382,18 @@ def _flag_error(args: argparse.Namespace) -> str | None:
     A figure takes the flags of its builder.  A chain takes the coupling
     flag it reads, --alpha (fi) or --ksq (elliptic), needs it, and takes no
     other; `spectrum` also takes the symbolic --alpha, which `partition`
-    and `diag` cannot compute with.
+    and `diag` cannot compute with.  `tableau --art` renders --spins, and
+    each `anyon` action needs the flags it reads.
     """
+    if args.command == "tableau" and args.art and args.spins is None:
+        return "--art needs --spins"
+    if args.command == "anyon" and args.fit_g:
+        if args.k is None or args.orbitals is None:
+            return "--fit-g needs --k and --orbitals"
+        if len(_orbital_counts(args.orbitals)) != 2:
+            return "--orbitals wants two comma-separated counts"
+    elif args.command == "anyon" and args.sites is None:
+        return "this action needs --sites"
     if args.command == "figure":
         params = inspect.signature(figures.FIGURES[args.name][0]).parameters
         for k in ("max_sites", "ksq"):
@@ -477,9 +424,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {message}", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        table = args.func(args)
+        if table is not None:
+            _emit(args, *table)
     except (ValueError, AssertionError, NotImplementedError) as exc:
         return _fail(str(exc))
+    return 0
 
 
 if __name__ == "__main__":

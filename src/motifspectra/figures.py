@@ -1,9 +1,10 @@
 """Figure data series and a small deterministic SVG line-plot renderer.
 
 Each figure builder returns plain (x, y) series so the CLI can emit both a
-CSV table and a self-contained SVG.  The renderer depends on nothing outside
-the standard library and formats every coordinate explicitly, so repeated
-runs produce byte-identical output.
+CSV table and a self-contained SVG.  Every series is one `_series` call: a
+quantity y(N) sampled as a float over a range of chain sizes N.  The
+renderer depends on nothing outside the standard library and formats every
+coordinate explicitly, so repeated runs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -193,30 +194,34 @@ def render_svg(series: list[Series], title: str, xlabel: str, ylabel: str) -> st
     return "\n".join(out) + "\n"
 
 
+def _series(label: str, sizes: range, y, marker: str = "none", dashed: bool = False) -> Series:
+    """The series of y(N), as a float, over the chain sizes N."""
+    xs = tuple(float(N) for N in sizes)
+    return Series(label, xs, tuple(float(y(N)) for N in sizes), marker, dashed)
+
+
 def elliptic_average_vs_minimum(max_sites: int = 10, ksq: float = 0.5) -> list[Series]:
     """Numerical average degeneracy of elliptic chains against the motif floor.
 
     The su(3|0) and su(2|1) families stay at 6 and 7 sites; the su(2|0)
     family runs over even sizes up to max_sites.
     """
-    out: list[Series] = []
-    families = [
-        (2, 0, list(range(6, max_sites + 1, 2))),
-        (3, 0, [6, 7]),
-        (2, 1, [6, 7]),
-    ]
-    markers = ("circle", "square", "triangle")
-    for (m, n, sizes), marker in zip(families, markers):
-        avg = []
-        floor = []
-        for N in sizes:
-            chain = oracle.ChainSpec("elliptic", N, m, n, ksq=ksq)
-            avg.append(float(oracle.numeric_average_degeneracy(chain)))
-            floor.append(float(fibnum.min_avg_degeneracy(N, m, n)))
-        xs = tuple(float(N) for N in sizes)
-        out.append(Series(f"su({m}|{n}) average", xs, tuple(avg), marker))
-        out.append(Series(f"su({m}|{n}) minimum", xs, tuple(floor), marker, dashed=True))
-    return out
+
+    def family(m: int, n: int, sizes: range, marker: str) -> list[Series]:
+        def average(N: int):
+            return oracle.numeric_average_degeneracy(oracle.ChainSpec("elliptic", N, m, n, ksq=ksq))
+
+        label = f"su({m}|{n})"
+        return [
+            _series(label + " average", sizes, average, marker),
+            _series(label + " minimum", sizes, lambda N: fibnum.min_avg_degeneracy(N, m, n), marker, dashed=True),
+        ]
+
+    return (
+        family(2, 0, range(6, max_sites + 1, 2), "circle")
+        + family(3, 0, range(6, 8), "square")
+        + family(2, 1, range(6, 8), "triangle")
+    )
 
 
 def _hs_level_count(N: int) -> int:
@@ -230,37 +235,34 @@ def degeneracy_growth(max_sites: int = 30) -> list[Series]:
     `spectrum.level_count` (the generic-alpha series through its symbolic
     band) or from the closed rational level count, `spectrum.level_bounds`.
     """
-    sizes = list(range(4, max_sites + 1))
-    hs_avg = []
-    pf_avg = []
-    fi_avg = []
-    trans_floor = []
-    generic_floor = []
-    for N in sizes:
-        states = 2**N
-        hs_avg.append(states / _hs_level_count(N))
-        pf_avg.append(states / spectrum.level_bounds(spectrum.PFDispersion(N), 2, 0))
-        fi_avg.append(states / spectrum.level_count(N, 0, 2, spectrum.FIDispersion(N, 3)))
-        trans_floor.append(float(fibnum.min_avg_degeneracy_translational(N, 2, 0)))
-        generic_floor.append(float(fibnum.min_avg_degeneracy(N, 2, 0)))
-    # the kernel reaches past 26 sites; the cap keeps fig3's data unchanged
-    sym_sizes = [N for N in sizes if N <= 26]
-    sym_avg = []
-    for N in sym_sizes:
-        sym_avg.append(2**N / spectrum.level_count(N, 2, 0, spectrum.SymbolicAlphaDispersion(N)))
-    xs = tuple(float(N) for N in sizes)
+    sizes = range(4, max_sites + 1)
     return [
-        Series("trigonometric average", xs, tuple(hs_avg), "circle"),
-        Series("rational average", xs, tuple(pf_avg), "square"),
-        Series("hyperbolic average (a = 3)", xs, tuple(fi_avg), "triangle"),
-        Series(
-            "hyperbolic average (generic a)",
-            tuple(float(N) for N in sym_sizes),
-            tuple(sym_avg),
-            "none",
+        _series("trigonometric average", sizes, lambda N: 2**N / _hs_level_count(N), "circle"),
+        _series(
+            "rational average",
+            sizes,
+            lambda N: 2**N / spectrum.level_bounds(spectrum.PFDispersion(N), 2, 0),
+            "square",
         ),
-        Series("translational minimum", xs, tuple(trans_floor), "none", dashed=True),
-        Series("generic minimum", xs, tuple(generic_floor), "none", dashed=True),
+        _series(
+            "hyperbolic average (a = 3)",
+            sizes,
+            lambda N: 2**N / spectrum.level_count(N, 0, 2, spectrum.FIDispersion(N, 3)),
+            "triangle",
+        ),
+        # the kernel reaches past 26 sites; the cap keeps fig3's data unchanged
+        _series(
+            "hyperbolic average (generic a)",
+            range(4, min(max_sites, 26) + 1),
+            lambda N: 2**N / spectrum.level_count(N, 2, 0, spectrum.SymbolicAlphaDispersion(N)),
+        ),
+        _series(
+            "translational minimum",
+            sizes,
+            lambda N: fibnum.min_avg_degeneracy_translational(N, 2, 0),
+            dashed=True,
+        ),
+        _series("generic minimum", sizes, lambda N: fibnum.min_avg_degeneracy(N, 2, 0), dashed=True),
     ]
 
 
@@ -270,36 +272,37 @@ def supersymmetric_elliptic(max_sites: int = 14, ksq: float = 0.5) -> list[Serie
     The level count comes from the closed single-particle dispersion built
     out of the coupling table, evaluated over all motifs.
     """
-    sizes = list(range(4, max_sites + 1))
-    avg = []
-    trans_floor = []
-    for N in sizes:
+
+    def average(N: int) -> float:
         chain = oracle.ChainSpec("elliptic", N, 1, 1, ksq=ksq)
         disp = spectrum.dispersion_from_coupling(oracle.coupling_table(chain))
-        count = spectrum.level_count_by_enumeration(N, 1, 1, disp)
-        avg.append(2**N / count)
-        trans_floor.append(float(fibnum.min_avg_degeneracy_translational(N, 1, 1)))
-    xs = tuple(float(N) for N in sizes)
+        return 2**N / spectrum.level_count_by_enumeration(N, 1, 1, disp)
+
+    sizes = range(4, max_sites + 1)
     return [
-        Series("elliptic average", xs, tuple(avg), "circle"),
-        Series("translational minimum", xs, tuple(trans_floor), "none", dashed=True),
-        Series("generic minimum", xs, tuple(2.0 for _ in sizes), "none", dashed=True),
+        _series("elliptic average", sizes, average, "circle"),
+        _series(
+            "translational minimum",
+            sizes,
+            lambda N: fibnum.min_avg_degeneracy_translational(N, 1, 1),
+            dashed=True,
+        ),
+        _series("generic minimum", sizes, lambda N: 2.0, dashed=True),
     ]
 
 
 def level_count_bounds(max_sites: int = 30) -> list[Series]:
     """Exact trigonometric su(2) level counts against the cubic bounds."""
-    even = [N for N in range(4, max_sites + 1) if N % 2 == 0]
-    odd = [N for N in range(5, max_sites + 1) if N % 2 == 1]
-    counts_even = [float(_hs_level_count(N)) for N in even]
-    counts_odd = [float(_hs_level_count(N)) for N in odd]
-    bound_even = [float(spectrum.level_bounds(spectrum.HSDispersion(N), 2, 0)) for N in even]
-    bound_odd = [float(spectrum.level_bounds(spectrum.HSDispersion(N), 2, 0)) for N in odd]
+    even, odd = range(4, max_sites + 1, 2), range(5, max_sites + 1, 2)
+
+    def bound(N: int) -> int:
+        return spectrum.level_bounds(spectrum.HSDispersion(N), 2, 0)
+
     return [
-        Series("count, even sizes", tuple(map(float, even)), tuple(counts_even), "circle"),
-        Series("count, odd sizes", tuple(map(float, odd)), tuple(counts_odd), "square"),
-        Series("bound, even sizes", tuple(map(float, even)), tuple(bound_even), "none", dashed=True),
-        Series("bound, odd sizes", tuple(map(float, odd)), tuple(bound_odd), "none", dashed=True),
+        _series("count, even sizes", even, _hs_level_count, "circle"),
+        _series("count, odd sizes", odd, _hs_level_count, "square"),
+        _series("bound, even sizes", even, bound, dashed=True),
+        _series("bound, odd sizes", odd, bound, dashed=True),
     ]
 
 

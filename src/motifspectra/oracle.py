@@ -388,14 +388,15 @@ def eigenvalues(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"need a square matrix, got shape {a.shape}")
     top = float(np.abs(a).max())
-    if float(np.abs(a - a.conj().T).max()) > 1e-12 * max(1.0, top):
-        raise ValueError("matrix is not Hermitian")
+    # each check is written so that a nan fails it
+    if not float(np.abs(a - a.conj().T).max()) <= 1e-12 * max(1.0, top):
+        raise ValueError("matrix is not Hermitian or not finite")
     scale = max(1.0, top * a.shape[0])
     lam = np.linalg.eigvalsh(a)
-    if abs(float(lam.sum()) - float(np.trace(a).real)) > _INVARIANT_TOL * scale:
+    if not abs(float(lam.sum()) - float(np.trace(a).real)) <= _INVARIANT_TOL * scale:
         raise AssertionError("eigenvalue sum does not reproduce the trace")
     fro2 = float((a * a.conj()).real.sum())
-    if abs(float(lam @ lam) - fro2) > _INVARIANT_TOL * max(1.0, scale**2):
+    if not abs(float(lam @ lam) - fro2) <= _INVARIANT_TOL * max(1.0, scale**2):
         raise AssertionError("eigenvalue squares do not reproduce the Frobenius norm")
     return lam
 

@@ -10,6 +10,7 @@ and fiber dimensions.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -140,7 +141,8 @@ def dump_terms(qp: QPolynomial, fh: BinaryIO) -> None:
 
 
 def load_terms(fh: BinaryIO) -> QPolynomial:
-    """Inverse of dump_terms; raises ValueError on a truncated or overlong dump.
+    """Inverse of dump_terms; raises ValueError on a truncated or overlong dump
+    and on exponents that do not strictly ascend, as dump_terms writes them.
 
     The dump is read once and walked in place.
     """
@@ -155,11 +157,15 @@ def load_terms(fh: BinaryIO) -> QPolynomial:
     length, from_bytes = _LENGTH.unpack_from, int.from_bytes
     terms: dict = {}
     pos = _HEAD.size
+    last = -math.inf
     try:
         for _ in range(count):
             (size,) = length(data, pos)
             pos += 4 + size
             e = from_bytes(data[pos - size : pos], "little", signed=True)
+            if e <= last:
+                raise ValueError(f"term dump exponents do not strictly ascend: {e} after {last}")
+            last = e
             (size,) = length(data, pos)
             pos += 4 + size
             terms[e] = from_bytes(data[pos - size : pos], "little")

@@ -175,12 +175,15 @@ def _merge_float_levels(values, weights) -> list[tuple[float, int]]:
 
     Sorted values whose gap is at most `_level_width` form one level, the
     mean of its members.  A gap within a factor of 10 of the width, either
-    way, is neither round-off nor a resolved level and raises ValueError.
+    way, is neither round-off nor a resolved level and raises ValueError,
+    as does a nan or infinite value.
     """
     order = np.argsort(values, kind="stable")
     vals = np.asarray(values, dtype=float)[order]
     if vals.size == 0:
         return []
+    if not np.isfinite(vals).all():
+        raise ValueError("float levels must be finite")
     thresh = _level_width(vals)
     gaps = np.diff(vals) / thresh
     unclear = np.flatnonzero((gaps > 0.1) & (gaps <= 10))
@@ -420,6 +423,8 @@ def dispersion_from_coupling(h: Sequence[float]) -> NumericDispersion:
     N = len(table)
     if N < 2:
         raise ValueError("need at least 2 sites")
+    if not all(map(math.isfinite, table)):
+        raise ValueError("couplings must be finite")
     scale = max(1.0, max(abs(x) for x in table))
     for l in range(1, N):
         if abs(table[l] - table[N - l]) > _EVEN_TOL * scale:

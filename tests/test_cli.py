@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from motifspectra import fibnum, oracle, partition, spectrum, tableau
+from motifspectra import cli, fibnum, oracle, partition, spectrum, tableau
 from motifspectra.cli import main
 
 
@@ -244,6 +244,8 @@ def test_usage_errors_exit_two():
         (("diag", "--chain", "hs", "--sites", "6", "--m", "0", "--n", "0"), "m + n >= 1"),
         (("motifs", "--sites", "5", "--m", "0"), "m + n >= 1"),
         (("tableau", "--spins", "0,0", "--m", "0", "--n", "0"), "m + n >= 1"),
+        (("tableau", "--m", "2"), "one of the arguments --spins --sites is required"),
+        (("tableau", "--spins=0,1", "--sites", "2"), "not allowed with argument"),
         (("anyon", "--m", "2", "--fit-g", "--k", "-1", "--orbitals", "10,20"), "k >= 2"),
         (("anyon", "--m", "2", "--fit-g", "--k", "1", "--orbitals", "10,20"), "k >= 2"),
         (("anyon", "--m", "1", "--sites", "4"), "m >= 2"),
@@ -273,6 +275,10 @@ def test_usage_errors_exit_two():
         (("diag", "--chain", "fi", "--alpha", "3", "--ksq", "0.5", "--sites", "5"), "--chain fi takes no --ksq"),
         (("diag", "--chain", "elliptic", "--ksq", "0.5", "--alpha", "3", "--sites", "5"), "takes no --alpha"),
         (("figure", "--name", "fig5", "--ksq", "0.5"), "figure fig5 takes no --ksq"),
+        (("tableau", "--sites", "4", "--art"), "--art needs --spins"),
+        (("anyon", "--m", "2", "--fit-g", "--k", "3"), "--fit-g needs --k and --orbitals"),
+        (("anyon", "--m", "2", "--fit-g", "--k", "3", "--orbitals", "1,2,3"), "two comma-separated counts"),
+        (("anyon", "--m", "2", "--identities"), "this action needs --sites"),
     ]
     for argv, reason in unfit:
         code, out, err = run_cli(*argv)
@@ -422,3 +428,31 @@ def test_readme_examples_run_as_documented(tmp_path, monkeypatch):
         code, out, err = run_cli(*argv.split())
         assert code == 0, (argv, err)
         assert out
+
+
+def test_parser_is_built_once():
+    cli._build_parser.cache_clear()
+    first = run_cli("motifs", "--sites", "9", "--m", "3")
+    assert run_cli("tableau", "--sites", "4")[0] == 0
+    # refused calls leave nothing in the parser for the next call to see
+    with pytest.raises(SystemExit):
+        run_cli("motifs", "--sites", "9", "--list", "--half-count")
+    with pytest.raises(SystemExit):
+        run_cli("tableau", "--spins=0,1", "--sites", "2")
+    assert run_cli("motifs", "--sites", "9", "--m", "3") == first
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_bench_jobs_reproduce_their_references(tmp_path, monkeypatch):
+    # every bench job checked by digest, replayed in order: stdout, written files, loaded polynomial
+    worker, workloads = bench_module("worker"), bench_module("workloads")
+    references = json.loads((ROOT / "bench" / "references.json").read_text())["jobs"]
+    monkeypatch.chdir(tmp_path)
+    replayed = 0
+    for jobs in workloads.WORKLOADS.values():
+        for job in jobs():
+            if job["check"] in ("exact", "poly"):
+                observed = worker.observe(job, worker.run_job(job, cli, partition))
+                assert observed == references[job["id"]], job["id"]
+                replayed += 1
+    assert replayed == 31

@@ -424,6 +424,16 @@ def test_eigenvalues_checks_symmetry():
         oracle.eigenvalues(lopsided)
 
 
+def test_eigenvalues_refuses_nan(monkeypatch):
+    for a in ([[1.0, math.nan], [math.nan, 2.0]], [[1.0, 0.0], [0.0, math.nan]]):
+        with pytest.raises(ValueError, match="not finite"):
+            oracle.eigenvalues(np.array(a))
+    # a nan eigenvalue fails the trace check
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(len(a), math.nan))
+    with pytest.raises(AssertionError, match="trace"):
+        oracle.eigenvalues(np.eye(2))
+
+
 def test_eigenvalues_on_known_matrix():
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
     assert np.allclose(oracle.eigenvalues(a), [1.0, 3.0], atol=1e-12)
@@ -449,6 +459,9 @@ def test_cluster_levels():
     with pytest.raises(ValueError, match=r"2\.3\d times the round-off width"):
         oracle.cluster_levels(np.array([2.0 + 1e-13, 1.0, 0.0, 1.0 + 1e-13]))
     assert oracle.cluster_levels(np.array([])) == []
+    # nan sorts last and would join the level before it
+    with pytest.raises(ValueError, match="finite"):
+        oracle.cluster_levels(np.array([1.0, 2.0, math.nan]))
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Two-state partition functions, the enumeration oracle and the binary term format."""
 
 import io
+import struct
 from fractions import Fraction
 
 import pytest
@@ -150,6 +151,23 @@ _HEADER = 4 + 17  # magic plus <BQQ
 def test_load_rejects_corrupt_dump(data):
     with pytest.raises(ValueError):
         partition.load_terms(io.BytesIO(data))
+
+
+def _unordered_dump(exponents):
+    """A dump whose records hold these exponents in this order, each with coefficient 7."""
+    body = b"".join(_dump(QPolynomial({e: 7}))[_HEADER:] for e in exponents)
+    return _DUMP[: _HEADER - 16] + struct.pack("<QQ", len(exponents), 1) + body
+
+
+@pytest.mark.parametrize(
+    "exponents", [(5, 3, 3), (0, 4, 4), (4362, 0)], ids=["falling", "repeated", "descending"]
+)
+def test_load_rejects_exponents_that_do_not_ascend(exponents):
+    # dump_terms writes strictly ascending exponents; a later record must not overwrite or reorder
+    ascending = _unordered_dump(sorted(set(exponents)))
+    assert partition.load_terms(io.BytesIO(ascending)).terms == dict.fromkeys(exponents, 7)
+    with pytest.raises(ValueError, match="strictly ascend"):
+        partition.load_terms(io.BytesIO(_unordered_dump(exponents)))
 
 
 def test_load_rejects_bad_magic():

@@ -133,6 +133,22 @@ def test_dispersion_from_coupling_rejects_uneven_table():
         spectrum.dispersion_from_coupling([0.0, 1.0, 2.0, 1.5])
 
 
+def test_dispersion_from_coupling_rejects_non_finite_couplings():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            spectrum.dispersion_from_coupling([0.0, 1.0, bad, 1.0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_numeric_dispersion_refuses_non_finite_energies(bad):
+    # nan sorts last and would gather every motif that touches it into one level
+    disp = NumericDispersion(4, (1.0, bad, 2.0))
+    with pytest.raises(ValueError, match="finite"):
+        spectrum.level_set(4, 2, 0, disp)
+    with pytest.raises(ValueError, match="finite"):
+        spectrum.level_count_by_enumeration(4, 2, 0, disp)
+
+
 def test_numeric_dispersion_merges_close_levels():
     # motif energies 0, 1, 1 + delta, 2 + delta; the round-off width is 32 eps * 3 * 2 = 4.3e-14
     for delta, degeneracies in ((1e-15, [2, 4, 2]), (1e-11, [2, 2, 2, 2])):
