@@ -42,6 +42,8 @@ def _parse_alpha(text: str):
         return Fraction(text)
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need a fraction such as 5/2, or irrational, got {text!r}") from None
 
 
 def _checked(convert, ok, need: str):
@@ -59,7 +61,10 @@ def _checked(convert, ok, need: str):
 
 
 def _parse_spins(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
+    try:
+        return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need comma-separated integer spins, got {text!r}") from None
 
 
 def _cell(v) -> str:
@@ -427,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
         table = args.func(args)
         if table is not None:
             _emit(args, *table)
-    except (ValueError, AssertionError, NotImplementedError) as exc:
+    except (ValueError, AssertionError, NotImplementedError, OSError) as exc:
         return _fail(str(exc))
     return 0
 

@@ -33,10 +33,12 @@ __all__ = [
     "count_half_by_enumeration",
 ]
 
-# candidate words per block: the int64 temporaries of a block stay in cache,
-# and far below the memory the exact kernels need
+# candidate words per block: the uint32 temporaries of a block stay in cache,
+# and far below the memory the exact kernels need; 2^18 was slower
 _BLOCK = 1 << 16
-_ENUM_BITS = 26  # any enumeration sweeps at most 2^_ENUM_BITS candidate words
+# any enumeration sweeps at most 2^_ENUM_BITS candidate words; since
+# _ENUM_BITS < 32, every word and every half key of a sweep is exact in uint32
+_ENUM_BITS = 26
 
 
 class InfeasibleSizeError(ValueError):
@@ -176,25 +178,31 @@ def count(N: int, m: int, n: int) -> int:
     return vals[N - 1]
 
 
-def _valid_word_blocks(N: int, m: int, n: int) -> Iterator[np.ndarray]:
-    """Yield ascending int64 arrays of the valid words, `_BLOCK` candidates at a time.
-
-    Raises InfeasibleSizeError, before the first block, past 2^`_ENUM_BITS` candidates.
-    """
+def _sweep_length(N: int, m: int, n: int) -> int:
+    """Bits per candidate word of an N-site sweep, refused past 2^`_ENUM_BITS` candidates."""
     _check_context(m, n)
     length = N - 1
     if length > _ENUM_BITS:
         raise InfeasibleSizeError(f"2^{length} candidate words exceed cap 2^{_ENUM_BITS}")
+    return length
+
+
+def _valid_word_blocks(N: int, m: int, n: int) -> Iterator[np.ndarray]:
+    """Yield ascending uint32 arrays of the valid words, `_BLOCK` candidates at a time.
+
+    Raises InfeasibleSizeError, before the first block, past 2^`_ENUM_BITS` candidates.
+    """
+    length = _sweep_length(N, m, n)
     total = 1 << length
     mask = total - 1
     run = 0 if (m and n) else (m or n)
+    offsets = np.arange(_BLOCK, dtype=np.uint32)
     for lo in range(0, total, _BLOCK):
-        words = np.arange(lo, min(lo + _BLOCK, total), dtype=np.int64)
+        words = offsets[: total - lo] + lo
         if run == 0:
             yield words
             continue
-        w = words if m else ~words & mask
-        r = w.copy()
+        r = words.copy() if m else ~words & mask
         for _ in range(run - 1):
             r &= r >> 1
         yield words[r == 0]
@@ -258,19 +266,31 @@ def count_half(N: int, m: int, n: int) -> int:
 
 
 def count_half_by_enumeration(N: int, m: int, n: int) -> int:
-    """Distinct motif halves counted by enumerating the valid motifs."""
-    _check_context(m, n)
+    """Distinct motif halves counted by enumerating the valid motifs.
+
+    With p = (N - 1)//2, a word's top p bits are d_1 .. d_p and its low p
+    bits d_{N-p} .. d_{N-1}.  Two tables of 2^p entries read them as base-3
+    digits, the low bits in reverse order, so their sum has the digit
+    d_i + d_{N-i} <= 2 at place p - i and no digit carries.  Even N doubles
+    the key and adds the middle bit d_{N/2}, which is bit p.  Each key marks
+    one entry of a bool array, and the marked entries are the count.
+    """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    length = N - 1
-    npairs = (N - 1) // 2
-    keys: set[int] = set()
+    length = _sweep_length(N, m, n)
+    p = length // 2
+    first = last = np.zeros(1, dtype=np.uint32)
+    for k in range(p):
+        first = np.concatenate([first, first + 3**k])
+        last = np.concatenate([last, last + 3 ** (p - 1 - k)])
+    even = N % 2 == 0
+    seen = np.zeros(3**p * (1 + even), dtype=bool)
+    low = (1 << p) - 1
     for words in _valid_word_blocks(N, m, n):
-        acc = np.zeros(words.shape, np.int64)
-        for i in range(1, npairs + 1):
-            e = ((words >> (length - i)) & 1) + ((words >> (length - (N - i))) & 1)
-            acc = acc * 4 + e
-        if N % 2 == 0:
-            acc = acc * 4 + ((words >> (length - N // 2)) & 1)
-        keys.update(np.unique(acc).tolist())
-    return len(keys)
+        key = first[words >> (length - p)]
+        key += last[words & low]
+        if even:
+            key *= 2
+            key += (words >> p) & 1
+        seen[key] = True
+    return int(np.count_nonzero(seen))

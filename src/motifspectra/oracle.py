@@ -388,9 +388,12 @@ def eigenvalues(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"need a square matrix, got shape {a.shape}")
     top = float(np.abs(a).max())
+    # refused before the Hermitian check, whose inf - inf would warn
+    if not math.isfinite(top):
+        raise ValueError("matrix is not finite")
     # each check is written so that a nan fails it
     if not float(np.abs(a - a.conj().T).max()) <= 1e-12 * max(1.0, top):
-        raise ValueError("matrix is not Hermitian or not finite")
+        raise ValueError("matrix is not Hermitian")
     scale = max(1.0, top * a.shape[0])
     lam = np.linalg.eigvalsh(a)
     if not abs(float(lam.sum()) - float(np.trace(a).real)) <= _INVARIANT_TOL * scale:

@@ -361,7 +361,7 @@ def level_count(N: int, m: int, n: int, disp) -> int:
 
 
 def _word_energies(words: np.ndarray, N: int, table: Sequence[float]) -> np.ndarray:
-    """Float energies of an int64 array of packed N-site motif words.
+    """Float energies of an integer array of packed N-site motif words.
 
     Adds eps(j) in rapidity order, as `energy` does, and exact zeros for the
     bits that are clear, so every sum is bit-identical to `energy`'s.

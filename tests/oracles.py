@@ -81,7 +81,8 @@ def level_count_by_enumeration(N: int, m: int, n: int, disp) -> int:
     for words in _motif._valid_word_blocks(N, m, n):
         acc = np.zeros(words.shape, dtype=np.int64)
         for j, e in enumerate(band, 1):
-            acc += ((words >> (N - 1 - j)) & 1) * e
+            # widened first: a uint32 bit times a band entry past uint32 raises
+            acc += ((words >> (N - 1 - j)) & 1).astype(np.int64) * e
         seen.update(np.unique(acc).tolist())
     if fi:
         a, b = disp.alpha.numerator, disp.alpha.denominator

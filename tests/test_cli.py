@@ -246,6 +246,8 @@ def test_usage_errors_exit_two():
         (("tableau", "--spins", "0,0", "--m", "0", "--n", "0"), "m + n >= 1"),
         (("tableau", "--m", "2"), "one of the arguments --spins --sites is required"),
         (("tableau", "--spins=0,1", "--sites", "2"), "not allowed with argument"),
+        (("tableau", "--spins=a,b"), "need comma-separated integer spins, got 'a,b'"),
+        (("spectrum", "--chain", "fi", "--alpha=x", "--sites", "4"), "need a fraction such as 5/2"),
         (("anyon", "--m", "2", "--fit-g", "--k", "-1", "--orbitals", "10,20"), "k >= 2"),
         (("anyon", "--m", "2", "--fit-g", "--k", "1", "--orbitals", "10,20"), "k >= 2"),
         (("anyon", "--m", "1", "--sites", "4"), "m >= 2"),
@@ -259,6 +261,8 @@ def test_usage_errors_exit_two():
             main(list(argv))
         assert exc.value.code == 2, argv
         assert reason in err.getvalue(), argv
+        # the message names the flag, not the function that parses it
+        assert "_parse" not in err.getvalue(), argv
     # a coupling flag the chain does not read, or one it needs and lacks
     unfit = [
         (("spectrum", "--chain", "fi", "--sites", "5"), "--chain fi needs --alpha"),
@@ -370,6 +374,21 @@ def test_failed_figure_writes_no_file(tmp_path, monkeypatch, argv):
     # a figure left without a whole family names it
     family = {"fig2": "su(2|0) average", "fig5": "count, odd sizes"}.get(argv[2])
     assert family is None or f"no points in series {family!r}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("partition", "--chain", "hs", "--sites", "5", "--dump-terms", "{missing}/x.bin"),
+        ("figure", "--name", "fig5", "--max-sites", "8", "--output", "{missing}/x"),
+    ],
+)
+def test_unwritable_output_exits_one(tmp_path, argv):
+    missing = tmp_path / "missing"
+    code, out, err = run_cli(*(arg.format(missing=missing) for arg in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert not missing.exists()
 
 
 def test_computational_failure_exits_one():

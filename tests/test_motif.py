@@ -149,9 +149,13 @@ def test_half_count_series_values():
 
 
 def test_half_count_against_enumeration():
-    for N in range(2, 19):
-        assert motif.count_half(N, 2, 0) == motif.count_half_by_enumeration(N, 2, 0)
-        assert motif.count_half(N, 0, 2) == motif.count_half_by_enumeration(N, 0, 2)
+    # N = 1 and 2 give one-entry digit tables
+    contexts = [(m, n) for m in range(5) for n in range(5 - m) if m + n >= 1]
+    for (m, n), N in product(contexts, range(1, 21)):
+        assert motif.count_half(N, m, n) == motif.count_half_by_enumeration(N, m, n), (N, m, n)
+    # at and below the cap, where the keys reach 3^13
+    for (m, n), N in product(((2, 0), (0, 2)), (26, 27)):
+        assert motif.count_half(N, m, n) == motif.count_half_by_enumeration(N, m, n), (N, m, n)
 
 
 def test_half_count_order_two_matches_closed_form():
@@ -210,8 +214,11 @@ def test_word_blocks_do_not_depend_on_block_size(context, N, block):
     m, n = context
     length = N - 1
     with mock.patch.object(motif, "_BLOCK", block):
-        words = np.concatenate(list(motif._valid_word_blocks(N, m, n))).tolist()
+        blocks = list(motif._valid_word_blocks(N, m, n))
         half_count = motif.count_half_by_enumeration(N, m, n)
+    assert all(b.dtype == np.uint32 for b in blocks)
+    words = np.concatenate(blocks).tolist()
+    assert words == sorted(words)
     assert words == [w for w in range(1 << length) if motif.is_valid_word(w, length, m, n)]
     assert half_count == len({motif.half(motif.Motif(w, N)).entries for w in words})
 
@@ -240,3 +247,15 @@ def test_every_enumeration_has_one_cap():
     ):
         with pytest.raises(motif.InfeasibleSizeError, match="exceed cap"):
             sweep()
+
+
+def test_half_count_refuses_past_the_cap_before_its_tables():
+    # the key array alone would take 3^13 bytes at N = 28
+    tracemalloc.start()
+    try:
+        with pytest.raises(motif.InfeasibleSizeError, match="exceed cap"):
+            motif.count_half_by_enumeration(28, 2, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -3,6 +3,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -432,6 +433,14 @@ def test_eigenvalues_refuses_nan(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(len(a), math.nan))
     with pytest.raises(AssertionError, match="trace"):
         oracle.eigenvalues(np.eye(2))
+
+
+def test_eigenvalues_refuses_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in ([[1.0, 0.0], [0.0, math.inf]], [[1.0, -math.inf], [-math.inf, 1.0]]):
+            with pytest.raises(ValueError, match="not finite"):
+                oracle.eigenvalues(np.array(a))
 
 
 def test_eigenvalues_on_known_matrix():

@@ -109,6 +109,16 @@ def test_symbolic_counts_dominate_rational_ones():
             assert sym >= rat
 
 
+def test_enumeration_oracle_takes_bands_past_uint32(monkeypatch):
+    # motif words come in uint32; a band entry of 2^32 or more, or a negative
+    # one, times a uint32 bit raises unless the bit is widened first
+    N = 9
+    band = [(-1) ** j * (j << 33) + j for j in range(1, N)]
+    monkeypatch.setattr(spectrum, "_band", lambda disp: (band, 1, int))
+    expect = len({sum(band[j - 1] for j in mt.rapidities()) for mt in motif.enumerate_motifs(N, 2, 0)})
+    assert oracles.level_count_by_enumeration(N, 2, 0, HSDispersion(N)) == expect
+
+
 def test_symbolic_count_matches_python_fallback():
     N = 9
     fast = oracles.level_count_by_enumeration(N, 2, 0, SymbolicAlphaDispersion(N))
