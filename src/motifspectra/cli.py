@@ -62,9 +62,12 @@ def _checked(convert, ok, need: str):
 
 def _parse_spins(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
+        spins = tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
     except ValueError:
         raise argparse.ArgumentTypeError(f"need comma-separated integer spins, got {text!r}") from None
+    if not spins:
+        raise argparse.ArgumentTypeError(f"need at least one spin, got {text!r}")
+    return spins
 
 
 def _cell(v) -> str:

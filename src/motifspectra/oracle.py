@@ -8,9 +8,14 @@ them.  A transposition keeps how many sites hold each local state, so
 H = sum_{i<j} J_ij (1 - S_ij) is block diagonal by occupation vector.  hs and
 elliptic couplings depend only on i - j mod N, so the graded cyclic shift
 commutes with H as well and splits every occupation sector into momentum
-blocks.  Each occupation × momentum block is assembled and diagonalized on
-its own, and the union of the block spectra is what every closed-form level
-set is checked against.
+blocks.  Relabeling the local states within the bosons, or within the
+fermions, keeps every graded sign, so sectors that are relabelings of each
+other share their spectrum, momentum by momentum: one sector per
+relabeling orbit is built, and each of its occupation × momentum blocks is
+assembled and diagonalized on its own.  Its spectrum, repeated once per
+sector and conjugate momentum it stands for, joins the union of the block
+spectra that every closed-form level set is checked against.  Counting the
+distinct levels of an su(m|0) chain needs only the most balanced sector.
 
 The coupling kinds: trigonometric (hs), rational through oscillator nodes
 (pf), hyperbolic through log-scaled Laguerre nodes (fi), and the elliptic
@@ -266,8 +271,20 @@ def _orbits(base: int, N: int, n: int, G: int) -> tuple[np.ndarray, ...]:
     return rep, back, sign, period, chi
 
 
-def build_hamiltonian(chain: ChainSpec) -> list[np.ndarray]:
-    """Diagonal blocks of H = sum_{i<j} J_ij (1 - S_ij), one per occupation sector and momentum.
+def _arrangements(counts) -> int:
+    """Distinct orderings of a sequence of occupations."""
+    return math.factorial(len(counts)) // math.prod(map(math.factorial, Counter(counts).values()))
+
+
+def build_hamiltonian(chain: ChainSpec, *, _balanced: bool = False) -> list[tuple[np.ndarray, int]]:
+    """Diagonal blocks of H = sum_{i<j} J_ij (1 - S_ij), as (block, copies) pairs.
+
+    H commutes with relabeling the local states within the fermions, digits
+    [0, n), and within the bosons, digits [n, m+n): a relabeling keeps every
+    graded sign.  So two occupation sectors that are such relabelings of
+    each other have the same spectrum, momentum by momentum, and only one
+    sector of each orbit is built: the one whose occupations do not increase
+    over the fermionic digits and do not increase over the bosonic digits.
 
     T is the graded cyclic shift (`_orbits`), of order G = N for hs and
     elliptic chains and G = 1 for pf and fi chains.  Block (sector, q) acts
@@ -282,11 +299,23 @@ def build_hamiltonian(chain: ChainSpec) -> list[np.ndarray]:
     Only q <= G/2 is built: the block of G - q is the complex conjugate of
     the block of q.  Blocks at q = 0 and q = G/2 are real symmetric; the
     others are complex Hermitian and each stands also for its conjugate.
-    Blocks are ordered by q, then by the smallest state of their sector, and
-    their representatives ascend; empty blocks are left out.  pf and fi
-    chains (G = 1) get one real block per occupation sector.
+    `copies` is how many blocks of the whole H share the block's spectrum:
+    the distinct orderings of its sector's bosonic occupations, times those
+    of its fermionic occupations, times 2 for a complex block.  Over every
+    block, copies times side sums to (m+n)^N.  Blocks are ordered by q, then
+    by the smallest state of their sector, and their representatives
+    ascend; empty blocks are left out.  pf and fi chains (G = 1) get one
+    real block per built sector.
+
+    With `_balanced`, for n = 0 only, just the most balanced sector is
+    built: occupations ceil(N/m) ... floor(N/m), not increasing.  Every
+    su(m) irrep has a positive Kostka number at that weight, so its blocks
+    hold every distinct level of H, but not their multiplicities.
+    `_check_size` charges every sector either way.
     """
     m, n, N = chain.m, chain.n, chain.sites
+    if _balanced and n:
+        raise ValueError("the balanced sector holds every level only for n = 0")
     # hs and elliptic couplings depend only on i - j mod N; pf and fi chains
     # have the trivial group
     base, G = m + n, (N if chain.kind in ("hs", "elliptic") else 1)
@@ -298,10 +327,21 @@ def build_hamiltonian(chain: ChainSpec) -> list[np.ndarray]:
     digits = reps[:, None] // powers % base
     # a sector's key is its smallest state, the one whose digits descend from site 1
     key = np.sort(digits, axis=1)[:, ::-1] @ powers
+    keys, inverse = np.unique(key, return_inverse=True)
+    occupied = ((keys[:, None] // powers % base)[:, :, None] == np.arange(base)).sum(axis=1)
+    if _balanced:
+        kept = (occupied == [N // m + (d < N % m) for d in range(m)]).all(axis=1)
+    else:
+        falls = lambda c: (np.diff(c, axis=1) <= 0).all(axis=1)
+        kept = falls(occupied[:, :n]) & falls(occupied[:, n:])
+    copies = [_arrangements(c[:n]) * _arrangements(c[n:]) for c in occupied[kept].tolist()]
+    built = kept[inverse]
+    reps, digits, key = reps[built], digits[built], key[built]
     order = np.argsort(key, kind="stable")
     reps, digits = reps[order], digits[order]
     _, start, count = np.unique(key[order], return_index=True, return_counts=True)
     sector = np.repeat(np.arange(start.size), count)
+    # states of the sectors left out keep an unused entry
     where = np.empty(rep.size, np.int64)
     where[reps] = np.arange(reps.size)
     where = where[rep]
@@ -327,8 +367,12 @@ def build_hamiltonian(chain: ChainSpec) -> list[np.ndarray]:
         flat[(head + local)[allowed]] = J[np.triu_indices(N, 1)].sum()
         layouts.append((allowed, allowed.all(), head, local, phase, flat))
         for k, q in enumerate(qs):
-            by_q[q] = [flat[o : o + z * z].reshape(z, z) for o, z in zip(offset[k], size[k]) if z]
-    blocks = [block for q in sorted(by_q) for block in by_q[q]]
+            by_q[q] = [
+                (flat[o : o + z * z].reshape(z, z), c if real else 2 * c)
+                for o, z, c in zip(offset[k], size[k], copies)
+                if z
+            ]
+    blocks = [pair for q in sorted(by_q) for pair in by_q[q]]
     # one vectorized pass per site pair adds its elements to every block
     digits = digits.T.copy()
     if n and m:
@@ -366,14 +410,18 @@ def build_hamiltonian(chain: ChainSpec) -> list[np.ndarray]:
 
 
 def chain_eigenvalues(chain: ChainSpec) -> np.ndarray:
-    """All eigenvalues of the chain's H, ascending: the union of its block spectra.
+    """All eigenvalues of the chain's H, ascending, each with its multiplicity.
 
-    A complex block's spectrum counts twice, once for its conjugate block.
+    Each built block's spectrum counts `copies` times (`build_hamiltonian`):
+    once for itself and once for each relabeled sector and conjugate
+    momentum block it stands for.
     """
-    parts = []
-    for block in build_hamiltonian(chain):
-        lam = eigenvalues(block)
-        parts += [lam, lam] if np.iscomplexobj(block) else [lam]
+    parts, states = [], 0
+    for block, copies in build_hamiltonian(chain):
+        parts.append(np.repeat(eigenvalues(block), copies))
+        states += copies * block.shape[0]
+    if states != (chain.m + chain.n) ** chain.sites:
+        raise AssertionError(f"blocks and their copies span {states} states, not (m+n)^N")
     return np.sort(np.concatenate(parts))
 
 
@@ -382,7 +430,8 @@ def eigenvalues(a: np.ndarray) -> np.ndarray:
 
     Cross-checked against the exact similarity invariants: the eigenvalue sum
     must reproduce the (real) trace and the sum of squares the Frobenius
-    norm sum |a_ij|^2.
+    norm sum |a_ij|^2.  The checks read a and the eigenvalues divided by
+    max(1, max |a_ij|), so that no sum overflows; the eigensolve reads a.
     """
     a = np.asarray(a) if np.iscomplexobj(a) else np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -391,15 +440,18 @@ def eigenvalues(a: np.ndarray) -> np.ndarray:
     # refused before the Hermitian check, whose inf - inf would warn
     if not math.isfinite(top):
         raise ValueError("matrix is not finite")
+    unit = max(1.0, top)
+    b = a / unit
     # each check is written so that a nan fails it
-    if not float(np.abs(a - a.conj().T).max()) <= 1e-12 * max(1.0, top):
+    if not float(np.abs(b - b.conj().T).max()) <= 1e-12:
         raise ValueError("matrix is not Hermitian")
-    scale = max(1.0, top * a.shape[0])
+    # max(1, top n) / unit, without forming top n
+    scale = max(1.0 / unit, top / unit * a.shape[0])
     lam = np.linalg.eigvalsh(a)
-    if not abs(float(lam.sum()) - float(np.trace(a).real)) <= _INVARIANT_TOL * scale:
+    mu = lam / unit
+    if not abs(float(mu.sum()) - float(np.trace(b).real)) <= _INVARIANT_TOL * scale:
         raise AssertionError("eigenvalue sum does not reproduce the trace")
-    fro2 = float((a * a.conj()).real.sum())
-    if not abs(float(lam @ lam) - fro2) <= _INVARIANT_TOL * max(1.0, scale**2):
+    if not abs(float(mu @ mu) - float(np.vdot(b, b).real)) <= _INVARIANT_TOL * scale**2:
         raise AssertionError("eigenvalue squares do not reproduce the Frobenius norm")
     return lam
 
@@ -474,6 +526,14 @@ def compare(chain: ChainSpec, disp=None) -> CompareReport:
 
 
 def numeric_average_degeneracy(chain: ChainSpec) -> Fraction:
-    """(m+n)^N over the number of distinct numerical levels."""
-    count = len(cluster_levels(chain_eigenvalues(chain)))
+    """(m+n)^N over the number of distinct numerical levels.
+
+    For n = 0 the levels are counted in the most balanced occupation sector
+    alone, which holds every one of them (`build_hamiltonian`).
+    """
+    if chain.n:
+        values = chain_eigenvalues(chain)
+    else:
+        values = np.concatenate([eigenvalues(block) for block, _ in build_hamiltonian(chain, _balanced=True)])
+    count = len(cluster_levels(values))
     return Fraction((chain.m + chain.n) ** chain.sites, count)

@@ -193,9 +193,16 @@ def _merge_float_levels(values, weights) -> list[tuple[float, int]]:
             f"float levels {float(vals[k])!r} and {float(vals[k + 1])!r} are {gaps[k]:.3g} times "
             f"the round-off width {thresh:.3g} apart: too close to tell one level from two"
         )
-    cuts = np.flatnonzero(gaps > 1) + 1
-    degs = np.add.reduceat(np.asarray(weights, dtype=np.int64)[order], np.r_[0, cuts]).tolist()
-    return [(float(level.mean()), d) for level, d in zip(np.split(vals, cuts), degs)]
+    starts = np.r_[0, np.flatnonzero(gaps > 1) + 1]
+    degs = np.add.reduceat(np.asarray(weights, dtype=np.int64)[order], starts).tolist()
+    # one row sum per group of equal-size levels: numpy sums each row
+    # pairwise, as mean() does, so each mean is the same double
+    sizes = np.diff(np.r_[starts, vals.size])
+    means = np.empty(starts.size)
+    for k in set(sizes.tolist()):
+        sel = sizes == k
+        means[sel] = vals[starts[sel, None] + np.arange(k)].sum(axis=1) / k
+    return list(zip(means.tolist(), degs))
 
 
 def _band(disp) -> tuple[list[int], int, Callable[[int], object]]:

@@ -247,6 +247,7 @@ def test_usage_errors_exit_two():
         (("tableau", "--m", "2"), "one of the arguments --spins --sites is required"),
         (("tableau", "--spins=0,1", "--sites", "2"), "not allowed with argument"),
         (("tableau", "--spins=a,b"), "need comma-separated integer spins, got 'a,b'"),
+        (("tableau", "--spins=,"), "need at least one spin, got ','"),
         (("spectrum", "--chain", "fi", "--alpha=x", "--sites", "4"), "need a fraction such as 5/2"),
         (("anyon", "--m", "2", "--fit-g", "--k", "-1", "--orbitals", "10,20"), "k >= 2"),
         (("anyon", "--m", "2", "--fit-g", "--k", "1", "--orbitals", "10,20"), "k >= 2"),
@@ -261,6 +262,7 @@ def test_usage_errors_exit_two():
             main(list(argv))
         assert exc.value.code == 2, argv
         assert reason in err.getvalue(), argv
+        assert out.getvalue() == "", argv
         # the message names the flag, not the function that parses it
         assert "_parse" not in err.getvalue(), argv
     # a coupling flag the chain does not read, or one it needs and lacks

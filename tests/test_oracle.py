@@ -2,6 +2,7 @@
 
 import math
 import time
+from collections import Counter
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -179,6 +180,19 @@ def _sectors(chain: ChainSpec) -> list[list[int]]:
     return sorted(groups.values())
 
 
+def _occupation(chain: ChainSpec, state: int) -> tuple[int, ...]:
+    """How many sites of the state hold each local state."""
+    base = chain.m + chain.n
+    digits = [(state // base**p) % base for p in range(chain.sites)]
+    return tuple(digits.count(d) for d in range(base))
+
+
+def _representative(chain: ChainSpec, occupation: tuple[int, ...]) -> tuple[int, ...]:
+    """The occupation sorted down within the fermionic digits and within the bosonic ones."""
+    n = chain.n
+    return tuple(sorted(occupation[:n], reverse=True) + sorted(occupation[n:], reverse=True))
+
+
 def _shift_matrix(chain: ChainSpec) -> np.ndarray:
     """The graded cyclic shift T as a dense matrix.
 
@@ -196,8 +210,10 @@ def _shift_matrix(chain: ChainSpec) -> np.ndarray:
     return T
 
 
-def _momentum_blocks(chain: ChainSpec, H: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """(q, H projected onto the test's own momentum basis), in `build_hamiltonian`'s order.
+def _momentum_blocks(chain: ChainSpec, H: np.ndarray) -> list[tuple[int, tuple[int, ...], np.ndarray]]:
+    """(q, occupation, H projected onto the test's own momentum basis), for every sector.
+
+    In `build_hamiltonian`'s order: by q, then by the sector's smallest state.
 
     For hs and elliptic chains the vector of orbit representative r at
     momentum q is sum_{k<N} e^(-2 pi i q k / N) T^k |r>, normalized, kept
@@ -224,25 +240,25 @@ def _momentum_blocks(chain: ChainSpec, H: np.ndarray) -> list[tuple[int, np.ndar
                     vectors.append(phi / np.linalg.norm(phi))
             if vectors:
                 V = np.array(vectors).T
-                blocks.append((q, V.conj().T @ H @ V))
+                blocks.append((q, _occupation(chain, states[0]), V.conj().T @ H @ V))
     return blocks
 
 
-@pytest.mark.parametrize(
-    "chain",
-    [
-        ChainSpec("hs", 4, 2, 0),
-        ChainSpec("hs", 4, 1, 1),
-        ChainSpec("hs", 5, 2, 1),
-        ChainSpec("hs", 6, 0, 2),
-        ChainSpec("pf", 4, 2, 1),
-        ChainSpec("fi", 4, 0, 2, alpha=3),
-        ChainSpec("elliptic", 4, 1, 2, ksq=0.5),
-        ChainSpec("elliptic", 5, 1, 2, ksq=0.5),
-        ChainSpec("elliptic", 5, 3, 0, ksq=0.5),
-        ChainSpec("elliptic", 4, 2, 2, ksq=0.5),
-    ],
-)
+_ASSEMBLY_CHAINS = [
+    ChainSpec("hs", 4, 2, 0),
+    ChainSpec("hs", 4, 1, 1),
+    ChainSpec("hs", 5, 2, 1),
+    ChainSpec("hs", 6, 0, 2),
+    ChainSpec("pf", 4, 2, 1),
+    ChainSpec("fi", 4, 0, 2, alpha=3),
+    ChainSpec("elliptic", 4, 1, 2, ksq=0.5),
+    ChainSpec("elliptic", 5, 1, 2, ksq=0.5),
+    ChainSpec("elliptic", 5, 3, 0, ksq=0.5),
+    ChainSpec("elliptic", 4, 2, 2, ksq=0.5),
+]
+
+
+@pytest.mark.parametrize("chain", _ASSEMBLY_CHAINS)
 def test_vectorized_assembly_matches_scalar(chain):
     slow = _scalar_hamiltonian(chain)
     sectors = _sectors(chain)
@@ -251,15 +267,52 @@ def test_vectorized_assembly_matches_scalar(chain):
         label[states] = k
     # graded transpositions conserve the occupation vector
     assert np.count_nonzero(slow[label[:, None] != label[None, :]]) == 0
-    blocks = oracle.build_hamiltonian(chain)
-    want = _momentum_blocks(chain, slow)
+    blocks = [block for block, _ in oracle.build_hamiltonian(chain)]
+    # one sector is built per relabeling orbit
+    want = [(q, w) for q, occ, w in _momentum_blocks(chain, slow) if _representative(chain, occ) == occ]
     assert [b.shape for b in blocks] == [w.shape for _, w in want]
     for block, (q, expected) in zip(blocks, want):
         assert np.abs(block - expected).max() < 1e-12 * max(1.0, np.abs(expected).max())
         # only the blocks at q = 0 and q = N/2 are real
         assert np.iscomplexobj(block) == (2 * q % chain.sites != 0 and chain.kind in ("hs", "elliptic"))
     if chain.kind in ("pf", "fi"):
-        assert [b.shape for b in blocks] == [(len(s), len(s)) for s in sectors]
+        kept = [s for s in sectors if _representative(chain, _occupation(chain, s[0])) == _occupation(chain, s[0])]
+        assert [b.shape for b in blocks] == [(len(s), len(s)) for s in kept]
+
+
+@pytest.mark.parametrize("chain", _ASSEMBLY_CHAINS)
+def test_relabeled_sectors_share_their_representatives_spectrum(chain):
+    projected = _momentum_blocks(chain, _scalar_hamiltonian(chain))
+    spectra = {(q, occ): np.linalg.eigvalsh(w) for q, occ, w in projected}
+    for (q, occ), lam in spectra.items():
+        want = spectra[q, _representative(chain, occ)]
+        assert lam.shape == want.shape
+        assert np.abs(lam - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    # copies: the sectors of the orbit, times 2 for the conjugate momentum G - q
+    G = chain.sites if chain.kind in ("hs", "elliptic") else 1
+    orbit = Counter(_representative(chain, _occupation(chain, s[0])) for s in _sectors(chain))
+    built = oracle.build_hamiltonian(chain)
+    kept = [(q, occ) for q, occ, _ in projected if _representative(chain, occ) == occ]
+    assert len(built) == len(kept)
+    for (block, copies), (q, occ) in zip(built, kept):
+        assert copies == orbit[occ] * (1 if 2 * q % G == 0 else 2)
+    assert sum(copies * block.shape[0] for block, copies in built) == (chain.m + chain.n) ** chain.sites
+
+
+@pytest.mark.parametrize("m,N", [(2, 8), (2, 10), (2, 12), (3, 6), (3, 7)])
+def test_balanced_sector_counts_every_level(m, N):
+    # criterion 6's su(m|0) chains: every su(m) irrep holds the most balanced weight
+    chain = ChainSpec("elliptic", N, m, 0, ksq=0.5)
+    full = oracle.cluster_levels(oracle.chain_eigenvalues(chain))
+    assert oracle.numeric_average_degeneracy(chain) == Fraction(m**N, len(full))
+    # one sector, occupations ceil(N/m) ... floor(N/m), and its relabelings
+    occupation = [N // m + (d < N % m) for d in range(m)]
+    states = math.factorial(N) // math.prod(map(math.factorial, occupation))
+    relabelings = math.comb(m, N % m)
+    balanced = oracle.build_hamiltonian(chain, _balanced=True)
+    assert sum(copies * block.shape[0] for block, copies in balanced) == relabelings * states
+    with pytest.raises(ValueError, match="n = 0"):
+        oracle.build_hamiltonian(ChainSpec("elliptic", N, m, 1, ksq=0.5), _balanced=True)
 
 
 @pytest.mark.parametrize(
@@ -352,7 +405,7 @@ def test_storage_bound_covers_what_assembly_allocates(chain):
     finally:
         tracemalloc.stop()
     # checking a block adds a few transient copies of it
-    assert peak <= 8 * _words(chain) + 3 * max(b.nbytes for b in blocks)
+    assert peak <= 8 * _words(chain) + 3 * max(b.nbytes for b, _ in blocks)
 
 
 @pytest.mark.parametrize("chain", [ChainSpec("hs", 20, 1, 0), ChainSpec("hs", 2, 30, 0), ChainSpec("pf", 20, 1, 0)])
@@ -441,6 +494,23 @@ def test_eigenvalues_refuses_inf_without_a_warning():
         for a in ([[1.0, 0.0], [0.0, math.inf]], [[1.0, -math.inf], [-math.inf, 1.0]]):
             with pytest.raises(ValueError, match="not finite"):
                 oracle.eigenvalues(np.array(a))
+
+
+def test_eigenvalues_checks_scale_with_the_largest_entry():
+    # the trace and Frobenius sums of the unscaled matrix overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert oracle.eigenvalues(np.array([[1e200, 0.0], [0.0, 1.0]])).tolist() == [1.0, 1e200]
+        with pytest.raises(ValueError, match="not Hermitian"):
+            oracle.eigenvalues(np.array([[1.0, 1e308], [-1e308, 1.0]]))
+    # the skew tolerance is still 1e-12 of the largest entry
+    lopsided = 1e200 * np.eye(4)
+    lopsided[0, 1] = 2e188
+    with pytest.raises(ValueError, match="Hermitian"):
+        oracle.eigenvalues(lopsided)
+    lopsided[0, 1] = 0.5e188
+    lopsided[1, 0] = 0.0
+    assert oracle.eigenvalues(lopsided).shape == (4,)
 
 
 def test_eigenvalues_on_known_matrix():

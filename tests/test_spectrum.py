@@ -174,6 +174,28 @@ def test_numeric_dispersion_merges_close_levels():
         spectrum.level_count_by_enumeration(3, 1, 1, disp)
 
 
+@st.composite
+def level_groups(draw):
+    """Sorted float values in well-separated levels of 1 to 40 members, and the level sizes."""
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=12))
+    centers = np.cumsum(draw(st.lists(st.floats(1.0, 1e3), min_size=len(sizes), max_size=len(sizes))))
+    jitter = st.floats(-1e-15, 1e-15)
+    values = [c * (1 + draw(jitter)) for c, k in zip(centers.tolist(), sizes) for _ in range(k)]
+    return sorted(values), sizes
+
+
+@given(level_groups())
+@example(([1.0], [1]))
+@example(([c * (1 + k * 1e-16) for c, size in ((0.1, 7), (5.3, 8), (9.7, 9)) for k in range(size)], [7, 8, 9]))
+def test_level_means_match_per_level_mean(case):
+    # the pairwise summation of mean() switches at 8 members
+    values, sizes = case
+    levels = spectrum._merge_float_levels(np.array(values), np.ones(len(values), dtype=np.int64))
+    assert [d for _, d in levels] == sizes
+    split = np.split(np.array(values), np.cumsum(sizes)[:-1])
+    assert [e for e, _ in levels] == [float(level.mean()) for level in split]
+
+
 @pytest.mark.parametrize("N,count", [(15, 2187), (16, 4374)])
 def test_elliptic_susy_counts_past_twelve_sites(N, count):
     # 2^N over these is 14.98; a relative merge width of 1e-9 gave 17.59 and 16.40
