@@ -3,9 +3,9 @@
 Every subcommand prints a small table to stdout, as CSV (default) or as a
 JSON document with a meta block echoing the tool version and the parsed
 configuration.  Output is deterministic: identical invocations produce
-byte-identical stdout.  Exit status 0 means success, 1 a computational
-check that failed (a cross-check mismatch or a broken identity), 2 a usage
-error.
+byte-identical stdout.  Exit status 0 means success, also when the reader
+of stdout stops early (`| head`), 1 a computational check that failed (a
+cross-check mismatch or a broken identity), 2 a usage error.
 
 `main` owns the boundary.  The argparse types and groups and `_flag_error`
 decide every usage error before a handler runs.  A handler `_cmd_*` returns
@@ -32,6 +32,7 @@ _SYMBOLIC = object()  # --alpha irrational: the generic coupling, kept symbolic
 # the coupling flags each chain reads
 _CHAIN_FLAGS = {"hs": (), "pf": (), "fi": ("alpha",), "elliptic": ("ksq",)}
 _Table = tuple[list[str], list[tuple]]  # a handler's (columns, rows)
+_BLOCK_ROWS = 4096  # CSV rows joined per print: strings of a few hundred kB at most
 
 
 def _parse_alpha(text: str):
@@ -100,18 +101,22 @@ def _config(args: argparse.Namespace) -> dict:
 
 
 def _emit(args: argparse.Namespace, columns: list[str], rows: list[tuple]) -> None:
+    """Write a table to stdout: CSV rows joined and printed `_BLOCK_ROWS` at a
+    time, with the parsed configuration on stderr, or one JSON document
+    encoded by one `json.dumps`.  `print` writes nothing when there is no
+    stdout (it was closed at start)."""
     cfg = _config(args)
     if args.format == "json":
         payload = {
             "meta": {"tool": _TOOL, "version": __version__, "config": cfg},
             "rows": [{c: _jsonable(v) for c, v in zip(columns, row)} for row in rows],
         }
-        json.dump(payload, sys.stdout, sort_keys=True, separators=(",", ": "), allow_nan=False)
-        sys.stdout.write("\n")
+        print(json.dumps(payload, sort_keys=True, separators=(",", ": "), allow_nan=False))
     else:
         print(",".join(columns))
-        for row in rows:
-            print(",".join(_cell(v) for v in row))
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[start : start + _BLOCK_ROWS]
+            print("".join([",".join(map(_cell, row)) + "\n" for row in block]), end="")
         print("config: " + json.dumps(cfg, sort_keys=True), file=sys.stderr)
 
 
@@ -161,11 +166,12 @@ def _cmd_tableau(args: argparse.Namespace) -> _Table | None:
         row = (_joined(spins), str(mot), _joined(mot.rapidities()), _joined(tableau.dual_spins(spins)), dim)
         return ["spins", "bits", "rapidities", "dual_spins", "dimension"], [row]
     N = args.sites
-    rows = [(str(motif.Motif(word, N)), d) for word, d in sorted(tableau.fiber_sizes(N, m, n).items())]
-    total = sum(d for _, d in rows)
+    table = tableau.fiber_sizes(N, m, n)
+    total = sum(table.values())
     if total != (m + n) ** N:
         raise AssertionError(f"fiber dimensions sum to {total}, expected {(m + n) ** N}")
-    return ["bits", "dimension"], rows
+    words = sorted(table)
+    return ["bits", "dimension"], list(zip(motif.bit_strings(words, N - 1), map(table.__getitem__, words)))
 
 
 def _cmd_fib(args: argparse.Namespace) -> _Table:
@@ -435,6 +441,14 @@ def main(argv: list[str] | None = None) -> int:
         table = args.func(args)
         if table is not None:
             _emit(args, *table)
+        print(end="", flush=True)  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader has all it wanted (`| head`); the interpreter's last flush
+        # of what is still buffered goes to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (ValueError, AssertionError, NotImplementedError, OSError) as exc:
         return _fail(str(exc))
     return 0

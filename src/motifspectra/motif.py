@@ -14,13 +14,14 @@ No floating point is used anywhere in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "InfeasibleSizeError",
     "Motif",
+    "bit_strings",
     "HalfMotif",
     "is_valid",
     "is_valid_word",
@@ -127,7 +128,15 @@ class Motif:
         return Motif(word, self.sites)
 
     def __str__(self) -> str:
-        return format(self.word, f"0{self.length}b") if self.length else ""
+        return bit_strings((self.word,), self.length)[0]
+
+
+def bit_strings(words: Iterable[int], length: int) -> list[str]:
+    """Each packed word as its `length` bits d_1 .. d_length, '' when there are none."""
+    if not length:
+        return ["" for _ in words]
+    spec = f"0{length}b"
+    return [format(w, spec) for w in words]
 
 
 @dataclass(frozen=True)

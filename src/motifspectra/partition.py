@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import BinaryIO
 
+import numpy as np
+
 from . import spectrum
 
 __all__ = [
@@ -43,9 +45,9 @@ class QPolynomial:
     def __post_init__(self) -> None:
         if self.scale < 1:
             raise ValueError(f"need scale >= 1, got {self.scale}")
-        for e, c in self.terms.items():
-            if c <= 0:
-                raise ValueError(f"nonpositive coefficient {c} at exponent {e}")
+        if self.terms and min(self.terms.values()) <= 0:
+            e, c = next((e, c) for e, c in self.terms.items() if c <= 0)
+            raise ValueError(f"nonpositive coefficient {c} at exponent {e}")
 
     def term_count(self) -> int:
         return len(self.terms)
@@ -107,37 +109,95 @@ _MAGIC = b"MSQP"
 _VERSION = 1
 _HEAD = struct.Struct("<4sBQQ")
 _LENGTH = struct.Struct("<I")
+_LIMB = np.dtype("<u8")
+_LIMB_MASK = (1 << 64) - 1
+_BYTE_EDGES = np.array([1 << 8 * k for k in range(8)], _LIMB)  # a limb >= 256^k has more than k bytes
+_ONES = np.array([int.from_bytes(b"\x01" * k, "little") for k in range(9)], _LIMB)  # k low bytes 1
+_CHUNK = 1 << 14  # terms per record array: a few hundred kB of rows and mask
+
+
+def _limbs(values: list, width: int, signed: bool) -> np.ndarray:
+    """(len(values), width) little-endian 64-bit limbs of Python ints, two's complement when signed.
+
+    Every value fits `width` limbs: the low limbs are masked off, and the top
+    one, the value shifted down, fits a signed or unsigned 64-bit integer.
+    """
+    count = len(values)
+    out = np.empty((count, width), _LIMB)
+    for k in range(width - 1):
+        out[:, k] = np.fromiter(((v >> 64 * k) & _LIMB_MASK for v in values), _LIMB, count)
+    top = values if width == 1 else [v >> 64 * (width - 1) for v in values]
+    out[:, -1] = np.fromiter(top, "<i8" if signed else _LIMB, count).view(_LIMB)
+    return out
+
+
+def _byte_lengths(limbs: np.ndarray) -> np.ndarray:
+    """Bytes of each row's unsigned value up to its highest nonzero byte; 0 for zero."""
+    lengths = np.searchsorted(_BYTE_EDGES, limbs[:, 0], side="right")
+    for k in range(1, limbs.shape[1]):
+        high = limbs[:, k] != 0
+        lengths[high] = 8 * k + np.searchsorted(_BYTE_EDGES, limbs[high, k], side="right")
+    return lengths
+
+
+def _byte_mask(lengths: np.ndarray, width: int) -> np.ndarray:
+    """(len(lengths), width) limbs whose bytes are 1 below each row's length and 0 from it on."""
+    return np.stack([_ONES[np.clip(lengths - 8 * k, 0, 8)] for k in range(width)], axis=1)
+
+
+def _records(exps: list, coeffs: list, e_width: int, c_width: int) -> np.ndarray:
+    """The dump records of these terms, in order, as one uint8 array.
+
+    Each term gets a record of fixed width holding both length prefixes and
+    every limb; a second record of the same layout, whose bytes are 1 where
+    they belong to the term's dump record, compacts them as one boolean mask.
+    """
+    e, c = _limbs(exps, e_width, signed=True), _limbs(coeffs, c_width, signed=False)
+    negative = e[:, -1].view("<i8") < 0
+    mag = np.where(negative[:, None], ~e, e)
+    carry = negative  # -e = ~e + 1, carried up through the limbs
+    for k in range(e_width):
+        mag[:, k] += carry
+        carry = carry & (mag[:, k] == 0)
+    # (bit_length(|e|) + 8) // 8 bytes are those of 2|e|, and at least one
+    doubled = mag << 1
+    doubled[:, 1:] |= mag[:, :-1] >> 63
+    el = np.maximum(_byte_lengths(doubled), 1)
+    cl = _byte_lengths(c)  # coefficients are positive
+    record = [("el", "<u4"), ("e", _LIMB, (e_width,)), ("cl", "<u4"), ("c", _LIMB, (c_width,))]
+    rows, keep = np.empty(len(exps), record), np.empty(len(exps), record)
+    rows["el"], rows["e"], rows["cl"], rows["c"] = el, e, cl, c
+    keep["el"] = keep["cl"] = 0x01010101
+    keep["e"], keep["c"] = _byte_mask(el, e_width), _byte_mask(cl, c_width)
+    return rows.view(np.uint8)[keep.view(np.bool_)]
 
 
 def dump_terms(qp: QPolynomial, fh: BinaryIO) -> None:
     """Binary term dump: little-endian, length-prefixed integer records.
 
     Layout: magic "MSQP", u8 version, u64 term count, u64 scale, then per
-    term (sorted by exponent) u32 byte length + signed little-endian exponent
-    and u32 byte length + unsigned little-endian coefficient.  The dump is
-    built in one bytearray and written once.
+    term (sorted by exponent) u32 byte length el + signed little-endian
+    exponent and u32 byte length cl + unsigned little-endian coefficient,
+    with el = (bit_length(|e|) + 8) // 8 and cl = (bit_length(c) + 7) // 8.
+
+    The records are built by numpy over 64-bit limbs, as many per value as
+    the widest exponent and coefficient need, in chunks of `_CHUNK` terms:
+    each chunk is one array, written as it is built.
     """
-    items = qp.sorted_terms()
-    if any(not isinstance(e, int) for e, _ in items):
+    if not all(issubclass(t, int) for t in set(map(type, qp.terms))):
         raise TypeError("only integer-exponent polynomials can be dumped")
-    out = bytearray(_HEAD.pack(_MAGIC, _VERSION, len(items), qp.scale))
-    if items:
-        # the extreme exponents and the largest coefficient need the longest records
-        widest = max(
-            (items[0][0].bit_length() + 8) // 8,
-            (items[-1][0].bit_length() + 8) // 8,
-            (qp.max_coefficient().bit_length() + 7) // 8,
-        )
-        prefix = [_LENGTH.pack(k) for k in range(widest + 1)]
-        for e, c in items:
-            el = (e.bit_length() + 8) // 8  # room for the sign bit: 0 takes one byte
-            cl = (c.bit_length() + 7) // 8  # coefficients are positive
-            # in place: a list of per-term records held 10 MB more at fi 5/2, N = 60
-            out += prefix[el]
-            out += e.to_bytes(el, "little", signed=True)
-            out += prefix[cl]
-            out += c.to_bytes(cl, "little")
-    fh.write(out)
+    exps = sorted(qp.terms)
+    fh.write(_HEAD.pack(_MAGIC, _VERSION, len(exps), qp.scale))
+    if not exps:
+        return
+    # the extreme exponents and the largest coefficient need the longest records
+    e_bytes = max((exps[0].bit_length() + 8) // 8, (exps[-1].bit_length() + 8) // 8)
+    c_bytes = (qp.max_coefficient().bit_length() + 7) // 8
+    e_width, c_width = -(-e_bytes // 8), -(-c_bytes // 8)
+    coefficient = qp.terms.__getitem__
+    for start in range(0, len(exps), _CHUNK):
+        chunk = exps[start : start + _CHUNK]
+        fh.write(_records(chunk, list(map(coefficient, chunk)), e_width, c_width))
 
 
 def load_terms(fh: BinaryIO) -> QPolynomial:

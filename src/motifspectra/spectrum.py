@@ -218,9 +218,10 @@ def _band(disp) -> tuple[list[int], int, Callable[[int], object]]:
     if isinstance(disp, (HSDispersion, PFDispersion)):
         return [disp.eps(j) for j in js], 1, int
     if isinstance(disp, FIDispersion):
-        b = disp.alpha.denominator
-        # energy() adds Fractions onto an int 0, so only the empty motif stays int
-        return [int(b * disp.eps(j)) for j in js], b, lambda e: Fraction(e, b) if e else 0
+        a, b = disp.alpha.numerator, disp.alpha.denominator
+        # b * eps(j) = j (a + b (j - 1)); energy() adds Fractions onto an int 0,
+        # so only the empty motif stays int
+        return [j * (a + b * (j - 1)) for j in js], b, lambda e: Fraction(e, b) if e else 0
     if isinstance(disp, SymbolicAlphaDispersion):
         K = (N - 2) * (N - 1) * N // 3 + 1
         return [j * K + j * (j - 1) for j in js], 1, lambda e: divmod(e, K)

@@ -19,21 +19,30 @@ in `motifspectra` computes another way:
   against the run-length automaton of `anyon.motif_weights`;
 * `su2_half_count` and `su2_half_count_series` evaluate the paper's
   third-order recursion for two-state half counts, against the folded
-  automaton of `motif.count_half`.
+  automaton of `motif.count_half`;
+* `dumped_terms` encodes a term dump record by record with `int.to_bytes`,
+  against the numpy record builder of `partition.dump_terms`;
+* `emitted_by_row` prints a CLI table one row at a time, and `json.dump`s
+  it to the stream, against the block writer of `cli._emit`;
+* `fiber_rows` lists `tableau --sites` rows from `Motif` bit tuples,
+  against the rows formatted straight from the fiber-table words.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
+import struct
+import sys
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
+from motifspectra import __version__, cli, spectrum, tableau
 from motifspectra import motif as _motif
-from motifspectra import spectrum, tableau
 from motifspectra.motif import Motif
 from motifspectra.partition import QPolynomial
 from motifspectra.spectrum import FIDispersion, SymbolicAlphaDispersion
@@ -180,3 +189,40 @@ def su2_half_count_series(r_max: int) -> tuple[list[int], list[int]]:
     """Two-state half counts by half length r = 1..r_max: (N = 2r + 1, N = 2r)."""
     rs = range(1, r_max + 1)
     return [su2_half_count(2 * r + 1) for r in rs], [su2_half_count(2 * r) for r in rs]
+
+
+def dumped_terms(qp: QPolynomial) -> bytes:
+    """The `partition.dump_terms` byte layout, one record at a time."""
+    items = qp.sorted_terms()
+    if any(not isinstance(e, int) for e, _ in items):
+        raise TypeError("only integer-exponent polynomials can be dumped")
+    out = bytearray(struct.pack("<4sBQQ", b"MSQP", 1, len(items), qp.scale))
+    for e, c in items:
+        el = (e.bit_length() + 8) // 8  # room for the sign bit: 0 takes one byte
+        cl = (c.bit_length() + 7) // 8  # coefficients are positive
+        out += struct.pack("<I", el) + e.to_bytes(el, "little", signed=True)
+        out += struct.pack("<I", cl) + c.to_bytes(cl, "little")
+    return bytes(out)
+
+
+def emitted_by_row(args, columns: list[str], rows: list[tuple]) -> None:
+    """Write a CLI table as `cli._emit` does, one print per CSV row."""
+    cfg = cli._config(args)
+    if args.format == "json":
+        payload = {
+            "meta": {"tool": "motifspectra", "version": __version__, "config": cfg},
+            "rows": [{c: cli._jsonable(v) for c, v in zip(columns, row)} for row in rows],
+        }
+        json.dump(payload, sys.stdout, sort_keys=True, separators=(",", ": "), allow_nan=False)
+        sys.stdout.write("\n")
+    else:
+        print(",".join(columns))
+        for row in rows:
+            print(",".join(cli._cell(v) for v in row))
+        print("config: " + json.dumps(cfg, sort_keys=True), file=sys.stderr)
+
+
+def fiber_rows(N: int, m: int, n: int) -> list[tuple[str, int]]:
+    """`tableau --sites` rows: each motif's bits, from its `Motif`, and its fiber dimension."""
+    table = tableau.fiber_sizes(N, m, n)
+    return [("".join(map(str, Motif(w, N).bits)), table[w]) for w in sorted(table)]

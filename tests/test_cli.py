@@ -1,16 +1,22 @@
 """Command line interface: formats, determinism, exit codes, file outputs."""
 
+import argparse
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from motifspectra import cli, fibnum, oracle, partition, spectrum, tableau
 from motifspectra.cli import main
+import oracles
 
 
 def run_cli(*argv):
@@ -91,6 +97,48 @@ def test_tableau_dims_table():
     assert code == 0
     lines = out.strip().splitlines()[1:]
     assert sum(int(line.split(",")[1]) for line in lines) == 2**4
+
+
+@pytest.mark.parametrize("sites,m,n", [(1, 2, 0), (2, 2, 0), (2, 0, 3), (14, 2, 1)])
+def test_tableau_dims_rows_match_motif_bits(sites, m, n):
+    code, out, _ = run_cli("tableau", "--sites", str(sites), "--m", str(m), "--n", str(n))
+    assert code == 0
+    assert out == "bits,dimension\n" + "".join(f"{b},{d}\n" for b, d in oracles.fiber_rows(sites, m, n))
+
+
+def _table(rows: int) -> list[tuple]:
+    """A table of every cell kind a handler returns: int, str, float, nan, bool and a big int."""
+    return [
+        (k, f"{k}/7", k / 7, float("nan") if k % 5 == 3 else 1.0, k % 2 == 0, 3 ** (k % 90))
+        for k in range(rows)
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", [0, 1, cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1])
+def test_emit_matches_per_row_writer(fmt, rows):
+    args = argparse.Namespace(format=fmt, sites=rows, alpha=Fraction(5, 2), func=None, dump_terms=None)
+    columns = ["index", "fraction", "value", "maybe", "even", "power"]
+    written = []
+    for emit in (cli._emit, oracles.emitted_by_row):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            emit(args, columns, _table(rows))
+        written.append((out.getvalue(), err.getvalue()))
+    assert written[0] == written[1]
+    assert written[0][0].count("\n") == (1 if fmt == "json" else rows + 1)
+
+
+def test_closed_pipe_ends_quietly():
+    # `motifspectra motifs --sites 22 --m 2 --list | head -1`: far more rows than a pipe holds
+    argv = [sys.executable, "-m", "motifspectra.cli", "motifs", "--sites", "22", "--m", "2", "--list"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"index,bits,ones,rapidities\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (0, b"")
 
 
 def test_tableau_rejects_no_sites():

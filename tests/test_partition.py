@@ -92,10 +92,14 @@ def test_energies_respect_scale():
 
 
 def test_qpolynomial_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^nonpositive coefficient 0 at exponent 0$"):
         QPolynomial({0: 0})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^nonpositive coefficient -1 at exponent 0$"):
         QPolynomial({0: -1})
+    with pytest.raises(ValueError, match=r"^nonpositive coefficient -2 at exponent 5$"):
+        QPolynomial({1: 3, 5: -2, 7: 1})
+    with pytest.raises(ValueError, match=r"^nonpositive coefficient 0 at exponent \(2, 4\)$"):
+        QPolynomial({(1, 2): 3, (2, 4): 0})
     with pytest.raises(ValueError):
         QPolynomial({0: 1}, scale=0)
 
@@ -115,9 +119,11 @@ def test_dump_load_round_trip():
 
 
 def test_dump_rejects_tuple_exponents():
-    qp = QPolynomial({(1, 2): 1})
-    with pytest.raises(TypeError):
-        partition.dump_terms(qp, io.BytesIO())
+    for terms in ({(1, 2): 1}, {0: 1, 1.5: 2, 3: 1}):
+        buf = io.BytesIO()
+        with pytest.raises(TypeError):
+            partition.dump_terms(QPolynomial(terms), buf)
+        assert buf.getvalue() == b""
 
 
 def _dump(qp):
@@ -133,6 +139,49 @@ def _dump(qp):
 def test_dump_load_round_trip_random(terms, scale):
     qp = QPolynomial(terms, scale)
     assert partition.load_terms(io.BytesIO(_dump(qp))) == qp
+
+
+def _edge_terms() -> dict:
+    """Exponents either side of each signed byte edge, coefficients either side of each unsigned one."""
+    terms = {}
+    for k in (1, 2, 3, 8, 9, 16, 17, 24):
+        edge = 2 ** (8 * k - 1)
+        for e in (-edge - 1, -edge, -edge + 1, edge - 1, edge):
+            terms[e] = 2 ** (8 * k) - 1 + len(terms) % 2
+    return terms
+
+
+@pytest.mark.parametrize(
+    "qp",
+    [
+        pytest.param(QPolynomial({}), id="empty"),
+        pytest.param(QPolynomial({0: 1}, 2**64 - 1), id="max-scale"),
+        pytest.param(
+            QPolynomial({-128: 1, -129: 255, -127: 256, 127: 2**64, 128: 2**64 - 1}), id="one-byte-edges"
+        ),
+        pytest.param(
+            QPolynomial({-(2**63): 2**64, 2**63 - 1: 2**64 - 1, 2**63: 1, -(2**63) - 1: 2}), id="int64-edges"
+        ),
+        pytest.param(QPolynomial({0: 1, 10**40: 2**200}), id="past-int64"),
+        pytest.param(QPolynomial({-(2**127): 2**128, 2**130 + 5: 2**128 - 1, 3: 2**129}), id="past-2^128"),
+        pytest.param(QPolynomial(_edge_terms(), 3), id="byte-edges"),
+        pytest.param(partition.fi_partition(12, Fraction(5, 2)), id="fi-12"),
+        # more terms than one record chunk
+        pytest.param(QPolynomial({e: e * e + 1 for e in range(-(2**15), 2**15, 3)}), id="chunks"),
+    ],
+)
+def test_dump_matches_per_term_encoder(qp):
+    assert _dump(qp) == oracles.dumped_terms(qp)
+
+
+_EXPONENTS = st.one_of(st.integers(-300, 300), st.integers(-(2**140), 2**140))
+_COEFFICIENTS = st.one_of(st.integers(1, 300), st.integers(1, 2**200))
+
+
+@given(st.dictionaries(_EXPONENTS, _COEFFICIENTS, max_size=30), st.integers(1, 2**64 - 1))
+def test_dump_matches_per_term_encoder_random(terms, scale):
+    qp = QPolynomial(terms, scale)
+    assert _dump(qp) == oracles.dumped_terms(qp)
 
 
 _DUMP = _dump(QPolynomial({0: 1, 4362: 296}))

@@ -340,6 +340,14 @@ def test_kernel_matches_enumerated_partition(case):
     assert scale == want.scale
 
 
+@given(st.integers(2, 60), st.integers(1, 10**6), st.integers(1, 10**6))
+def test_fi_band_is_scaled_dispersion(N, p, q):
+    disp = FIDispersion(N, Fraction(p, q))
+    band, scale, _ = spectrum._band(disp)
+    assert scale == disp.alpha.denominator
+    assert band == [int(scale * disp.eps(j)) for j in range(1, N)]
+
+
 def fiber_level_set(N, m, n, disp):
     """Reference: every motif's energy weighted by its fiber dimension."""
     levels: dict = {}
