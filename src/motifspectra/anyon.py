@@ -20,7 +20,6 @@ from .fibnum import fib
 
 __all__ = [
     "IdentityError",
-    "haldane_weight",
     "WeightTable",
     "motif_weights",
     "verify_identities",
@@ -33,25 +32,6 @@ class IdentityError(AssertionError):
     """A combinatorial identity that must hold exactly failed to."""
 
 
-def haldane_weight(orbitals: int, k: int, g: Fraction | int) -> int:
-    """Number of k-particle states in `orbitals` orbitals at statistics g.
-
-    This is the binomial C(orbitals - (g - 1)(k - 1), k); the top argument
-    must come out integral, and a negative top means no states.
-    """
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    if k == 0:
-        return 1
-    top = Fraction(orbitals) - Fraction(g) * (k - 1) + (k - 1)
-    if top.denominator != 1:
-        raise ValueError(f"non-integral binomial argument {top} for g = {g}, k = {k}")
-    t = int(top)
-    if t < 0:
-        return 0
-    return math.comb(t, k) if t >= k else 0
-
-
 @dataclass(frozen=True)
 class WeightTable:
     """Counts of valid motifs by number of ones, for one (sites, order)."""
@@ -60,16 +40,8 @@ class WeightTable:
     order: int
     weights: tuple[int, ...]
 
-    def weight(self, k: int) -> int:
-        if 0 <= k < len(self.weights):
-            return self.weights[k]
-        return 0
-
     def total(self) -> int:
         return sum(self.weights)
-
-    def kmax(self) -> int:
-        return len(self.weights) - 1
 
 
 def _weight_polynomial(length: int, m: int, kmax: int) -> list[int]:

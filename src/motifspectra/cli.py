@@ -136,9 +136,11 @@ def _orbital_counts(text: str) -> tuple[int, ...]:
 def _cmd_motifs(args: argparse.Namespace) -> _Table:
     N, m, n = args.sites, args.m, args.n
     if args.list:
-        rows = []
-        for k, mot in enumerate(motif.enumerate_motifs(N, m, n)):
-            rows.append((k, str(mot), mot.ones(), _joined(mot.rapidities())))
+        words = [w for block in motif._valid_word_blocks(N, m, n) for w in block.tolist()]
+        rows = [
+            (k, bits, bits.count("1"), _joined(i for i, b in enumerate(bits, 1) if b == "1"))
+            for k, bits in enumerate(motif.bit_strings(words, N - 1))
+        ]
         return ["index", "bits", "ones", "rapidities"], rows
     if args.half_count:
         name, count, enumerated = "half_count", motif.count_half, motif.count_half_by_enumeration
@@ -233,16 +235,17 @@ def _cmd_spectrum(args: argparse.Namespace) -> _Table:
 
 def _cmd_partition(args: argparse.Namespace) -> _Table:
     N = args.sites
+    if not (args.dump_terms or args.levels_only):
+        levels = spectrum.level_set(N, 0, 2, _make_dispersion(args.chain, N, args.alpha))
+        return ["energy", "degeneracy"], [(str(e), d) for e, d in levels]
     qp = partition.hs_partition(N) if args.chain == "hs" else partition.fi_partition(N, args.alpha)
     if args.dump_terms:
         with open(args.dump_terms, "wb") as fh:
             partition.dump_terms(qp, fh)
         return ["sites", "terms", "file"], [(N, qp.term_count(), args.dump_terms)]
-    if args.levels_only:
-        s = partition.levels(qp)
-        columns = ["sites", "count", "max_degeneracy", "average", "value"]
-        return columns, [(N, s.count, s.max_degeneracy, str(s.average), float(s.average))]
-    return ["energy", "degeneracy"], [(str(e), c) for e, (_, c) in zip(qp.energies(), qp.sorted_terms())]
+    s = partition.levels(qp)
+    columns = ["sites", "count", "max_degeneracy", "average", "value"]
+    return columns, [(N, s.count, s.max_degeneracy, str(s.average), float(s.average))]
 
 
 def _cmd_diag(args: argparse.Namespace) -> _Table | None:

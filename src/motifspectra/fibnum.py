@@ -9,7 +9,8 @@ found by one Newton run and pinned to the double of smallest exact residual.
 
 The translation-invariant refinement divides by the distinct motif halves
 instead, exact at every order; its asymptotics for two bosonic states follow
-their own cubic characteristic polynomial, handled by the su2_* helpers.
+their own cubic characteristic polynomial, whose root and prefactors
+`su2_translational_constants` holds.
 """
 
 from __future__ import annotations
@@ -30,13 +31,11 @@ __all__ = [
     "fib_table",
     "dominant_root",
     "characteristic_roots",
-    "binet",
     "min_avg_degeneracy",
     "min_avg_degeneracy_translational",
     "min_avg_degeneracy_asymptotic",
     "min_avg_degeneracy_translational_asymptotic",
     "su2_translational_constants",
-    "translational_growth_ratio",
 ]
 
 
@@ -116,17 +115,6 @@ def characteristic_roots(m: int) -> RootData:
     return RootData(m, lam, gamma, coeff, kappa, (*roots, complex(lam)))
 
 
-def binet(m: int, n: int) -> float:
-    """Closed-form order-m Fibonacci value from the characteristic roots."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    data = characteristic_roots(m)
-    total = 0j
-    for z in data.roots:
-        total += (z - 1) / ((m + 1) * z - 2 * m) * z ** (n - m + 1)
-    return total.real
-
-
 def min_avg_degeneracy(N: int, m: int, n: int) -> Fraction:
     """(m+n)^N over the motif count: every chain has a level this degenerate."""
     return Fraction((m + n) ** N, _motif.count(N, m, n))
@@ -169,9 +157,3 @@ def min_avg_degeneracy_translational_asymptotic(N: int) -> float:
     tc = su2_translational_constants()
     prefactor = math.sqrt(tc.root) / tc.odd_coeff if N % 2 else 1 / tc.even_coeff
     return prefactor * (2 / math.sqrt(tc.root)) ** N
-
-
-def translational_growth_ratio() -> float:
-    """Per-site growth of the translational over the generic minimum bound."""
-    tc = su2_translational_constants()
-    return 2 / ((math.sqrt(5) - 1) * math.sqrt(tc.root))

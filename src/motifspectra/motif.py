@@ -22,14 +22,9 @@ __all__ = [
     "InfeasibleSizeError",
     "Motif",
     "bit_strings",
-    "HalfMotif",
-    "is_valid",
     "is_valid_word",
-    "enumerate_motifs",
     "count",
     "count_by_enumeration",
-    "dual",
-    "half",
     "count_half",
     "count_half_by_enumeration",
 ]
@@ -51,23 +46,21 @@ def _check_context(m: int, n: int) -> None:
         raise ValueError(f"need m, n >= 0 with m + n >= 1, got m={m}, n={n}")
 
 
-def _has_ones_run(word: int, run: int) -> bool:
-    # word holds a run of `run` consecutive 1s iff AND-folding `run` shifted
-    # copies leaves a set bit
-    w = word
-    for _ in range(run - 1):
-        w &= w >> 1
-    return w != 0
+def is_valid_word(word, length: int, m: int, n: int):
+    """Validity of a packed motif word of `length` bits in the (m, n) context.
 
-
-def is_valid_word(word: int, length: int, m: int, n: int) -> bool:
-    """Validity of a packed motif word of `length` bits in the (m, n) context."""
+    `word` is an int, giving a bool, or an unsigned integer array of words,
+    giving a bool array; a mixed context admits every word and gives True.
+    A word holds a run of r consecutive 1s iff AND-folding r shifted copies
+    leaves a set bit; the fermionic rule is the bosonic one on the complement.
+    """
     _check_context(m, n)
     if m and n:
         return True
-    if m:
-        return not _has_ones_run(word, m)
-    return not _has_ones_run(~word & ((1 << length) - 1), n)
+    w = word if m else ~word & ((1 << length) - 1)
+    for _ in range((m or n) - 1):
+        w = w & (w >> 1)
+    return w == 0
 
 
 @dataclass(frozen=True)
@@ -96,36 +89,13 @@ class Motif:
             word = (word << 1) | b
         return cls(word, len(bits) + 1)
 
-    @property
-    def bits(self) -> tuple[int, ...]:
-        length = self.length
-        return tuple((self.word >> (length - 1 - i)) & 1 for i in range(length))
-
-    def bit(self, i: int) -> int:
-        """d_i with 1 <= i <= N - 1."""
-        if not 1 <= i <= self.length:
-            raise IndexError(f"bit index {i} out of range 1..{self.length}")
-        return (self.word >> (self.length - i)) & 1
-
     def rapidities(self) -> tuple[int, ...]:
         """Positions i with d_i = 1, ascending."""
         length = self.length
         return tuple(i for i in range(1, length + 1) if (self.word >> (length - i)) & 1)
 
-    def ones(self) -> int:
-        return self.word.bit_count()
-
-    def is_valid_for(self, m: int, n: int) -> bool:
-        return is_valid_word(self.word, self.length, m, n)
-
     def complement(self) -> "Motif":
         return Motif(self.word ^ ((1 << self.length) - 1), self.sites)
-
-    def reversed(self) -> "Motif":
-        word = 0
-        for i in range(self.length):
-            word = (word << 1) | ((self.word >> i) & 1)
-        return Motif(word, self.sites)
 
     def __str__(self) -> str:
         return bit_strings((self.word,), self.length)[0]
@@ -137,40 +107,6 @@ def bit_strings(words: Iterable[int], length: int) -> list[str]:
         return ["" for _ in words]
     spec = f"0{length}b"
     return [format(w, spec) for w in words]
-
-
-@dataclass(frozen=True)
-class HalfMotif:
-    """Symmetrized half of a motif: entries d_i + d_{N-i}, middle bit kept for even N."""
-
-    entries: tuple[int, ...]
-    sites: int
-
-    @property
-    def parity(self) -> int:
-        return self.sites % 2
-
-    def __str__(self) -> str:
-        return "".join(map(str, self.entries))
-
-
-def is_valid(bits: Sequence[int], m: int, n: int) -> bool:
-    """Validity of a motif given as its bit sequence (d_1, ..., d_{N-1})."""
-    motif = Motif.from_bits(bits)
-    return is_valid_word(motif.word, motif.length, m, n)
-
-
-def dual(motif: Motif) -> Motif:
-    """Bitwise complement; maps (m, 0)-valid motifs onto (0, m)-valid ones."""
-    return motif.complement()
-
-
-def half(motif: Motif) -> HalfMotif:
-    n_sites = motif.sites
-    entries = [motif.bit(i) + motif.bit(n_sites - i) for i in range(1, (n_sites - 1) // 2 + 1)]
-    if n_sites % 2 == 0:
-        entries.append(motif.bit(n_sites // 2))
-    return HalfMotif(tuple(entries), n_sites)
 
 
 def count(N: int, m: int, n: int) -> int:
@@ -203,25 +139,10 @@ def _valid_word_blocks(N: int, m: int, n: int) -> Iterator[np.ndarray]:
     """
     length = _sweep_length(N, m, n)
     total = 1 << length
-    mask = total - 1
-    run = 0 if (m and n) else (m or n)
     offsets = np.arange(_BLOCK, dtype=np.uint32)
     for lo in range(0, total, _BLOCK):
         words = offsets[: total - lo] + lo
-        if run == 0:
-            yield words
-            continue
-        r = words.copy() if m else ~words & mask
-        for _ in range(run - 1):
-            r &= r >> 1
-        yield words[r == 0]
-
-
-def enumerate_motifs(N: int, m: int, n: int) -> Iterator[Motif]:
-    """Valid motifs in lexicographic bit order."""
-    for arr in _valid_word_blocks(N, m, n):
-        for word in arr.tolist():
-            yield Motif(word, N)
+        yield words if m and n else words[is_valid_word(words, length, m, n)]
 
 
 def count_by_enumeration(N: int, m: int, n: int) -> int:

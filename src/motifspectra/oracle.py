@@ -21,7 +21,7 @@ The coupling kinds: trigonometric (hs), rational through oscillator nodes
 (pf), hyperbolic through log-scaled Laguerre nodes (fi), and the elliptic
 family interpolating between them (k^2 -> 0 degenerates to hs entrywise).
 Each kind is one pair function J(i, j) filled over the pairs i < j.  The
-elliptic functions K, E and sn read one AGM sequence, `_agm`, with one
+elliptic functions K and sn read one AGM sequence, `_agm`, with one
 stopping rule; the quadrature nodes are eigenvalues of one tridiagonal
 recurrence matrix at every N.
 """
@@ -37,13 +37,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import fibnum, spectrum
-from .motif import InfeasibleSizeError
+from .motif import InfeasibleSizeError, _check_context
 
 __all__ = [
     "DIMENSION_CAP",
     "ChainSpec",
     "elliptic_K",
-    "elliptic_E",
     "jacobi_sn",
     "hermite_zeros",
     "laguerre_zeros",
@@ -81,8 +80,7 @@ class ChainSpec:
             raise ValueError(f"unknown kind {self.kind!r}, expected one of {_KINDS}")
         if self.sites < 2:
             raise ValueError(f"need at least 2 sites, got {self.sites}")
-        if self.m < 0 or self.n < 0 or self.m + self.n < 1:
-            raise ValueError(f"bad context ({self.m}, {self.n})")
+        _check_context(self.m, self.n)
         if self.kind == "fi":
             object.__setattr__(self, "alpha", Fraction(self.alpha))
             if self.alpha <= 0:
@@ -116,12 +114,6 @@ def elliptic_K(k: float) -> float:
     """Complete elliptic integral of the first kind, modulus k: pi / (2 a_N)."""
     a, _ = _agm(k)
     return math.pi / (2 * a[-1])
-
-
-def elliptic_E(k: float) -> float:
-    """Complete elliptic integral of the second kind, modulus k: K (1 - sum 2^(n-1) c_n^2)."""
-    a, c = _agm(k)
-    return math.pi / (2 * a[-1]) * (1 - math.fsum(2.0 ** (i - 1) * x * x for i, x in enumerate(c)))
 
 
 def jacobi_sn(u: float, k: float) -> float:

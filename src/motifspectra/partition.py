@@ -58,19 +58,8 @@ class QPolynomial:
     def sorted_terms(self) -> list[tuple]:
         return sorted(self.terms.items())
 
-    def energies(self) -> list[Fraction]:
-        return [Fraction(e, self.scale) for e in sorted(self.terms)]
-
     def max_coefficient(self) -> int:
         return max(self.terms.values())
-
-    def reflected(self, pivot) -> "QPolynomial":
-        """Exponent reflection e -> pivot - e (pivot in scaled units)."""
-        if isinstance(pivot, tuple):
-            flipped = {tuple(p - x for p, x in zip(pivot, e)): c for e, c in self.terms.items()}
-        else:
-            flipped = {pivot - e: c for e, c in self.terms.items()}
-        return QPolynomial(flipped, self.scale)
 
 
 def _su02_polynomial(disp) -> QPolynomial:

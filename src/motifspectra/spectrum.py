@@ -36,7 +36,7 @@ import numpy as np
 
 from . import motif as _motif
 from . import tableau
-from .motif import Motif, _check_context
+from .motif import _check_context
 
 __all__ = [
     "HSDispersion",
@@ -44,12 +44,9 @@ __all__ = [
     "FIDispersion",
     "SymbolicAlphaDispersion",
     "NumericDispersion",
-    "energy",
-    "ground_state_energy",
     "level_set",
     "level_count",
     "level_count_by_enumeration",
-    "average_degeneracy",
     "dispersion_from_coupling",
     "level_bounds",
 ]
@@ -138,27 +135,6 @@ class NumericDispersion:
         return self.table[j - 1]
 
 
-def energy(motif: Motif, disp) -> int | Fraction | float | tuple[int, int]:
-    """Sum of eps over the motif's rapidities."""
-    if motif.sites != disp.sites:
-        raise ValueError(f"motif has {motif.sites} sites, dispersion {disp.sites}")
-    if isinstance(disp, SymbolicAlphaDispersion):
-        e0 = e1 = 0
-        for j in motif.rapidities():
-            e0 += j
-            e1 += j * (j - 1)
-        return (e0, e1)
-    total = 0
-    for j in motif.rapidities():
-        total += disp.eps(j)
-    return total
-
-
-def ground_state_energy(disp) -> int | Fraction | float | tuple[int, int]:
-    """Energy of the all-ones motif: the reflection pivot between dual contexts."""
-    return energy(Motif((1 << (disp.sites - 1)) - 1, disp.sites), disp)
-
-
 def _level_width(values: np.ndarray) -> float:
     """Widest gap between float values that still counts as one level.
 
@@ -209,7 +185,7 @@ def _band(disp) -> tuple[list[int], int, Callable[[int], object]]:
     """Integer band of an exact dispersion, its energy scale and exponent decoder.
 
     A motif's scaled energy is the sum of the band over its rapidities, and
-    `decode` turns that sum back into the value `energy` gives the motif.
+    `decode` turns that sum back into the sum of eps over them.
     Rational alpha scales the band by its denominator; symbolic alpha packs
     (E0, E1) as E0 * K + E1, with K one above the largest E1.
     """
@@ -219,8 +195,8 @@ def _band(disp) -> tuple[list[int], int, Callable[[int], object]]:
         return [disp.eps(j) for j in js], 1, int
     if isinstance(disp, FIDispersion):
         a, b = disp.alpha.numerator, disp.alpha.denominator
-        # b * eps(j) = j (a + b (j - 1)); energy() adds Fractions onto an int 0,
-        # so only the empty motif stays int
+        # b * eps(j) = j (a + b (j - 1)); a sum of Fractions started from an
+        # int 0 stays int only for the empty motif
         return [j * (a + b * (j - 1)) for j in js], b, lambda e: Fraction(e, b) if e else 0
     if isinstance(disp, SymbolicAlphaDispersion):
         K = (N - 2) * (N - 1) * N // 3 + 1
@@ -371,8 +347,8 @@ def level_count(N: int, m: int, n: int, disp) -> int:
 def _word_energies(words: np.ndarray, N: int, table: Sequence[float]) -> np.ndarray:
     """Float energies of an integer array of packed N-site motif words.
 
-    Adds eps(j) in rapidity order, as `energy` does, and exact zeros for the
-    bits that are clear, so every sum is bit-identical to `energy`'s.
+    Adds eps(j) in rapidity order, and exact zeros for the bits that are
+    clear, so every sum is bit-identical to adding eps over the rapidities.
     """
     acc = np.zeros(words.shape)
     for j, e in enumerate(table, 1):
@@ -410,13 +386,6 @@ def level_count_by_enumeration(N: int, m: int, n: int, disp) -> int:
         raise TypeError(f"{type(disp).__name__} is exact: count its levels with level_count")
     energies = np.concatenate([_word_energies(w, N, disp.table) for w in _motif._valid_word_blocks(N, m, n)])
     return len(_merge_float_levels(energies, np.ones(energies.size, dtype=np.int64)))
-
-
-def average_degeneracy(levels: Sequence[tuple[object, int]]) -> Fraction:
-    """Total state count over the number of distinct levels, exactly."""
-    if not levels:
-        raise ValueError("empty level set")
-    return Fraction(sum(d for _, d in levels), len(levels))
 
 
 def dispersion_from_coupling(h: Sequence[float]) -> NumericDispersion:

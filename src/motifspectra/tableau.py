@@ -9,8 +9,9 @@ dimensions is the level polynomial of `spectrum`'s transfer-matrix kernel
 over a binary band, whose energies are the motif words; no configuration is
 listed.  The tests check it against a count of configurations by descent.
 
-Motifs are equivalent to border strips: the positions of the 1 bits cut
-(1, ..., N) into column heights read right to left.
+A configuration also fills a border strip, which `tableau_lines` draws:
+each descent starts a new column, read right to left, so the positions of
+the motif's 1 bits cut (1, ..., N) into the column heights.
 """
 
 from __future__ import annotations
@@ -19,14 +20,12 @@ import functools
 from itertools import pairwise
 
 from . import spectrum
-from .motif import InfeasibleSizeError, Motif
+from .motif import InfeasibleSizeError, Motif, _check_context
 
 __all__ = [
     "FIBER_CAP",
     "validate_spins",
     "motif_of_spins",
-    "strip_of_motif",
-    "motif_of_strip",
     "dual_spins",
     "fiber_sizes",
     "module_dimension",
@@ -38,8 +37,7 @@ _CELL_WIDTH = 4  # characters per cell of tableau_lines
 
 
 def validate_spins(spins, m: int, n: int) -> tuple[int, ...]:
-    if m < 0 or n < 0 or m + n < 1:
-        raise ValueError(f"need m, n >= 0 with m + n >= 1, got m={m}, n={n}")
+    _check_context(m, n)
     s = tuple(spins)
     if not s:
         raise ValueError("need at least one spin")
@@ -54,26 +52,6 @@ def motif_of_spins(spins, m: int, n: int) -> Motif:
     s = validate_spins(spins, m, n)
     bits = [1 if (b < a or (a == b and a < 0)) else 0 for a, b in pairwise(s)]
     return Motif.from_bits(bits)
-
-
-def strip_of_motif(motif: Motif) -> tuple[int, ...]:
-    """Column heights of the border strip cut by the motif's rapidities."""
-    cuts = (0, *motif.rapidities(), motif.sites)
-    return tuple(b - a for a, b in pairwise(cuts))
-
-
-def motif_of_strip(columns) -> Motif:
-    """Inverse of strip_of_motif."""
-    cols = tuple(columns)
-    if not cols or any(k < 1 for k in cols):
-        raise ValueError(f"column heights must be positive, got {cols!r}")
-    n_sites = sum(cols)
-    word = 0
-    pos = 0
-    for k in cols[:-1]:
-        pos += k
-        word |= 1 << (n_sites - 1 - pos)
-    return Motif(word, n_sites)
 
 
 def dual_spins(spins) -> tuple[int, ...]:

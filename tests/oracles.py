@@ -24,8 +24,25 @@ in `motifspectra` computes another way:
   against the numpy record builder of `partition.dump_terms`;
 * `emitted_by_row` prints a CLI table one row at a time, and `json.dump`s
   it to the stream, against the block writer of `cli._emit`;
-* `fiber_rows` lists `tableau --sites` rows from `Motif` bit tuples,
-  against the rows formatted straight from the fiber-table words.
+* `fiber_rows` lists `tableau --sites` rows from each motif's bits,
+  against the rows formatted straight from the fiber-table words;
+* `enumerate_motifs` builds one `Motif` per word of the enumeration sweep,
+  and `listed_rows` the `motifs --list` rows from them, against the rows
+  formatted straight from the sweep's words;
+* `energy` sums eps over a motif's rapidities, and `ground_state_energy`
+  over every rapidity, against the integer bands of the exact kernels;
+* `reflected` maps the exponents e of a level polynomial to pivot - e, for
+  the duality between a context and its conjugate;
+* `half` lists a motif's symmetrized half entries d_i + d_{N-i}, against
+  the keys of `motif.count_half_by_enumeration`;
+* `strip_of_motif` and `motif_of_strip` map a motif to the column heights
+  of its border strip and back, against `tableau.tableau_lines`;
+* `haldane_weight` counts k-particle states at exclusion statistics g,
+  against the two-state weights of `anyon.motif_weights`;
+* `binet` evaluates order-m Fibonacci numbers from the characteristic
+  roots, against `fibnum.fib`, and `translational_growth_ratio` the
+  two-state per-site ratio of the translational over the generic bound,
+  against the quotient of the two asymptotic floors in `fibnum`.
 """
 
 from __future__ import annotations
@@ -37,15 +54,129 @@ import math
 import struct
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from motifspectra import __version__, cli, spectrum, tableau
+from motifspectra import __version__, cli, fibnum, spectrum, tableau
 from motifspectra import motif as _motif
 from motifspectra.motif import Motif
 from motifspectra.partition import QPolynomial
 from motifspectra.spectrum import FIDispersion, SymbolicAlphaDispersion
+
+
+def enumerate_motifs(N: int, m: int, n: int) -> Iterator[Motif]:
+    """Valid motifs in lexicographic bit order."""
+    for block in _motif._valid_word_blocks(N, m, n):
+        for word in block.tolist():
+            yield Motif(word, N)
+
+
+def _bits(mot: Motif) -> tuple[int, ...]:
+    """(d_1, ..., d_{N-1}); d_i sits at bit N - 1 - i of the word."""
+    return tuple((mot.word >> (mot.sites - 1 - i)) & 1 for i in range(1, mot.sites))
+
+
+def listed_rows(N: int, m: int, n: int) -> list[tuple]:
+    """`motifs --list` rows: index, bits, ones and rapidities of each `Motif`."""
+    return [
+        (k, str(mot), mot.word.bit_count(), cli._joined(mot.rapidities()))
+        for k, mot in enumerate(enumerate_motifs(N, m, n))
+    ]
+
+
+def energy(motif: Motif, disp) -> int | Fraction | float | tuple[int, int]:
+    """Sum of eps over the motif's rapidities; symbolic alpha sums (E0, E1) pairs."""
+    if motif.sites != disp.sites:
+        raise ValueError(f"motif has {motif.sites} sites, dispersion {disp.sites}")
+    if isinstance(disp, SymbolicAlphaDispersion):
+        e0 = e1 = 0
+        for j in motif.rapidities():
+            e0 += j
+            e1 += j * (j - 1)
+        return (e0, e1)
+    total = 0
+    for j in motif.rapidities():
+        total += disp.eps(j)
+    return total
+
+
+def ground_state_energy(disp) -> int | Fraction | float | tuple[int, int]:
+    """Energy of the all-ones motif: the reflection pivot between dual contexts."""
+    return energy(Motif((1 << (disp.sites - 1)) - 1, disp.sites), disp)
+
+
+def reflected(qp: QPolynomial, pivot) -> QPolynomial:
+    """Exponent reflection e -> pivot - e (pivot in scaled units)."""
+    if isinstance(pivot, tuple):
+        flipped = {tuple(p - x for p, x in zip(pivot, e)): c for e, c in qp.terms.items()}
+    else:
+        flipped = {pivot - e: c for e, c in qp.terms.items()}
+    return QPolynomial(flipped, qp.scale)
+
+
+def half(mot: Motif) -> tuple[int, ...]:
+    """Symmetrized half of a motif: entries d_i + d_{N-i}, middle bit kept for even N."""
+    bits, N = (0, *_bits(mot)), mot.sites
+    entries = [bits[i] + bits[N - i] for i in range(1, (N - 1) // 2 + 1)]
+    if N % 2 == 0:
+        entries.append(bits[N // 2])
+    return tuple(entries)
+
+
+def strip_of_motif(motif: Motif) -> tuple[int, ...]:
+    """Column heights of the border strip cut by the motif's rapidities."""
+    cuts = (0, *motif.rapidities(), motif.sites)
+    return tuple(b - a for a, b in itertools.pairwise(cuts))
+
+
+def motif_of_strip(columns) -> Motif:
+    """Inverse of strip_of_motif."""
+    cols = tuple(columns)
+    if not cols or any(k < 1 for k in cols):
+        raise ValueError(f"column heights must be positive, got {cols!r}")
+    n_sites = sum(cols)
+    word = 0
+    pos = 0
+    for k in cols[:-1]:
+        pos += k
+        word |= 1 << (n_sites - 1 - pos)
+    return Motif(word, n_sites)
+
+
+def haldane_weight(orbitals: int, k: int, g: Fraction | int) -> int:
+    """Number of k-particle states in `orbitals` orbitals at statistics g.
+
+    This is the binomial C(orbitals - (g - 1)(k - 1), k); the top argument
+    must come out integral, and a negative top means no states.
+    """
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    if k == 0:
+        return 1
+    top = Fraction(orbitals) - Fraction(g) * (k - 1) + (k - 1)
+    if top.denominator != 1:
+        raise ValueError(f"non-integral binomial argument {top} for g = {g}, k = {k}")
+    t = int(top)
+    if t < 0:
+        return 0
+    return math.comb(t, k) if t >= k else 0
+
+
+def binet(m: int, n: int) -> float:
+    """Closed-form order-m Fibonacci value from the characteristic roots."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    total = 0j
+    for z in fibnum.characteristic_roots(m).roots:
+        total += (z - 1) / ((m + 1) * z - 2 * m) * z ** (n - m + 1)
+    return total.real
+
+
+def translational_growth_ratio() -> float:
+    """Per-site growth of the translational over the generic minimum bound."""
+    tc = fibnum.su2_translational_constants()
+    return 2 / ((math.sqrt(5) - 1) * math.sqrt(tc.root))
 
 
 def enumerated_partition(N: int, m: int, n: int, disp) -> QPolynomial:
@@ -61,7 +192,7 @@ def enumerated_partition(N: int, m: int, n: int, disp) -> QPolynomial:
     scale = disp.alpha.denominator if isinstance(disp, spectrum.FIDispersion) else 1
     terms: dict = {}
     for word, dim in tableau._fiber_cache(N, m, n).items():
-        e = spectrum.energy(Motif(word, N), disp)
+        e = energy(Motif(word, N), disp)
         if isinstance(e, tuple):
             key: object = e
         else:
@@ -223,6 +354,6 @@ def emitted_by_row(args, columns: list[str], rows: list[tuple]) -> None:
 
 
 def fiber_rows(N: int, m: int, n: int) -> list[tuple[str, int]]:
-    """`tableau --sites` rows: each motif's bits, from its `Motif`, and its fiber dimension."""
+    """`tableau --sites` rows: each motif's bits, one by one, and its fiber dimension."""
     table = tableau.fiber_sizes(N, m, n)
-    return [("".join(map(str, Motif(w, N).bits)), table[w]) for w in sorted(table)]
+    return [("".join(map(str, _bits(Motif(w, N)))), table[w]) for w in sorted(table)]

@@ -12,29 +12,28 @@ from motifspectra import anyon, fibnum, motif
 
 def test_haldane_weight_limits():
     # g = 1 is Fermi counting, g = 0 is Bose counting
-    assert anyon.haldane_weight(5, 2, 1) == math.comb(5, 2)
-    assert anyon.haldane_weight(5, 2, 0) == math.comb(6, 2)
-    assert anyon.haldane_weight(7, 0, 3) == 1
+    assert oracles.haldane_weight(5, 2, 1) == math.comb(5, 2)
+    assert oracles.haldane_weight(5, 2, 0) == math.comb(6, 2)
+    assert oracles.haldane_weight(7, 0, 3) == 1
     # semionic g needs an even orbital correction to stay integral
-    assert anyon.haldane_weight(5, 3, Fraction(1, 2)) == math.comb(6, 3)
+    assert oracles.haldane_weight(5, 3, Fraction(1, 2)) == math.comb(6, 3)
     with pytest.raises(ValueError):
-        anyon.haldane_weight(5, 2, Fraction(1, 2))
+        oracles.haldane_weight(5, 2, Fraction(1, 2))
 
 
 def test_haldane_weight_exhaustion():
     # at g = 2 the orbitals run out beyond k = (orbitals + 1) // 2
-    assert anyon.haldane_weight(4, 2, 2) == 3
-    assert anyon.haldane_weight(4, 3, 2) == 0
-    assert anyon.haldane_weight(3, 4, 2) == 0
+    assert oracles.haldane_weight(4, 2, 2) == 3
+    assert oracles.haldane_weight(4, 3, 2) == 0
+    assert oracles.haldane_weight(3, 4, 2) == 0
 
 
 def test_motif_weights_small():
     assert anyon.motif_weights(5, 2).weights == (1, 4, 3)
     assert anyon.motif_weights(4, 3).weights == (1, 3, 3)
     table = anyon.motif_weights(6, 2)
-    assert table.weight(3) == 1
-    assert table.weight(99) == 0
-    assert table.kmax() == 3
+    assert table.weights[3] == 1
+    assert len(table.weights) == 4
 
 
 def test_order_two_weights_are_binomials():
@@ -42,16 +41,16 @@ def test_order_two_weights_are_binomials():
         table = anyon.motif_weights(N, 2)
         for k, w in enumerate(table.weights):
             assert w == math.comb(N - k, k)
-        assert table.kmax() == N // 2
+        assert len(table.weights) - 1 == N // 2
         # and they agree with Haldane counting at g = 2 on N - 1 orbitals
-        for k in range(2, table.kmax() + 1):
-            assert anyon.haldane_weight(N - 1, k, 2) == table.weight(k)
+        for k in range(2, len(table.weights)):
+            assert oracles.haldane_weight(N - 1, k, 2) == table.weights[k]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_weights_match_enumeration_histogram(m):
     for N in range(2, 15):
-        hist = Counter(mt.ones() for mt in motif.enumerate_motifs(N, m, 0))
+        hist = Counter(mt.word.bit_count() for mt in oracles.enumerate_motifs(N, m, 0))
         table = anyon.motif_weights(N, m)
         assert dict(hist) == {k: w for k, w in enumerate(table.weights) if w}
 
@@ -67,8 +66,9 @@ def test_weights_match_profile_sum():
     for m in range(2, 7):
         for N in range(1, 41):
             table = anyon.motif_weights(N, m)
-            for k in range(N + 1):
-                assert table.weight(k) == oracles.profile_weight(N, m, k)
+            # no motif has more ones than the table lists
+            padded = list(table.weights) + [0] * (N + 1 - len(table.weights))
+            assert padded == [oracles.profile_weight(N, m, k) for k in range(N + 1)]
 
 
 def test_total_matches_motif_count():

@@ -76,6 +76,15 @@ def test_motifs_list():
     assert len(lines) == 6
 
 
+def test_motifs_list_rows_match_per_motif_rows():
+    # one site lists the lone empty motif, with empty bits and rapidities
+    for sites, (m, n) in [(1, (2, 0)), (9, (2, 0)), (9, (0, 3)), (1, (1, 1)), (9, (1, 1))]:
+        code, out, _ = run_cli("motifs", "--sites", str(sites), "--m", str(m), "--n", str(n), "--list")
+        assert code == 0
+        rows = oracles.listed_rows(sites, m, n)
+        assert out == "index,bits,ones,rapidities\n" + "".join(",".join(map(cli._cell, r)) + "\n" for r in rows)
+
+
 def test_tableau_spins_row():
     code, out, _ = run_cli("tableau", "--spins=-3,1,1,0,-2,-1,-1", "--m", "3", "--n", "3")
     assert code == 0
@@ -194,6 +203,27 @@ def test_partition_dump_round_trip(tmp_path):
     with open(target, "rb") as fh:
         qp = partition.load_terms(fh)
     assert qp.terms == partition.hs_partition(12).terms
+
+
+def test_partition_rows_are_the_su02_level_set():
+    # from N = 3 on, no (0, 2) motif is all 0s: only N <= 2 has the zero exponent
+    for sites in (12, 9, 2):
+        for flags, qp in (
+            (("--chain", "hs"), partition.hs_partition(sites)),
+            (("--chain", "fi", "--alpha", "5/2"), partition.fi_partition(sites, Fraction(5, 2))),
+        ):
+            flags = (*flags, "--sites", str(sites))
+            code, out, _ = run_cli("partition", *flags)
+            assert code == 0
+            # the rows as the level polynomial gave them: exponent over scale, coefficient
+            rows = [(str(Fraction(e, qp.scale)), c) for e, c in qp.sorted_terms()]
+            assert (rows[0][0] == "0") == (sites == 2)
+            assert out == "energy,degeneracy\n" + "".join(f"{e},{c}\n" for e, c in rows)
+            code, levels, _ = run_cli("spectrum", *flags, "--m", "0", "--n", "2", "--levels")
+            assert code == 0 and levels == out
+            code, out, _ = run_cli("partition", *flags, "--format", "json")
+            assert code == 0
+            assert json.loads(out)["rows"] == [{"energy": e, "degeneracy": c} for e, c in rows]
 
 
 def test_partition_levels_only():

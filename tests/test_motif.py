@@ -14,23 +14,32 @@ import oracles
 from motifspectra import fibnum, motif, spectrum
 
 
+def _is_valid(bits, m, n):
+    return motif.is_valid_word(motif.Motif.from_bits(bits).word, len(bits), m, n)
+
+
 def test_validity_examples():
-    assert motif.is_valid((1, 0, 1), 2, 0)
-    assert not motif.is_valid((1, 1, 0), 2, 0)
-    assert motif.is_valid((1, 1, 0), 3, 0)
-    assert not motif.is_valid((1, 1, 1), 3, 0)
+    assert _is_valid((1, 0, 1), 2, 0)
+    assert not _is_valid((1, 1, 0), 2, 0)
+    assert _is_valid((1, 1, 0), 3, 0)
+    assert not _is_valid((1, 1, 1), 3, 0)
     # the zero-run rule is the mirror constraint
-    assert not motif.is_valid((0, 0, 1), 0, 2)
-    assert motif.is_valid((0, 1, 0), 0, 3)
+    assert not _is_valid((0, 0, 1), 0, 2)
+    assert _is_valid((0, 1, 0), 0, 3)
     # mixed contexts accept everything
-    assert motif.is_valid((1, 1, 1, 0, 0, 0), 1, 1)
+    assert _is_valid((1, 1, 1, 0, 0, 0), 1, 1)
 
 
 def test_validity_matches_word_form():
-    for bits in product((0, 1), repeat=6):
-        mot = motif.Motif.from_bits(bits)
-        for m, n in ((2, 0), (3, 0), (0, 2), (0, 4), (1, 1), (2, 1)):
-            assert mot.is_valid_for(m, n) == motif.is_valid(bits, m, n)
+    words = np.arange(64, dtype=np.uint32)
+    for m, n in ((2, 0), (3, 0), (0, 2), (0, 4), (1, 1), (2, 1)):
+        on_array = np.broadcast_to(motif.is_valid_word(words, 6, m, n), words.shape).tolist()
+        for bits in product((0, 1), repeat=6):
+            text = "".join(map(str, bits))
+            # no run of m 1s, or of n 0s, in a pure context
+            want = bool(m and n) or ("1" * m not in text if m else "0" * n not in text)
+            word = motif.Motif.from_bits(bits).word
+            assert motif.is_valid_word(word, 6, m, n) == on_array[word] == want, (text, m, n)
 
 
 def test_motif_accessors():
@@ -39,26 +48,25 @@ def test_motif_accessors():
     assert mot.length == 6
     assert str(mot) == "001101"
     assert mot.rapidities() == (3, 4, 6)
-    assert mot.ones() == 3
-    assert mot.bit(3) == 1 and mot.bit(5) == 0
+    assert mot.word.bit_count() == 3
     assert str(mot.complement()) == "110010"
-    assert str(mot.reversed()) == "101100"
 
 
 def test_str_lists_the_bits():
     for N in range(1, 13):
         for word in range(1 << (N - 1)):
             mot = motif.Motif(word, N)
-            assert str(mot) == "".join(map(str, mot.bits))
+            ones = set(mot.rapidities())
+            assert str(mot) == "".join("1" if i in ones else "0" for i in range(1, N))
 
 
 def test_enumeration_is_lexicographic():
-    mots = list(motif.enumerate_motifs(6, 2, 0))
+    mots = list(oracles.enumerate_motifs(6, 2, 0))
     words = [mt.word for mt in mots]
     assert words == sorted(words)
-    bit_rows = [mt.bits for mt in mots]
+    bit_rows = [str(mt) for mt in mots]
     assert bit_rows == sorted(bit_rows)
-    assert all(mt.is_valid_for(2, 0) for mt in mots)
+    assert all(motif.is_valid_word(mt.word, mt.length, 2, 0) for mt in mots)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -90,27 +98,23 @@ def test_bad_context_rejected():
 
 def test_dual_is_involution_and_bijection():
     for N in range(2, 15):
-        valid_m = {mt.word for mt in motif.enumerate_motifs(N, 2, 0)}
-        valid_n = {mt.word for mt in motif.enumerate_motifs(N, 0, 2)}
+        valid_m = {mt.word for mt in oracles.enumerate_motifs(N, 2, 0)}
+        valid_n = {mt.word for mt in oracles.enumerate_motifs(N, 0, 2)}
         assert len(valid_m) == len(valid_n)
         image = set()
         for word in valid_m:
             mt = motif.Motif(word, N)
-            dd = motif.dual(motif.dual(mt))
+            dd = mt.complement().complement()
             assert dd == mt
-            image.add(motif.dual(mt).word)
+            image.add(mt.complement().word)
         assert image == valid_n
 
 
 def test_half_entries():
     mot = motif.Motif.from_bits((1, 0, 0, 1, 0, 1))  # N = 7, pairs (d1,d6) (d2,d5) (d3,d4)
-    h = motif.half(mot)
-    assert h.entries == (2, 0, 1)
-    assert h.sites == 7
+    assert oracles.half(mot) == (2, 0, 1)
     even = motif.Motif.from_bits((1, 0, 1, 0, 0))  # N = 6, middle d3 kept
-    he = motif.half(even)
-    assert he.entries == (1, 0, 1)
-    assert he.parity == 0
+    assert oracles.half(even) == (1, 0, 1)
 
 
 def _unconstrained_pair_vectors(r):
@@ -220,7 +224,7 @@ def test_word_blocks_do_not_depend_on_block_size(context, N, block):
     words = np.concatenate(blocks).tolist()
     assert words == sorted(words)
     assert words == [w for w in range(1 << length) if motif.is_valid_word(w, length, m, n)]
-    assert half_count == len({motif.half(motif.Motif(w, N)).entries for w in words})
+    assert half_count == len({oracles.half(motif.Motif(w, N)) for w in words})
 
 
 def test_enumeration_blocks_stay_small():
@@ -236,12 +240,12 @@ def test_enumeration_blocks_stay_small():
 def test_every_enumeration_has_one_cap():
     # 2^26 candidate words (N = 27) are admitted: the first block comes back
     assert next(motif._valid_word_blocks(27, 2, 0))[:3].tolist() == [0, 1, 2]
-    assert str(next(motif.enumerate_motifs(27, 1, 1))) == "0" * 26
+    assert str(next(oracles.enumerate_motifs(27, 1, 1))) == "0" * 26
     # 2^27 are refused, before any block is made
     table = tuple(float(j) for j in range(1, 28))
     for sweep in (
         lambda: motif.count_by_enumeration(28, 2, 0),
-        lambda: list(motif.enumerate_motifs(28, 0, 3)),
+        lambda: list(oracles.enumerate_motifs(28, 0, 3)),
         lambda: motif.count_half_by_enumeration(28, 1, 1),
         lambda: spectrum.level_count_by_enumeration(28, 1, 1, spectrum.NumericDispersion(28, table)),
     ):

@@ -1,0 +1,85 @@
+"""Every public name of `src/` and `bench/` has a caller there.
+
+A module's `__all__` name counts as used when some module of `src/` or
+`bench/` reads it: by name in its own module, outside its definition, or
+through an import of it or an attribute of its module.  Reads made inside
+a public definition count only once that definition is used.  A name that
+only the tests read belongs in `tests/oracles.py`, or nowhere.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = "motifspectra"
+
+
+def _modules() -> dict[str, ast.Module]:
+    """Parsed modules by dotted name; the package's own `__init__` is `motifspectra`."""
+    out = {}
+    for path in sorted((ROOT / "src" / PACKAGE).glob("*.py")):
+        name = PACKAGE if path.stem == "__init__" else f"{PACKAGE}.{path.stem}"
+        out[name] = ast.parse(path.read_text(), str(path))
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        out[f"bench.{path.stem}"] = ast.parse(path.read_text(), str(path))
+    return out
+
+
+def _exported(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _source(module: str, node: ast.ImportFrom) -> str:
+    """Dotted name of the module that `node` imports from."""
+    if not node.level:
+        return node.module
+    base = module if module == PACKAGE else module.rsplit(".", 1)[0]
+    return f"{base}.{node.module}" if node.module else base
+
+
+def _references(module: str, tree: ast.Module) -> dict[str | None, set[tuple[str, str]]]:
+    """(module, name) pairs that `tree` reads, by the top-level definition that reads them.
+
+    Module-level code reads under None; a definition's reads of its own name
+    are left out.
+    """
+    aliases = {}  # local name -> module it stands for
+    found: dict[str | None, set[tuple[str, str]]] = {None: set()}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            source = _source(module, node)
+            for alias in node.names:
+                found[None].add((source, alias.name))
+                aliases[alias.asname or alias.name] = f"{source}.{alias.name}"
+    scopes = [(tree, None)]
+    while scopes:
+        node, owner = scopes.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and owner is None:
+                found.setdefault(child.name, set())
+                scopes.append((child, child.name))
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) and child.id != owner:
+                found[owner].add((module, child.id))
+            if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
+                found[owner].add((aliases.get(child.value.id, child.value.id), child.attr))
+            scopes.append((child, owner))
+    return found
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    modules = _modules()
+    exported = {(module, name) for module, tree in modules.items() for name in _exported(tree)}
+    reads = {(module, owner): r for module, tree in modules.items() for owner, r in _references(module, tree).items()}
+    # a public name that nothing uses lends its own reads no weight: iterate to the fixed point
+    used: set[tuple[str, str]] = set()
+    while True:
+        now = set().union(*(r for key, r in reads.items() if key not in exported or key in used))
+        if now == used:
+            break
+        used = now
+    unused = sorted(f"{module}.{name}" for module, name in exported - used)
+    assert not unused, f"public names that only the tests use: {unused}"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import oracles
 from motifspectra import motif, tableau
 from motifspectra.motif import InfeasibleSizeError
 
@@ -17,7 +18,7 @@ def test_worked_example():
     mot = tableau.motif_of_spins(spins, 3, 3)
     assert str(mot) == "001101"
     assert mot.rapidities() == (3, 4, 6)
-    assert tableau.strip_of_motif(mot) == (3, 1, 2, 1)
+    assert oracles.strip_of_motif(mot) == (3, 1, 2, 1)
     assert tableau.dual_spins(spins) == (2, -2, -2, -1, 1, 0, 0)
 
 
@@ -41,11 +42,11 @@ def test_validate_spins_range():
 
 def test_strip_round_trip():
     for N in range(2, 9):
-        for mot in motif.enumerate_motifs(N, 1, 1):
-            strip = tableau.strip_of_motif(mot)
+        for mot in oracles.enumerate_motifs(N, 1, 1):
+            strip = oracles.strip_of_motif(mot)
             assert sum(strip) == N
             assert all(k >= 1 for k in strip)
-            assert tableau.motif_of_strip(strip) == mot
+            assert oracles.motif_of_strip(strip) == mot
 
 
 @st.composite
@@ -57,15 +58,15 @@ def motifs(draw):
 
 @given(motifs())
 def test_strip_round_trip_random(mot):
-    strip = tableau.strip_of_motif(mot)
+    strip = oracles.strip_of_motif(mot)
     assert sum(strip) == mot.sites
-    assert len(strip) == mot.ones() + 1
-    assert tableau.motif_of_strip(strip) == mot
+    assert len(strip) == len(mot.rapidities()) + 1
+    assert oracles.motif_of_strip(strip) == mot
 
 
 @given(st.lists(st.integers(1, 6), min_size=1, max_size=12))
 def test_motif_of_strip_round_trip_random(columns):
-    assert tableau.strip_of_motif(tableau.motif_of_strip(columns)) == tuple(columns)
+    assert oracles.strip_of_motif(oracles.motif_of_strip(columns)) == tuple(columns)
 
 
 @st.composite
@@ -83,8 +84,9 @@ def test_dual_spins_involution_conjugates_motif(case):
     dual = tableau.dual_spins(spins)
     assert tableau.dual_spins(dual) == spins
     mot = tableau.motif_of_spins(spins, m, n)
-    assert tableau.motif_of_spins(dual, n, m) == motif.dual(mot)
-    assert mot.is_valid_for(m, n) and motif.dual(mot).is_valid_for(n, m)
+    assert tableau.motif_of_spins(dual, n, m) == mot.complement()
+    length = len(spins) - 1
+    assert motif.is_valid_word(mot.word, length, m, n) and motif.is_valid_word(mot.complement().word, length, n, m)
 
 
 def test_dual_spins_is_involution():
@@ -98,7 +100,7 @@ def test_dual_spins_dualizes_motif(m, n):
         for spins in product(range(-n, m), repeat=N):
             mot = tableau.motif_of_spins(spins, m, n)
             dmot = tableau.motif_of_spins(tableau.dual_spins(spins), n, m)
-            assert dmot == motif.dual(mot)
+            assert dmot == mot.complement()
 
 
 @pytest.mark.parametrize("m,n", CONTEXTS)
@@ -107,7 +109,7 @@ def test_fiber_dimensions_sum_to_state_count(m, n):
         sizes = tableau.fiber_sizes(N, m, n)
         assert sum(sizes.values()) == (m + n) ** N
         # `tableau --sites` lists the table in place of the valid motifs
-        assert sorted(sizes) == [mot.word for mot in motif.enumerate_motifs(N, m, n)]
+        assert sorted(sizes) == [mot.word for mot in oracles.enumerate_motifs(N, m, n)]
         assert 0 not in sizes.values()
 
 
@@ -125,16 +127,16 @@ def test_fiber_sizes_against_direct_count(m, n, N):
 
 def test_invalid_motif_has_empty_fiber():
     bad = motif.Motif.from_bits((1, 1, 0))
-    assert not bad.is_valid_for(2, 0)
+    assert not motif.is_valid_word(bad.word, bad.length, 2, 0)
     assert tableau.module_dimension(bad, 2, 0) == 0
 
 
 def test_dimension_duality():
     for m, n in ((2, 0), (2, 1), (1, 1)):
         for N in (3, 5, 6):
-            for mot in motif.enumerate_motifs(N, m, n):
+            for mot in oracles.enumerate_motifs(N, m, n):
                 d1 = tableau.module_dimension(mot, m, n)
-                d2 = tableau.module_dimension(motif.dual(mot), n, m)
+                d2 = tableau.module_dimension(mot.complement(), n, m)
                 assert d1 == d2
 
 
@@ -162,3 +164,7 @@ def test_tableau_lines_cover_all_spins():
     assert len(lines) == 4  # rows of the strip with column lengths (3,1,2,1)
     tokens = " ".join(lines).split()
     assert sorted(tokens) == sorted(str(s) for s in spins)
+    # the columns, drawn right to left, are the strip cut by the motif's rapidities
+    width = len(lines[0])
+    heights = [sum(bool(line.ljust(width)[k : k + 4].strip()) for line in lines) for k in range(0, width, 4)]
+    assert heights[::-1] == list(oracles.strip_of_motif(tableau.motif_of_spins(spins, 3, 3)))
