@@ -94,9 +94,6 @@ class Motif:
         length = self.length
         return tuple(i for i in range(1, length + 1) if (self.word >> (length - i)) & 1)
 
-    def complement(self) -> "Motif":
-        return Motif(self.word ^ ((1 << self.length) - 1), self.sites)
-
     def __str__(self) -> str:
         return bit_strings((self.word,), self.length)[0]
 

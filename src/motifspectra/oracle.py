@@ -11,16 +11,19 @@ commutes with H as well and splits every occupation sector into momentum
 blocks.  Relabeling the local states within the bosons, or within the
 fermions, keeps every graded sign, so sectors that are relabelings of each
 other share their spectrum, momentum by momentum: one sector per
-relabeling orbit is built, and each of its occupation × momentum blocks is
-assembled and diagonalized on its own.  Its spectrum, repeated once per
-sector and conjugate momentum it stands for, joins the union of the block
-spectra that every closed-form level set is checked against.  Counting the
-distinct levels of an su(m|0) chain needs only the most balanced sector.
+relabeling orbit is built.  Its occupation × momentum blocks are assembled
+together, one vectorized pass per chunk of site pairs, and blocks of equal
+side and dtype are diagonalized together in checked stacks.  Each block's
+spectrum, repeated once per sector and conjugate momentum it stands for,
+joins the union of the block spectra that every closed-form level set is
+checked against.  Counting the distinct levels of an su(m|0) chain needs
+only the most balanced sector.
 
 The coupling kinds: trigonometric (hs), rational through oscillator nodes
 (pf), hyperbolic through log-scaled Laguerre nodes (fi), and the elliptic
 family interpolating between them (k^2 -> 0 degenerates to hs entrywise).
-Each kind is one pair function J(i, j) filled over the pairs i < j.  The
+Each kind is one pair function J(i, j), filled over the pairs i < j, or for
+hs and elliptic chains over the N - 1 distances j - i.  The
 elliptic functions K and sn read one AGM sequence, `_agm`, with one
 stopping rule; the quadrature nodes are eigenvalues of one tridiagonal
 recurrence matrix at every N.
@@ -62,6 +65,10 @@ DIMENSION_CAP = 20000
 # relative residual of the trace and Frobenius checks in eigenvalues
 _INVARIANT_TOL = 1e-8
 _KINDS = ("hs", "pf", "fi", "elliptic")
+# site pairs whose matrix elements one assembly pass computes and adds
+_PAIR_CHUNK = 32
+# matrix entries of one stack of equal-sized blocks that one eigensolve takes
+_STACK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -154,7 +161,11 @@ def laguerre_zeros(N: int, a: float) -> np.ndarray:
 
 
 def coupling_matrix(chain: ChainSpec) -> np.ndarray:
-    """Symmetric J_ij matrix of the chain, zero diagonal."""
+    """Symmetric J_ij matrix of the chain, zero diagonal.
+
+    hs and elliptic couplings depend on i - j alone, so their pair function
+    is evaluated once per distance, at (0, d), and spread over the matrix.
+    """
     N = chain.sites
     if chain.kind == "hs":
         pair = lambda i, j: 0.5 / math.sin(math.pi * (i - j) / N) ** 2
@@ -168,6 +179,9 @@ def coupling_matrix(chain: ChainSpec) -> np.ndarray:
         k = math.sqrt(chain.ksq)
         bigk = elliptic_K(k)
         pair = lambda i, j: 0.5 / jacobi_sn(2 * (i - j) * bigk / N, k) ** 2
+    if chain.kind in ("hs", "elliptic"):
+        h = np.array([0.0] + [pair(0, d) for d in range(1, N)])
+        return h[np.abs(np.subtract.outer(np.arange(N), np.arange(N)))]
     J = np.zeros((N, N))
     for i, j in itertools.combinations(range(N), 2):
         J[i, j] = pair(i, j)
@@ -190,23 +204,25 @@ def _check_size(N: int, base: int, G: int) -> None:
     this order so that the second needs only small integers once the first
     has passed:
 
-    * steps: assembly makes one vectorized pass per site pair, N(N-1)/2, and
-      diagonalization one eigensolve per (occupation sector, momentum q <= G/2)
-      block, at most C(N + base - 1, N) (G//2 + 1); together at most `budget`;
+    * steps: the site pairs, N(N-1)/2, which assembly visits in passes of
+      `_PAIR_CHUNK` pairs, and the (occupation sector, momentum q <= G/2)
+      blocks, at most C(N + base - 1, N) (G//2 + 1), which are solved in
+      stacks of equal side; together at most `budget`;
     * words: the orbit sweep, which holds all G shifts of every state at
       once, takes at most 3G + N + 12 int64 words per state ((m+n)^N
-      states), the representatives 5N + 16 words each (R orbits in
-      all), the block layouts and one site pair's matrix elements 16 words
-      per representative and momentum, R (G//2 + 1), and the couplings N^2;
-      the blocks at most G O_s^2 words per sector s with O_s orbits, since a
-      block of one q has at most O_s rows and the q <= G/2 blocks, complex
-      ones counting twice, number G; together at most budget^2.  O_s comes
-      from Burnside's lemma: T^k fixes the states that repeat with period
-      gcd(k, N).  The words bound also keeps the largest block's side below
-      `budget`.
+      states), the representatives 5N + 16 words each (R orbits in all),
+      the block layouts 16 words per representative and momentum,
+      R (G//2 + 1), one pass's matrix elements 16 words per representative,
+      momentum and site pair of the pass, R (G//2 + 1) min(`_PAIR_CHUNK`,
+      N(N-1)/2), and the couplings N^2; the blocks at most G O_s^2 words per
+      sector s with O_s orbits, since a block of one q has at most O_s rows
+      and the q <= G/2 blocks, complex ones counting twice, number G;
+      together at most budget^2.  O_s comes from Burnside's lemma: T^k fixes
+      the states that repeat with period gcd(k, N).  The words bound also
+      keeps the largest block's side below `budget`.
 
-    Checking and diagonalizing a block adds a few transient copies of that
-    one block.
+    Checking and diagonalizing adds a few transient copies of one stack of
+    blocks, at most `_STACK_ENTRIES` entries or one block.
     """
     budget = DIMENSION_CAP
     pairs = N * (N - 1) // 2
@@ -224,7 +240,9 @@ def _check_size(N: int, base: int, G: int) -> None:
         orbits += fixed // G
         blocks += G * (fixed // G) ** 2
     words = budget**2
-    arrays = base**N * (3 * G + N + 12) + orbits * (5 * N + 16) + orbits * (G // 2 + 1) * 16 + N * N
+    # the block layouts, and one pass's matrix elements, per representative and momentum
+    elements = orbits * (G // 2 + 1) * 16 * (1 + min(_PAIR_CHUNK, pairs))
+    arrays = base**N * (3 * G + N + 12) + orbits * (5 * N + 16) + elements + N * N
     if arrays > words:
         raise InfeasibleSizeError(f"state and orbit arrays take more than {words} words")
     if arrays + blocks > words:
@@ -299,6 +317,11 @@ def build_hamiltonian(chain: ChainSpec, *, _balanced: bool = False) -> list[tupl
     ascend; empty blocks are left out.  pf and fi chains (G = 1) get one
     real block per built sector.
 
+    Assembly visits the site pairs in passes of `_PAIR_CHUNK`: each pass
+    computes the elements of its pairs for every representative and
+    momentum at once and adds them to the blocks in pair order, so every
+    block is the same double for double at any chunk size.
+
     With `_balanced`, for n = 0 only, just the most balanced sector is
     built: occupations ceil(N/m) ... floor(N/m), not increasing.  Every
     su(m) irrep has a positive Kostka number at that weight, so its blocks
@@ -365,15 +388,17 @@ def build_hamiltonian(chain: ChainSpec, *, _balanced: bool = False) -> list[tupl
                 if z
             ]
     blocks = [pair for q in sorted(by_q) for pair in by_q[q]]
-    # one vectorized pass per site pair adds its elements to every block
+    # one vectorized pass per chunk of site pairs adds their elements to every block
     digits = digits.T.copy()
     if n and m:
         ferm = digits < n
         prefix = np.cumsum(ferm, axis=0)
     root = np.sqrt(period)
-    for i, j in itertools.combinations(range(N), 2):
+    first, second = np.triu_indices(N, 1)
+    for lo in range(0, first.size, _PAIR_CHUNK):
+        i, j = first[lo : lo + _PAIR_CHUNK], second[lo : lo + _PAIR_CHUNK]
         di, dj = digits[i], digits[j]
-        swapped = reps + (dj - di) * powers[i] + (di - dj) * powers[j]
+        swapped = reps + (dj - di) * powers[i, None] + (di - dj) * powers[j, None]
         if n == 0:
             graded = 1.0
         elif m == 0:
@@ -384,21 +409,45 @@ def build_hamiltonian(chain: ChainSpec, *, _balanced: bool = False) -> list[tupl
             neg = (fi & fj) | ((fi ^ fj) & ((between & 1) == 1))
             graded = np.where(neg, -1.0, 1.0)
         row = where[swapped]
-        w = -J[i, j] * graded
+        w = -J[i, j, None] * graded
         if G > 1:
             w = w * sign[swapped] * root / root[row]
             d = back[swapped]
         for allowed, everywhere, head, local, phase, flat in layouts:
             at = np.take(head, row, axis=1)
-            at += local
+            at += local[:, None]
             # with G = 1 every phase is 1 and every orbit carries q = 0
             v = w * phase[:, d] if G > 1 else w
             if not everywhere:
-                keep = allowed[:, row] & allowed
+                keep = allowed[:, row] & allowed[:, None]
                 at, v = at[keep], v[keep]
-            # positions (row[r], r) of one pair and momentum are distinct
-            flat[at] += v
+            # np.add.at adds in index order, by momentum, then pair, then
+            # representative; a position belongs to one momentum, so it gets
+            # its elements in pair order whatever the chunk size
+            np.add.at(flat, at, v)
     return blocks
+
+
+def _block_spectra(pairs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Eigenvalues of (block, copies) pairs, one checked solve per stack of blocks.
+
+    Blocks of one side and dtype are stacked and solved together, at most
+    `_STACK_ENTRIES` matrix entries (or one block) to a stack.  Returns
+    (eigenvalues, copies) per stack: one row of eigenvalues, and one entry
+    of copies, per block.
+    """
+    groups: dict = {}
+    for block, copies in pairs:
+        groups.setdefault((block.shape[0], block.dtype), []).append((block, copies))
+    out = []
+    for (side, _), group in groups.items():
+        step = max(1, _STACK_ENTRIES // (side * side))
+        for k in range(0, len(group), step):
+            blocks, copies = zip(*group[k : k + step])
+            # a block alone is solved in place: a copy would add a whole large block to the peak
+            stack = blocks[0][None] if len(blocks) == 1 else np.stack(blocks)
+            out.append((eigenvalues(stack), np.array(copies)))
+    return out
 
 
 def chain_eigenvalues(chain: ChainSpec) -> np.ndarray:
@@ -406,12 +455,13 @@ def chain_eigenvalues(chain: ChainSpec) -> np.ndarray:
 
     Each built block's spectrum counts `copies` times (`build_hamiltonian`):
     once for itself and once for each relabeled sector and conjugate
-    momentum block it stands for.
+    momentum block it stands for.  Blocks of equal side and dtype are
+    solved as stacks (`_block_spectra`).
     """
     parts, states = [], 0
-    for block, copies in build_hamiltonian(chain):
-        parts.append(np.repeat(eigenvalues(block), copies))
-        states += copies * block.shape[0]
+    for lam, copies in _block_spectra(build_hamiltonian(chain)):
+        parts.append(np.repeat(lam, copies, axis=0).ravel())
+        states += int(copies.sum()) * lam.shape[1]
     if states != (chain.m + chain.n) ** chain.sites:
         raise AssertionError(f"blocks and their copies span {states} states, not (m+n)^N")
     return np.sort(np.concatenate(parts))
@@ -420,30 +470,34 @@ def chain_eigenvalues(chain: ChainSpec) -> np.ndarray:
 def eigenvalues(a: np.ndarray) -> np.ndarray:
     """All eigenvalues of a real symmetric or complex Hermitian matrix, ascending.
 
-    Cross-checked against the exact similarity invariants: the eigenvalue sum
-    must reproduce the (real) trace and the sum of squares the Frobenius
-    norm sum |a_ij|^2.  The checks read a and the eigenvalues divided by
-    max(1, max |a_ij|), so that no sum overflows; the eigensolve reads a.
+    `a` is one matrix (z, z) or a stack of them (..., z, z), and the result
+    has shape (z,) or (..., z).  Each matrix is cross-checked against the
+    exact similarity invariants: its eigenvalue sum must reproduce its
+    (real) trace and its sum of squares its Frobenius norm sum |a_ij|^2.
+    The checks read each matrix and its eigenvalues divided by that
+    matrix's own max(1, max |a_ij|), so that no sum overflows and a small
+    matrix is not judged at a large one's scale; the eigensolve reads a.
     """
     a = np.asarray(a) if np.iscomplexobj(a) else np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {a.shape}")
-    top = float(np.abs(a).max())
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"need a square matrix or a stack of them, got shape {a.shape}")
+    top = np.abs(a).max(axis=(-2, -1))
     # refused before the Hermitian check, whose inf - inf would warn
-    if not math.isfinite(top):
+    if not np.isfinite(top).all():
         raise ValueError("matrix is not finite")
-    unit = max(1.0, top)
-    b = a / unit
+    unit = np.maximum(1.0, top)
+    b = a / unit[..., None, None]
     # each check is written so that a nan fails it
-    if not float(np.abs(b - b.conj().T).max()) <= 1e-12:
+    if not (np.abs(b - b.conj().swapaxes(-2, -1)).max(axis=(-2, -1)) <= 1e-12).all():
         raise ValueError("matrix is not Hermitian")
-    # max(1, top n) / unit, without forming top n
-    scale = max(1.0 / unit, top / unit * a.shape[0])
+    # max(1, top z) / unit, without forming top z
+    scale = np.maximum(1.0 / unit, top / unit * a.shape[-1])
     lam = np.linalg.eigvalsh(a)
-    mu = lam / unit
-    if not abs(float(mu.sum()) - float(np.trace(b).real)) <= _INVARIANT_TOL * scale:
+    mu = lam / unit[..., None]
+    if not (abs(mu.sum(axis=-1) - np.trace(b, axis1=-2, axis2=-1).real) <= _INVARIANT_TOL * scale).all():
         raise AssertionError("eigenvalue sum does not reproduce the trace")
-    if not abs(float(mu @ mu) - float(np.vdot(b, b).real)) <= _INVARIANT_TOL * scale**2:
+    squares = np.einsum("...ij,...ij->...", b.conj(), b).real
+    if not (abs(np.einsum("...i,...i->...", mu, mu) - squares) <= _INVARIANT_TOL * scale**2).all():
         raise AssertionError("eigenvalue squares do not reproduce the Frobenius norm")
     return lam
 
@@ -521,11 +575,12 @@ def numeric_average_degeneracy(chain: ChainSpec) -> Fraction:
     """(m+n)^N over the number of distinct numerical levels.
 
     For n = 0 the levels are counted in the most balanced occupation sector
-    alone, which holds every one of them (`build_hamiltonian`).
+    alone, which holds every one of them (`build_hamiltonian`); its blocks
+    are solved in stacks of equal side, as in `chain_eigenvalues`.
     """
     if chain.n:
         values = chain_eigenvalues(chain)
     else:
-        values = np.concatenate([eigenvalues(block) for block, _ in build_hamiltonian(chain, _balanced=True)])
+        values = np.concatenate([lam.ravel() for lam, _ in _block_spectra(build_hamiltonian(chain, _balanced=True))])
     count = len(cluster_levels(values))
     return Fraction((chain.m + chain.n) ** chain.sites, count)

@@ -35,6 +35,9 @@ in `motifspectra` computes another way:
   the duality between a context and its conjugate;
 * `half` lists a motif's symmetrized half entries d_i + d_{N-i}, against
   the keys of `motif.count_half_by_enumeration`;
+* `complement` flips every bit of a motif, the duality between (m, n) and
+  (n, m), against the dual spins of `tableau` and the motif words of the
+  conjugate context;
 * `strip_of_motif` and `motif_of_strip` map a motif to the column heights
   of its border strip and back, against `tableau.tableau_lines`;
 * `haldane_weight` counts k-particle states at exclusion statistics g,
@@ -75,6 +78,11 @@ def enumerate_motifs(N: int, m: int, n: int) -> Iterator[Motif]:
 def _bits(mot: Motif) -> tuple[int, ...]:
     """(d_1, ..., d_{N-1}); d_i sits at bit N - 1 - i of the word."""
     return tuple((mot.word >> (mot.sites - 1 - i)) & 1 for i in range(1, mot.sites))
+
+
+def complement(mot: Motif) -> Motif:
+    """The motif with every bit flipped: the dual of a motif between (m, n) and (n, m)."""
+    return Motif(mot.word ^ ((1 << mot.length) - 1), mot.sites)
 
 
 def listed_rows(N: int, m: int, n: int) -> list[tuple]:

@@ -125,6 +125,20 @@ def test_coupling_tables_are_even():
         oracle.coupling_table(ChainSpec("pf", 6, 2, 0))
 
 
+@pytest.mark.parametrize("N", [2, 3, 8, 13])
+def test_translation_invariant_couplings_match_their_pair_function(N):
+    # filled from the N - 1 distances, every entry is the pair function's double
+    k = math.sqrt(0.5)
+    bigk = oracle.elliptic_K(k)
+    for kind, pair in (
+        ("hs", lambda i, j: 0.5 / math.sin(math.pi * (i - j) / N) ** 2),
+        ("elliptic", lambda i, j: 0.5 / oracle.jacobi_sn(2 * (i - j) * bigk / N, k) ** 2),
+    ):
+        J = oracle.coupling_matrix(ChainSpec(kind, N, 2, 0, ksq=0.5 if kind == "elliptic" else None))
+        want = np.array([[pair(min(i, j), max(i, j)) if i != j else 0.0 for j in range(N)] for i in range(N)])
+        assert np.array_equal(J, want)
+
+
 def test_graded_sign_examples():
     # two bosons commute, two fermions anticommute
     assert oracles.graded_permutation(0, 1, 2, 2, 0)[1] == 1
@@ -278,6 +292,34 @@ def test_vectorized_assembly_matches_scalar(chain):
         assert [b.shape for b in blocks] == [(len(s), len(s)) for s in kept]
 
 
+@pytest.mark.parametrize(
+    "chain",
+    [
+        # 45 and 36 site pairs: more than one pass at the default chunk
+        ChainSpec("hs", 10, 2, 0),
+        ChainSpec("hs", 9, 0, 2),
+        ChainSpec("elliptic", 9, 3, 0, ksq=0.5),
+        ChainSpec("elliptic", 9, 2, 1, ksq=0.5),
+        ChainSpec("elliptic", 6, 1, 2, ksq=0.5),
+        ChainSpec("pf", 9, 2, 1),
+        ChainSpec("fi", 10, 0, 2, alpha=3),
+        ChainSpec("hs", 2, 1, 1),
+    ],
+)
+def test_assembly_does_not_depend_on_pair_chunk(monkeypatch, chain):
+    runs = [(False, oracle.build_hamiltonian(chain))]
+    if chain.n == 0:
+        runs.append((True, oracle.build_hamiltonian(chain, _balanced=True)))
+    # one pair per pass is the plain loop over the site pairs
+    monkeypatch.setattr(oracle, "_PAIR_CHUNK", 1)
+    for balanced, built in runs:
+        reference = oracle.build_hamiltonian(chain, _balanced=balanced)
+        assert len(built) == len(reference)
+        for (block, copies), (want, want_copies) in zip(built, reference):
+            assert block.dtype == want.dtype and copies == want_copies
+            assert np.array_equal(block, want)
+
+
 @pytest.mark.parametrize("chain", _ASSEMBLY_CHAINS)
 def test_relabeled_sectors_share_their_representatives_spectrum(chain):
     projected = _momentum_blocks(chain, _scalar_hamiltonian(chain))
@@ -351,8 +393,9 @@ def _words(chain: ChainSpec) -> int:
     """The words `_check_size` charges, from the test's own orbit enumeration.
 
     3G + N + 12 words a state, 5N + 16 a representative, 16 a representative
-    and momentum q <= G/2, N^2 couplings, and G O_s^2 block entries per
-    sector with O_s orbits.
+    and momentum q <= G/2, 16 a representative, momentum and site pair of
+    one assembly pass, N^2 couplings, and G O_s^2 block entries per sector
+    with O_s orbits.
     """
     N, base = chain.sites, chain.m + chain.n
     G = N if chain.kind in ("hs", "elliptic") else 1
@@ -367,7 +410,8 @@ def _words(chain: ChainSpec) -> int:
                     seen.add(sum(d * base ** ((p + k) % N) for p, d in enumerate(digits)))
         orbits += count
         blocks += G * count**2
-    return base**N * (3 * G + N + 12) + orbits * (5 * N + 16) + orbits * (G // 2 + 1) * 16 + N * N + blocks
+    elements = orbits * (G // 2 + 1) * 16 * (1 + min(oracle._PAIR_CHUNK, N * (N - 1) // 2))
+    return base**N * (3 * G + N + 12) + orbits * (5 * N + 16) + elements + N * N + blocks
 
 
 @pytest.mark.parametrize(
@@ -525,6 +569,70 @@ def test_eigenvalues_on_complex_hermitian_matrix():
     assert np.iscomplexobj(rotated) and np.abs(rotated.imag).max() > 0.1
     assert np.allclose(oracle.eigenvalues(rotated), [1.0, 3.0, 5.0], atol=1e-12)
 
+
+def test_stacked_eigenvalues_check_each_matrix(monkeypatch):
+    rng = np.random.default_rng(5)
+    for imag in (0.0, 1j):
+        for side in (1, 3, 40):
+            x = rng.normal(size=(4, side, side)) + imag * rng.normal(size=(4, side, side))
+            stack = x + x.conj().swapaxes(-2, -1)
+            lam = oracle.eigenvalues(stack)
+            assert lam.shape == (4, side)
+            for k in range(4):
+                assert np.array_equal(lam[k], oracle.eigenvalues(stack[k]))
+    with pytest.raises(ValueError, match="square"):
+        oracle.eigenvalues(np.zeros(3))
+    # one bad matrix among good ones is refused with the single-matrix message
+    skew = np.eye(4)
+    skew[0, 1] = 1.0
+    lopsided = np.eye(4)
+    lopsided[0, 1] = 2e-12
+    hole = np.eye(4)
+    hole[2, 2] = math.nan
+    for bad, message in ((skew, "not Hermitian"), (lopsided, "not Hermitian"), (hole, "not finite")):
+        for at in (0, 2):
+            stack = np.stack([2.0 * np.eye(4)] * 3)
+            stack[at] = bad
+            with pytest.raises(ValueError, match=message):
+                oracle.eigenvalues(stack)
+    # each matrix is checked at its own scale: the O(1) one is not judged at 1e200
+    big = 1e200 * np.eye(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert oracle.eigenvalues(np.stack([big, np.eye(4)])).tolist() == [[1e200] * 4, [1.0] * 4]
+        for stack in (np.stack([big, lopsided]), np.stack([lopsided, big])):
+            with pytest.raises(ValueError, match="Hermitian"):
+                oracle.eigenvalues(stack)
+    big[0, 1] = 2e188
+    with pytest.raises(ValueError, match="Hermitian"):
+        oracle.eigenvalues(np.stack([np.eye(4), big]))
+    # the trace check of the O(1) matrix keeps its own tolerance
+    solve = np.linalg.eigvalsh
+
+    def off_by_a_little(a):
+        lam = solve(a)
+        lam[..., -1, 0] += 1e-6
+        return lam
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", off_by_a_little)
+    with pytest.raises(AssertionError, match="trace"):
+        oracle.eigenvalues(np.stack([1e200 * np.eye(4), np.eye(4)]))
+
+
+@pytest.mark.parametrize("entries", [None, 1, 200])
+@pytest.mark.parametrize(
+    "chain", [ChainSpec("hs", 10, 2, 0), ChainSpec("elliptic", 7, 2, 1, ksq=0.5), ChainSpec("pf", 8, 2, 1)]
+)
+def test_stacked_spectra_match_single_solves(monkeypatch, chain, entries):
+    built = oracle.build_hamiltonian(chain)
+    single = np.sort(np.concatenate([np.repeat(oracle.eigenvalues(b), c) for b, c in built]))
+    if entries is not None:
+        monkeypatch.setattr(oracle, "_STACK_ENTRIES", entries)
+    assert np.array_equal(oracle.chain_eigenvalues(chain), single)
+    # one stack per side and dtype, split where it would pass the entry cap
+    shapes = Counter((b.shape[0], b.dtype) for b, _ in built)
+    per_stack = {z: max(1, oracle._STACK_ENTRIES // (z * z)) for z, _ in shapes}
+    assert len(oracle._block_spectra(built)) == sum(-(-k // per_stack[z]) for (z, _), k in shapes.items())
 
 def test_cluster_levels():
     # the energies of the su(1|1) motifs of 3 sites under the band (1, 1 + delta);

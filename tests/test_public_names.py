@@ -3,8 +3,10 @@
 A module's `__all__` name counts as used when some module of `src/` or
 `bench/` reads it: by name in its own module, outside its definition, or
 through an import of it or an attribute of its module.  Reads made inside
-a public definition count only once that definition is used.  A name that
-only the tests read belongs in `tests/oracles.py`, or nowhere.
+a public definition count only once that definition is used.  A public
+method or property of an exported class counts as used when some module
+of `src/` or `bench/` reads an attribute of that name.  A name that only
+the tests read belongs in `tests/oracles.py`, or nowhere.
 """
 
 import ast
@@ -83,3 +85,30 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         used = now
     unused = sorted(f"{module}.{name}" for module, name in exported - used)
     assert not unused, f"public names that only the tests use: {unused}"
+
+
+def _methods(tree: ast.Module, exported: list[str]) -> list[tuple[str, str]]:
+    """(class, name) of every public method and property of the exported classes."""
+    return [
+        (node.name, item.name)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in exported
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+    ]
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    modules = _modules()
+    read = {
+        node.attr
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    methods = [
+        (module, owner, name) for module, tree in modules.items() for owner, name in _methods(tree, _exported(tree))
+    ]
+    assert methods, "no public methods found: the parse is broken"
+    unused = sorted(f"{module}.{owner}.{name}" for module, owner, name in methods if name not in read)
+    assert not unused, f"public methods that only the tests use: {unused}"
