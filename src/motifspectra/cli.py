@@ -244,6 +244,8 @@ def _cmd_partition(args: argparse.Namespace) -> _Table:
             partition.dump_terms(qp, fh)
         return ["sites", "terms", "file"], [(N, qp.term_count(), args.dump_terms)]
     s = partition.levels(qp)
+    if s.average * s.count != 2**N:
+        raise AssertionError(f"level degeneracies sum to {s.average * s.count}, expected {2**N}")
     columns = ["sites", "count", "max_degeneracy", "average", "value"]
     return columns, [(N, s.count, s.max_degeneracy, str(s.average), float(s.average))]
 

@@ -3,14 +3,16 @@
 The partition functions come from the transfer-matrix kernel in `spectrum`
 with exact integer coefficients; rational couplings a/b are handled by
 scaling every exponent by the common denominator b, recorded in
-QPolynomial.scale.  The tests check the kernel against an enumeration
-oracle that assembles the same polynomial term by term from motif energies
-and fiber dimensions.
+QPolynomial.scale.  A QPolynomial holds the kernel's two arrays as they
+are, int64 exponents and 64-bit coefficient limbs, so the level summary
+and the binary term dump read them with numpy and make no Python int per
+term; `terms` and `sorted_terms` fold the limbs to Python ints on request.
+The tests check the kernel against an enumeration oracle that assembles
+the same polynomial term by term from motif energies and fiber dimensions.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,40 +33,86 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=True)
 class QPolynomial:
-    """Sparse polynomial in q: maps scaled exponent -> positive coefficient.
+    """Sparse polynomial in q with positive integer coefficients, one array per part.
 
-    Integer keys represent the exponent times `scale`; symbolic-alpha spectra
-    use (E0, E1) integer pairs as keys with scale 1.
+    `exponents` ascend: int64 where every exponent is an int that fits, and an
+    object array otherwise (exponents past int64, or the (E0, E1) pairs of
+    symbolic alpha).  Integer exponents are the exponent times `scale`.
+    `coefficients` is a (terms, limbs) uint64 array: row i holds the
+    coefficient of exponents[i] in little-endian 64-bit limbs, as few as the
+    largest coefficient needs.  The constructor takes {exponent: coefficient};
+    the kernel's arrays are taken as they are.  `terms` and `sorted_terms`
+    fold the limbs back to Python ints; the count, the largest coefficient
+    and the sum are read off the arrays.
     """
 
-    terms: dict
-    scale: int = 1
+    __slots__ = ("exponents", "coefficients", "scale")
 
-    def __post_init__(self) -> None:
-        if self.scale < 1:
-            raise ValueError(f"need scale >= 1, got {self.scale}")
-        if self.terms and min(self.terms.values()) <= 0:
-            e, c = next((e, c) for e, c in self.terms.items() if c <= 0)
+    def __init__(self, terms: dict, scale: int = 1) -> None:
+        if terms and min(terms.values()) <= 0:
+            e, c = next((e, c) for e, c in terms.items() if c <= 0)
             raise ValueError(f"nonpositive coefficient {c} at exponent {e}")
+        self._set(*spectrum._term_arrays(terms), scale)
+
+    @classmethod
+    def _of(cls, exponents: np.ndarray, coefficients: np.ndarray, scale: int) -> QPolynomial:
+        qp = cls.__new__(cls)
+        qp._set(exponents, coefficients, scale)
+        return qp
+
+    def _set(self, exponents: np.ndarray, coefficients: np.ndarray, scale: int) -> None:
+        if scale < 1:
+            raise ValueError(f"need scale >= 1, got {scale}")
+        self.exponents, self.coefficients, self.scale = exponents, coefficients, scale
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QPolynomial):
+            return NotImplemented
+        return (
+            self.scale == other.scale
+            and self.exponents.tolist() == other.exponents.tolist()
+            and np.array_equal(self.coefficients, other.coefficients)
+        )
+
+    def __repr__(self) -> str:
+        return f"QPolynomial({self.terms!r}, {self.scale!r})"
+
+    @property
+    def terms(self) -> dict:
+        """{exponent: coefficient} with Python-int coefficients, by ascending exponent."""
+        return dict(self.sorted_terms())
 
     def term_count(self) -> int:
-        return len(self.terms)
+        return len(self.exponents)
 
     def value_at_one(self) -> int:
-        return sum(self.terms.values())
+        """The sum of the coefficients: column sums of the limbs' 32-bit halves, carried once."""
+        c = self.coefficients
+        total = 0
+        for shift, half in ((0, c & 0xFFFFFFFF), (32, c >> 32)):
+            for k, s in enumerate(half.sum(axis=0, dtype=np.uint64).tolist()):
+                total += s << (64 * k + shift)
+        return total
 
     def sorted_terms(self) -> list[tuple]:
-        return sorted(self.terms.items())
+        """(exponent, coefficient) pairs by ascending exponent, the limbs folded once by `spectrum._limb_ints`."""
+        return list(zip(self.exponents.tolist(), spectrum._limb_ints(self.coefficients)))
 
     def max_coefficient(self) -> int:
-        return max(self.terms.values())
+        """The largest coefficient: the rows that hold each limb column's maximum, from the top limb down."""
+        rows = self.coefficients
+        if not rows.size:
+            raise ValueError("empty polynomial has no largest coefficient")
+        for k in range(rows.shape[1] - 1, -1, -1):
+            col = rows[:, k]
+            rows = rows[col == col.max()]
+        return spectrum._limb_ints(rows[:1])[0]
 
 
 def _su02_polynomial(disp) -> QPolynomial:
     band, scale, _ = spectrum._band(disp)
-    return QPolynomial(spectrum._level_polynomial(disp.sites, 0, 2, band), scale)
+    return QPolynomial._of(*spectrum._level_polynomial(disp.sites, 0, 2, band), scale)
 
 
 def hs_partition(N: int) -> QPolynomial:
@@ -89,7 +137,7 @@ class LevelSummary:
 
 def levels(qp: QPolynomial) -> LevelSummary:
     """Distinct-level count, largest degeneracy and exact average degeneracy."""
-    if not qp.terms:
+    if not qp.term_count():
         raise ValueError("empty polynomial")
     return LevelSummary(qp.term_count(), qp.max_coefficient(), Fraction(qp.value_at_one(), qp.term_count()))
 
@@ -99,25 +147,10 @@ _VERSION = 1
 _HEAD = struct.Struct("<4sBQQ")
 _LENGTH = struct.Struct("<I")
 _LIMB = np.dtype("<u8")
-_LIMB_MASK = (1 << 64) - 1
+_INT64_MIN = np.iinfo(np.int64).min
 _BYTE_EDGES = np.array([1 << 8 * k for k in range(8)], _LIMB)  # a limb >= 256^k has more than k bytes
 _ONES = np.array([int.from_bytes(b"\x01" * k, "little") for k in range(9)], _LIMB)  # k low bytes 1
 _CHUNK = 1 << 14  # terms per record array: a few hundred kB of rows and mask
-
-
-def _limbs(values: list, width: int, signed: bool) -> np.ndarray:
-    """(len(values), width) little-endian 64-bit limbs of Python ints, two's complement when signed.
-
-    Every value fits `width` limbs: the low limbs are masked off, and the top
-    one, the value shifted down, fits a signed or unsigned 64-bit integer.
-    """
-    count = len(values)
-    out = np.empty((count, width), _LIMB)
-    for k in range(width - 1):
-        out[:, k] = np.fromiter(((v >> 64 * k) & _LIMB_MASK for v in values), _LIMB, count)
-    top = values if width == 1 else [v >> 64 * (width - 1) for v in values]
-    out[:, -1] = np.fromiter(top, "<i8" if signed else _LIMB, count).view(_LIMB)
-    return out
 
 
 def _byte_lengths(limbs: np.ndarray) -> np.ndarray:
@@ -134,14 +167,16 @@ def _byte_mask(lengths: np.ndarray, width: int) -> np.ndarray:
     return np.stack([_ONES[np.clip(lengths - 8 * k, 0, 8)] for k in range(width)], axis=1)
 
 
-def _records(exps: list, coeffs: list, e_width: int, c_width: int) -> np.ndarray:
+def _records(e: np.ndarray, c: np.ndarray) -> np.ndarray:
     """The dump records of these terms, in order, as one uint8 array.
 
-    Each term gets a record of fixed width holding both length prefixes and
-    every limb; a second record of the same layout, whose bytes are 1 where
-    they belong to the term's dump record, compacts them as one boolean mask.
+    `e` and `c` hold the exponents and coefficients as little-endian 64-bit
+    limbs, the exponents in two's complement.  Each term gets a record of
+    fixed width holding both length prefixes and every limb; a second record
+    of the same layout, whose bytes are 1 where they belong to the term's
+    dump record, compacts them as one boolean mask.
     """
-    e, c = _limbs(exps, e_width, signed=True), _limbs(coeffs, c_width, signed=False)
+    e_width, c_width = e.shape[1], c.shape[1]
     negative = e[:, -1].view("<i8") < 0
     mag = np.where(negative[:, None], ~e, e)
     carry = negative  # -e = ~e + 1, carried up through the limbs
@@ -154,7 +189,7 @@ def _records(exps: list, coeffs: list, e_width: int, c_width: int) -> np.ndarray
     el = np.maximum(_byte_lengths(doubled), 1)
     cl = _byte_lengths(c)  # coefficients are positive
     record = [("el", "<u4"), ("e", _LIMB, (e_width,)), ("cl", "<u4"), ("c", _LIMB, (c_width,))]
-    rows, keep = np.empty(len(exps), record), np.empty(len(exps), record)
+    rows, keep = np.empty(len(e), record), np.empty(len(e), record)
     rows["el"], rows["e"], rows["cl"], rows["c"] = el, e, cl, c
     keep["el"] = keep["cl"] = 0x01010101
     keep["e"], keep["c"] = _byte_mask(el, e_width), _byte_mask(cl, c_width)
@@ -169,31 +204,49 @@ def dump_terms(qp: QPolynomial, fh: BinaryIO) -> None:
     exponent and u32 byte length cl + unsigned little-endian coefficient,
     with el = (bit_length(|e|) + 8) // 8 and cl = (bit_length(c) + 7) // 8.
 
-    The records are built by numpy over 64-bit limbs, as many per value as
-    the widest exponent and coefficient need, in chunks of `_CHUNK` terms:
-    each chunk is one array, written as it is built.
+    The records are built by numpy from the polynomial's arrays, which are
+    already sorted: the coefficient limbs as they are, and int64 exponents as
+    one limb each (two when -2^63 is among them; exponents past int64 are
+    split into as many limbs as the widest needs).  They are written in chunks of `_CHUNK` terms, each chunk
+    one array.
     """
-    if not all(issubclass(t, int) for t in set(map(type, qp.terms))):
-        raise TypeError("only integer-exponent polynomials can be dumped")
-    exps = sorted(qp.terms)
-    fh.write(_HEAD.pack(_MAGIC, _VERSION, len(exps), qp.scale))
-    if not exps:
-        return
-    # the extreme exponents and the largest coefficient need the longest records
-    e_bytes = max((exps[0].bit_length() + 8) // 8, (exps[-1].bit_length() + 8) // 8)
-    c_bytes = (qp.max_coefficient().bit_length() + 7) // 8
-    e_width, c_width = -(-e_bytes // 8), -(-c_bytes // 8)
-    coefficient = qp.terms.__getitem__
-    for start in range(0, len(exps), _CHUNK):
-        chunk = exps[start : start + _CHUNK]
-        fh.write(_records(chunk, list(map(coefficient, chunk)), e_width, c_width))
+    exps = qp.exponents
+    if exps.dtype == object:
+        values = exps.tolist()
+        if not set(map(type, values)) <= {int}:
+            raise TypeError("only integer-exponent polynomials can be dumped")
+        # the extreme exponents need the longest records
+        e_bytes = max((values[0].bit_length() + 8) // 8, (values[-1].bit_length() + 8) // 8)
+        e = spectrum._limbs(values, -(-e_bytes // 8), signed=True)
+    elif len(exps) and exps[0] == _INT64_MIN:
+        # -2^63 alone takes 9 bytes: a second limb carries the sign
+        e = np.stack([exps.view(_LIMB), (exps >> 63).view(_LIMB)], axis=1)
+    else:
+        e = exps.view(_LIMB)[:, None]
+    fh.write(_HEAD.pack(_MAGIC, _VERSION, len(e), qp.scale))
+    for start in range(0, len(e), _CHUNK):
+        fh.write(_records(e[start : start + _CHUNK], qp.coefficients[start : start + _CHUNK]))
+
+
+def _gathered_limbs(body: np.ndarray, at: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """(len(at), limbs) little-endian 64-bit limbs of the byte strings body[at : at + sizes], zero-extended."""
+    longest = int(sizes.max(initial=0))
+    out = np.zeros((len(at), 8 * max(1, -(-longest // 8))), np.uint8)
+    for k in range(longest):
+        has = sizes > k
+        out[has, k] = body[at[has] + k]
+    return out.view(_LIMB)
 
 
 def load_terms(fh: BinaryIO) -> QPolynomial:
-    """Inverse of dump_terms; raises ValueError on a truncated or overlong dump
-    and on exponents that do not strictly ascend, as dump_terms writes them.
+    """Inverse of dump_terms; raises ValueError on a truncated or overlong dump,
+    on exponents that do not strictly ascend, as dump_terms writes them, and
+    on a zero coefficient.
 
-    The dump is read once and walked in place.
+    The dump is read once.  One Python scan finds where each record starts,
+    since each record's offset depends on the length prefix before it; numpy
+    then gathers the values' bytes into limbs, exponents into int64 when every
+    one takes at most 8 bytes.
     """
     data = fh.read()
     if len(data) < _HEAD.size:
@@ -203,25 +256,38 @@ def load_terms(fh: BinaryIO) -> QPolynomial:
         raise ValueError("bad magic")
     if version != _VERSION:
         raise ValueError(f"unsupported version {version}")
-    length, from_bytes = _LENGTH.unpack_from, int.from_bytes
-    terms: dict = {}
+    length = _LENGTH.unpack_from
+    # where each record's length prefixes start, exponent and coefficient in
+    # turn, then the end; a prefix takes 4 bytes, so the data holds no more
+    starts = np.empty(min(2 * count, (len(data) - _HEAD.size) // 4) + 1, np.int64)
     pos = _HEAD.size
-    last = -math.inf
     try:
-        for _ in range(count):
-            (size,) = length(data, pos)
+        for i in range(2 * count):
+            size = length(data, pos)[0]
+            starts[i] = pos
             pos += 4 + size
-            e = from_bytes(data[pos - size : pos], "little", signed=True)
-            if e <= last:
-                raise ValueError(f"term dump exponents do not strictly ascend: {e} after {last}")
-            last = e
-            (size,) = length(data, pos)
-            pos += 4 + size
-            terms[e] = from_bytes(data[pos - size : pos], "little")
     except struct.error:
         raise ValueError(f"truncated term dump: a length prefix runs past byte {len(data)}") from None
     if pos > len(data):
         raise ValueError(f"truncated term dump: the last record ends at byte {pos} of {len(data)}")
     if pos < len(data):
         raise ValueError("trailing bytes after the last term")
-    return QPolynomial(terms, scale)
+    starts[-1] = pos
+    sizes = (np.diff(starts) - 4).reshape(count, 2)
+    at = starts[:-1].reshape(count, 2) + 4
+    body = np.frombuffer(data, np.uint8)
+    if sizes[:, 0].max(initial=0) <= 8:
+        # sign-extend each exponent from its top byte
+        shift = 64 - 8 * np.maximum(sizes[:, 0], 1)
+        exps = (_gathered_limbs(body, at[:, 0], sizes[:, 0])[:, 0].view("<i8") << shift) >> shift
+    else:
+        spans = zip(at[:, 0].tolist(), sizes[:, 0].tolist())
+        exps = spectrum._exponent_array([int.from_bytes(data[a : a + n], "little", signed=True) for a, n in spans])
+    fall = np.flatnonzero(exps[1:] <= exps[:-1])
+    if fall.size:
+        raise ValueError(f"term dump exponents do not strictly ascend: {exps[fall[0] + 1]} after {exps[fall[0]]}")
+    coefficients = spectrum._trimmed(_gathered_limbs(body, at[:, 1], sizes[:, 1]))
+    zero = np.flatnonzero(~coefficients.any(axis=1))
+    if zero.size:
+        raise ValueError(f"nonpositive coefficient 0 at exponent {exps[zero[0]]}")
+    return QPolynomial._of(exps, coefficients, scale)

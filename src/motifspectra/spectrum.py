@@ -15,10 +15,13 @@ with a fixed-width slot per scaled energy; level counts without
 degeneracies run the same loop with one-bit slots and OR.  A pure-fermionic
 context (0, n) runs as its bosonic dual (n, 0), whose rows start at the
 bottom of the band instead of near its middle, and the border-strip duality
-E -> band sum - E reflects the result back.  A band too wide for packed
-rows goes through a sparse kernel that keeps only the energies that occur;
-it and the fiber table keep the (m, n) orientation, as the independent
-cross-check.
+E -> band sum - E reflects the result back.  The polynomial leaves the
+packed kernel as two arrays, never as one Python int per term: int64
+exponents and each coefficient as little-endian 64-bit limbs, read
+straight off the packed total.  A band too wide for packed rows goes through a sparse
+kernel that keeps only the energies that occur, in int64 counts while
+(m+n)^N fits and in Python ints past that; it and the fiber table keep the
+(m, n) orientation, as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ __all__ = [
 _EVEN_TOL = 1e-12
 # widest packed transfer row, in bits: (band sum + 1) slots of the slot width
 _PACKED_BOUND = 1 << 25
+_INT64_MAX = np.iinfo(np.int64).max
+_LIMB_MASK = (1 << 64) - 1
 
 
 def _check_rapidity(j: int, sites: int) -> None:
@@ -221,22 +226,25 @@ def _sparse_level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> dic
     descent, and multiplies by q^eps, from every spin above t' and from t'
     itself when it is fermionic: the rule of tableau.motif_of_spins.  Only
     exponents that occur are kept, so the cost follows the number of
-    distinct partial energies, not the band's size.
+    distinct partial energies, not the band's size.  The counts are int64
+    while (m+n)^N fits, since no count, prefix sum or total exceeds it, and
+    Python ints in object arrays past that.
     """
     cut = _transfer_cuts(N, m, n)
     k = len(cut)
-    # exponents stay machine integers unless the largest sum would overflow
-    support = np.zeros(1, dtype=np.int64 if sum(band) <= np.iinfo(np.int64).max else object)
-    z = np.ones((k, 1), dtype=object)
+    # exponents and counts stay machine integers unless the largest would overflow
+    support = np.zeros(1, dtype=np.int64 if sum(band) <= _INT64_MAX else object)
+    counts = np.int64 if (m + n) ** N <= _INT64_MAX else object
+    z = np.ones((k, 1), dtype=counts)
     for e in band:
-        below = np.zeros((k + 1, support.size), dtype=object)
+        below = np.zeros((k + 1, support.size), dtype=counts)
         np.cumsum(z, axis=0, out=below[1:])
         stay = below[cut]
         shifted = support + e
         merged = np.concatenate((support, shifted))
         merged.sort(kind="stable")  # a merge of the two sorted runs
         merged = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
-        z = np.zeros((k, merged.size), dtype=object)
+        z = np.zeros((k, merged.size), dtype=counts)
         z[:, np.searchsorted(merged, support)] = stay
         z[:, np.searchsorted(merged, shifted)] += below[k] - stay
         support = merged
@@ -285,25 +293,86 @@ def _slot_bytes(N: int, m: int, n: int) -> int:
     return (((m + n) ** N).bit_length() + 7) // 8
 
 
-def _level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> dict[int, int]:
-    """Exact sum over valid motifs of dim(V) q^E as {E: total dimension}, by exponent.
+def _limbs(values: list, width: int, signed: bool) -> np.ndarray:
+    """(len(values), width) little-endian 64-bit limbs of Python ints, two's complement when signed.
+
+    Every value fits `width` limbs: the low limbs are masked off, and the top
+    one, the value shifted down, fits a signed or unsigned 64-bit integer.
+    """
+    count = len(values)
+    out = np.empty((count, width), np.uint64)
+    for k in range(width - 1):
+        out[:, k] = np.fromiter(((v >> 64 * k) & _LIMB_MASK for v in values), np.uint64, count)
+    top = values if width == 1 else [v >> 64 * (width - 1) for v in values]
+    out[:, -1] = np.fromiter(top, np.int64 if signed else np.uint64, count).view(np.uint64)
+    return out
+
+
+def _limb_ints(limbs: np.ndarray) -> list[int]:
+    """The Python ints of (terms, width) unsigned little-endian 64-bit limbs, folded high to low."""
+    ints = limbs[:, -1].tolist()
+    for k in range(limbs.shape[1] - 2, -1, -1):
+        ints = [(c << 64) | w for c, w in zip(ints, limbs[:, k].tolist())]
+    return ints
+
+
+def _exponent_array(exps: list) -> np.ndarray:
+    """Ascending exponents as int64 when every one is an int that fits, else as an object array."""
+    if set(map(type, exps)) <= {int} and (not exps or -_INT64_MAX - 1 <= exps[0] <= exps[-1] <= _INT64_MAX):
+        return np.array(exps, dtype=np.int64)
+    return np.fromiter(exps, object, len(exps))
+
+
+def _trimmed(limbs: np.ndarray) -> np.ndarray:
+    """(terms, limbs) uint64 limbs without the top columns that are zero in every row, keeping one."""
+    width = limbs.shape[1]
+    while width > 1 and not limbs[:, width - 1].any():
+        width -= 1
+    return np.ascontiguousarray(limbs[:, :width])
+
+
+def _term_arrays(terms: dict) -> tuple[np.ndarray, np.ndarray]:
+    """{exponent: positive coefficient} as the arrays `_level_polynomial` returns.
+
+    The exponents ascend, by `_exponent_array`'s dtype rule (pairs, floats
+    and ints past int64 take an object array).  Each coefficient takes as
+    many limbs as the largest needs, and at least one.
+    """
+    exps = sorted(terms)
+    coeffs = list(map(terms.__getitem__, exps))
+    width = max(1, -(-max(coeffs, default=0).bit_length() // 64))
+    return _exponent_array(exps), _limbs(coeffs, width, signed=False)
+
+
+def _level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Exact sum over valid motifs of dim(V) q^E as (exponents, coefficient limbs).
+
+    The exponents E ascend, as int64 (object only for a sparse band whose
+    sums pass int64), and row i of the (terms, limbs) uint64 array holds the
+    coefficient of exponent i in little-endian 64-bit limbs, as few as the
+    largest coefficient needs.  `_limb_ints` folds them to Python ints.
 
     Rows of (band sum + 1) slots of `_slot_bytes` each run `_packed_rows`
-    with +, when they fit in `_PACKED_BOUND` bits, and the coefficients are
-    read back from the total in one pass.  A context with m = 0 runs with the
-    cuts of (n, 0): complementing a motif's bits maps the valid (0, n) motifs
-    onto the valid (n, 0) ones, with the same dimension and the energy
-    band sum - E, so the dual's slots are read back in reverse.  A (0, n)
-    row enters at about half the band sum and carries that many empty low
-    slots; its dual's rows carry none, so they are about half as wide.
-    Wider bands (an alpha with a large numerator or denominator) go through
-    `_sparse_level_polynomial`.
+    with +, when they fit in `_PACKED_BOUND` bits, and the nonzero slots of
+    the total are read back as limbs, with no per-term Python object.  A
+    context with m = 0 runs with the cuts of (n, 0): complementing a motif's
+    bits maps the valid (0, n) motifs onto the valid (n, 0) ones, with the
+    same dimension and the energy band sum - E, so the dual's slots are read
+    back in reverse.  A (0, n) row enters at about half the band sum and
+    carries that many empty low slots; its dual's rows carry none, so they
+    are about half as wide.  Wider bands (an alpha with a large numerator or
+    denominator) go through `_sparse_level_polynomial`, whose dict is
+    converted by `_term_arrays`.
     """
     cut = _transfer_cuts(N, m, n) if m else _transfer_cuts(N, n, 0)
     nbytes = _slot_bytes(N, m, n)
     slots = sum(band) + 1
     if slots * 8 * nbytes > _PACKED_BOUND:
-        return _sparse_level_polynomial(N, m, n, band)
+        return _term_arrays(_sparse_level_polynomial(N, m, n, band))
+    # glibc serves a block past its mmap threshold from fresh pages, and raises
+    # the threshold to a freed mmapped block's size: one block of the final row
+    # size, dropped at once, lets the growing rows reuse heap instead
+    bytes(slots * nbytes)
     # only the bytes outlive this line: the megabyte-wide int, kept through the
     # read-back, moved peak RSS by up to 4 MB with where the heap put it
     total = _packed_rows(band, cut, 8 * nbytes, operator.add).to_bytes(slots * nbytes, "little")
@@ -311,15 +380,11 @@ def _level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> dict[int, 
     if not m:
         raw = raw[::-1]  # slot E of the dual holds exponent sum(band) - E
     exponents = np.flatnonzero(raw.any(axis=1))
-    # each nonzero slot padded to whole little-endian 64-bit limbs, folded high to low
-    limbs = -(-nbytes // 8)
-    wide = np.zeros((exponents.size, 8 * limbs), dtype=np.uint8)
+    # each nonzero slot padded to whole little-endian 64-bit limbs
+    width = -(-nbytes // 8)
+    wide = np.zeros((exponents.size, 8 * width), dtype=np.uint8)
     wide[:, :nbytes] = raw[exponents]
-    words = wide.view("<u8")
-    coeffs = words[:, -1].tolist()
-    for j in range(limbs - 2, -1, -1):
-        coeffs = [(c << 64) | w for c, w in zip(coeffs, words[:, j].tolist())]
-    return dict(zip(exponents.tolist(), coeffs))
+    return exponents, _trimmed(wide.view("<u8"))
 
 
 def level_count(N: int, m: int, n: int, disp) -> int:
@@ -368,7 +433,8 @@ def level_set(N: int, m: int, n: int, disp) -> list[tuple[int | Fraction | float
         raise ValueError(f"dispersion is for {disp.sites} sites, not {N}")
     if disp.exact:
         band, _, decode = _band(disp)
-        return [(decode(e), d) for e, d in sorted(_level_polynomial(N, m, n, band).items())]
+        exponents, limbs = _level_polynomial(N, m, n, band)
+        return [(decode(e), d) for e, d in zip(exponents.tolist(), _limb_ints(limbs))]
     fibers = tableau._fiber_cache(N, m, n)
     words = np.fromiter(fibers, dtype=np.int64, count=len(fibers))
     return _merge_float_levels(_word_energies(words, N, disp.table), list(fibers.values()))

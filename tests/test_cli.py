@@ -234,6 +234,14 @@ def test_partition_levels_only():
     assert int(row[1]) == partition.fi_partition(8, 3).term_count()
 
 
+def test_partition_levels_only_checks_the_state_count(monkeypatch):
+    # the summary's degeneracies must add up to the 2^N states
+    monkeypatch.setattr(partition, "hs_partition", lambda N: partition.QPolynomial({0: 2**N - 1, 3: 2}))
+    code, out, err = run_cli("partition", "--chain", "hs", "--sites", "6", "--levels-only")
+    assert code == 1 and out == ""
+    assert "level degeneracies sum to 65, expected 64" in err
+
+
 def test_diag_compare_exit_codes():
     code, out, _ = run_cli("diag", "--chain", "hs", "--sites", "5", "--compare")
     assert code == 0

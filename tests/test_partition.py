@@ -108,6 +108,9 @@ def test_dump_load_round_trip():
         partition.hs_partition(12),
         partition.fi_partition(9, Fraction(5, 2)),
         QPolynomial({0: 1, 10**40: 2**200}),
+        # negative exponents of 1 to 8 bytes, sign-extended on load; -2^63 takes 9 bytes
+        QPolynomial({-129: 1, -128: 2, -1: 3, 0: 4, 127: 5, 2**62: 6, -(2**63) + 1: 7}),
+        QPolynomial({-(2**63): 2**64, 2**63 - 1: 2**64 - 1}),
     ):
         buf = io.BytesIO()
         partition.dump_terms(qp, buf)
@@ -115,6 +118,7 @@ def test_dump_load_round_trip():
         back = partition.load_terms(buf)
         assert back.terms == qp.terms
         assert back.scale == qp.scale
+        assert back == qp
 
 
 def test_dump_rejects_tuple_exponents():
@@ -161,6 +165,7 @@ def _edge_terms() -> dict:
         pytest.param(
             QPolynomial({-(2**63): 2**64, 2**63 - 1: 2**64 - 1, 2**63: 1, -(2**63) - 1: 2}), id="int64-edges"
         ),
+        pytest.param(QPolynomial({-(2**63): 3, 0: 1, 2**63 - 1: 2}), id="int64-min"),
         pytest.param(QPolynomial({0: 1, 10**40: 2**200}), id="past-int64"),
         pytest.param(QPolynomial({-(2**127): 2**128, 2**130 + 5: 2**128 - 1, 3: 2**129}), id="past-2^128"),
         pytest.param(QPolynomial(_edge_terms(), 3), id="byte-edges"),
@@ -194,6 +199,8 @@ _HEADER = 4 + 17  # magic plus <BQQ
         pytest.param(_DUMP[: _HEADER + 2], id="cut-length-prefix"),
         pytest.param(_DUMP[:-1], id="cut-record"),  # 296 would load as 40
         pytest.param(_DUMP + b"\x00", id="trailing-bytes"),
+        pytest.param(_DUMP[: _HEADER - 16] + struct.pack("<QQIBI", 1, 1, 1, 5, 0), id="empty-coefficient"),
+        pytest.param(_DUMP[: _HEADER - 16] + struct.pack("<QQIBIH", 1, 1, 1, 5, 2, 0), id="zero-coefficient"),
     ],
 )
 def test_load_rejects_corrupt_dump(data):
@@ -216,6 +223,14 @@ def test_load_rejects_exponents_that_do_not_ascend(exponents):
     assert partition.load_terms(io.BytesIO(ascending)).terms == dict.fromkeys(exponents, 7)
     with pytest.raises(ValueError, match="strictly ascend"):
         partition.load_terms(io.BytesIO(_unordered_dump(exponents)))
+
+
+def test_load_keeps_the_fewest_limbs():
+    # a coefficient written with high zero bytes loads as the value itself
+    data = _DUMP[: _HEADER - 16] + struct.pack("<QQIBI", 1, 1, 1, 5, 17) + (7).to_bytes(17, "little")
+    qp = partition.load_terms(io.BytesIO(data))
+    assert qp == QPolynomial({5: 7})
+    assert qp.coefficients.shape == (1, 1)
 
 
 def test_load_rejects_bad_magic():
@@ -246,3 +261,46 @@ def test_figure_level_counts_match_partition_term_counts():
         assert fig5_counts[N] == hs
         sym = oracles.level_count_by_enumeration(N, 2, 0, spectrum.SymbolicAlphaDispersion(N))
         assert fig3["hyperbolic average (generic a)"][N] == 2**N / sym
+
+
+@pytest.mark.parametrize(
+    "N, alpha",
+    [(63, None), (64, None), (65, None), (10, 10**9)],
+    # hs 64 and 65 cross from 8- to 9-byte slots; alpha = 10^9 takes the sparse fallback
+    ids=["hs-63", "hs-64", "hs-65", "fi-wide-10"],
+)
+def test_limb_form_matches_python_ints(N, alpha):
+    qp = partition.hs_partition(N) if alpha is None else partition.fi_partition(N, alpha)
+    if alpha is not None:
+        band = spectrum._band(spectrum.FIDispersion(N, alpha))[0]
+        assert (sum(band) + 1) * 8 * spectrum._slot_bytes(N, 0, 2) > spectrum._PACKED_BOUND
+    terms = qp.sorted_terms()
+    coeffs = [c for _, c in terms]
+    assert [e for e, _ in terms] == sorted(e for e, _ in terms)
+    assert qp.value_at_one() == sum(coeffs) == 2**N
+    assert qp.max_coefficient() == max(coeffs)
+    assert partition.levels(qp) == partition.LevelSummary(len(coeffs), max(coeffs), Fraction(2**N, len(coeffs)))
+    # one form: the kernel's arrays equal those built from the Python ints, with the fewest limbs
+    assert qp == QPolynomial(dict(terms), qp.scale)
+    assert qp.coefficients.shape == (len(coeffs), -(-max(coeffs).bit_length() // 64))
+    assert _dump(qp) == oracles.dumped_terms(qp)
+    assert partition.load_terms(io.BytesIO(_dump(qp))) == qp
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        pytest.param([2**64 - 1] * 5000, id="one-limb-sum-past-2^64"),
+        pytest.param([2**32 - 1, 1, 2**32, 2**64 - 2**32, 2**32 - 1], id="half-carries"),
+        pytest.param([2**64 - 1, 2**64, 1, 2**64 - 2], id="2^64"),
+        pytest.param([2**64 + 5, 2**64 + 7, 2**64 + 6], id="low-limb-decides"),
+        pytest.param([2**65 + 1, 2**64 + 2**63, 2**64 - 1], id="high-limb-decides"),
+        pytest.param([2**128 - 1] * 3 + [2**128, 2**96 + 2**32 - 1], id="three-limbs"),
+    ],
+)
+def test_limb_max_and_sum(coeffs):
+    qp = QPolynomial(dict(enumerate(coeffs)))
+    assert qp.value_at_one() == sum(coeffs)
+    assert qp.max_coefficient() == max(coeffs)
+    assert qp.sorted_terms() == list(enumerate(coeffs))
+    assert qp.coefficients.shape == (len(coeffs), -(-max(coeffs).bit_length() // 64))

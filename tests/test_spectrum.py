@@ -1,8 +1,13 @@
 """Dispersion relations, exact level sets and level-count bounds."""
 
 import operator
+import os
+import platform
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,6 +301,12 @@ def test_level_count_for_alpha_beyond_int64():
     assert oracles.level_count_by_enumeration(6, 2, 0, disp) == len(plain)
 
 
+def polynomial_terms(N, m, n, band) -> list[tuple]:
+    """The (exponent, coefficient) pairs of `_level_polynomial`, in its order, folded to Python ints."""
+    exponents, limbs = spectrum._level_polynomial(N, m, n, band)
+    return list(zip(exponents.tolist(), spectrum._limb_ints(limbs)))
+
+
 @st.composite
 def exact_cases(draw):
     """(N, m, n, dispersion) with m + n <= 4 and N <= 8, over every exact band."""
@@ -332,7 +343,7 @@ WIDE_BANDS = [
 def test_kernel_matches_enumerated_partition(case):
     N, m, n, disp = case
     band, scale, decode = spectrum._band(disp)
-    got = spectrum._level_polynomial(N, m, n, band)
+    got = dict(polynomial_terms(N, m, n, band))
     want = oracles.enumerated_partition(N, m, n, disp)
     if isinstance(disp, SymbolicAlphaDispersion):
         got = {decode(e): c for e, c in got.items()}
@@ -383,7 +394,7 @@ def test_level_count_matches_polynomial_and_enumeration(case):
     N, m, n, disp = case
     band, _, _ = spectrum._band(disp)
     count = spectrum.level_count(N, m, n, disp)
-    assert count == len(spectrum._level_polynomial(N, m, n, band))
+    assert count == len(polynomial_terms(N, m, n, band))
     assert count == oracles.level_count_by_enumeration(N, m, n, disp)
 
 
@@ -404,7 +415,7 @@ def test_packed_kernel_matches_sparse_kernel(case):
     N, m, n, disp = case
     band, _, _ = spectrum._band(disp)
     sparse = spectrum._sparse_level_polynomial(N, m, n, band)
-    assert list(spectrum._level_polynomial(N, m, n, band).items()) == list(sparse.items())
+    assert polynomial_terms(N, m, n, band) == list(sparse.items())
     assert spectrum.level_count(N, m, n, disp) == len(sparse)
 
 
@@ -487,7 +498,7 @@ def test_level_count_of_wide_band_takes_fallback(case, sparse_calls):
     plain = {oracles.energy(mt, disp) for mt in oracles.enumerate_motifs(N, m, n)}
     assert spectrum.level_count(N, m, n, disp) == len(plain)
     assert len(sparse_calls) == 1
-    assert len(spectrum._level_polynomial(N, m, n, band)) == len(plain)
+    assert len(polynomial_terms(N, m, n, band)) == len(plain)
     assert len(sparse_calls) == 2
 
 
@@ -504,10 +515,10 @@ def test_packed_bound_edge(sparse_calls, monkeypatch):
     assert len(sparse_calls) == 1
     assert count_at == count_past == oracles.level_count_by_enumeration(N, m, n, disp)
     monkeypatch.setattr(spectrum, "_PACKED_BOUND", slots * width)
-    poly_at = spectrum._level_polynomial(N, m, n, band)
+    poly_at = dict(polynomial_terms(N, m, n, band))
     assert len(sparse_calls) == 1
     monkeypatch.setattr(spectrum, "_PACKED_BOUND", slots * width - 1)
-    poly_past = spectrum._level_polynomial(N, m, n, band)
+    poly_past = dict(polynomial_terms(N, m, n, band))
     assert len(sparse_calls) == 2
     assert poly_at == poly_past == oracles.enumerated_partition(N, m, n, disp).terms
 
@@ -526,3 +537,34 @@ def test_level_count_rejects_bad_input():
         spectrum.level_count(4, 0, 0, HSDispersion(4))
     with pytest.raises(TypeError):
         spectrum.level_count(2, 2, 0, NumericDispersion(2, (1.0,)))
+
+
+@pytest.mark.parametrize(
+    "band_of", [lambda N: spectrum._band(PFDispersion(N))[0], lambda N: [0] * (N - 1)], ids=["pf", "zero"]
+)
+@pytest.mark.parametrize("m,n", [(8, 0), (3, 5), (0, 8)])
+@pytest.mark.parametrize("N", [20, 21])
+def test_sparse_kernel_at_the_int64_edge(N, m, n, band_of):
+    # 8^20 = 2^60 keeps the counts in int64, 8^21 = 2^63 needs object; the
+    # zero band puts every configuration in one coefficient, 2^63 at N = 21
+    band = band_of(N)
+    sparse = spectrum._sparse_level_polynomial(N, m, n, band)
+    assert polynomial_terms(N, m, n, band) == list(sparse.items())
+    assert sum(sparse.values()) == (m + n) ** N
+    assert {type(c) for c in sparse.values()} == {int}
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the pre-sizing works through glibc's mmap threshold")
+def test_packed_kernel_reuses_heap_pages():
+    # a fresh interpreter, whose heap has never held a block of the rows' size
+    code = (
+        "import resource\n"
+        "from motifspectra import spectrum\n"
+        "band = spectrum._band(spectrum.HSDispersion(100))[0]\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "spectrum._level_polynomial(100, 0, 2, band)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert int(run.stdout) < 6000
