@@ -28,7 +28,7 @@ from fractions import Fraction
 from . import __version__, anyon, fibnum, figures, motif, oracle, partition, spectrum, tableau
 
 _TOOL = "motifspectra"
-_SYMBOLIC = object()  # --alpha irrational: the generic coupling, kept symbolic
+_SYMBOLIC = "irrational"  # --alpha irrational: the generic coupling, kept symbolic
 # the coupling flags each chain reads
 _CHAIN_FLAGS = {"hs": (), "pf": (), "fi": ("alpha",), "elliptic": ("ksq",)}
 _Table = tuple[list[str], list[tuple]]  # a handler's (columns, rows)
@@ -94,7 +94,7 @@ def _jsonable(v):
 def _config(args: argparse.Namespace) -> dict:
     out = {}
     for k, v in vars(args).items():
-        if k == "func" or v is None or v is _SYMBOLIC:
+        if k == "func" or v is None:
             continue
         out[k] = str(v) if isinstance(v, Fraction) else v
     return out
@@ -213,7 +213,7 @@ def _make_dispersion(chain: str, N: int, alpha):
         return spectrum.HSDispersion(N)
     if chain == "pf":
         return spectrum.PFDispersion(N)
-    if alpha is _SYMBOLIC:
+    if alpha == _SYMBOLIC:
         return spectrum.SymbolicAlphaDispersion(N)
     return spectrum.FIDispersion(N, alpha)
 
@@ -307,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sites = _checked(int, lambda v: v >= 1, "at least 1 site")
     ksq = _checked(float, lambda v: 0.0 <= v < 1.0, "0 <= ksq < 1")
-    alpha = _checked(_parse_alpha, lambda v: v is _SYMBOLIC or v > 0, "alpha > 0")
+    alpha = _checked(_parse_alpha, lambda v: v == _SYMBOLIC or v > 0, "alpha > 0")
     bosons = _checked(int, lambda v: v >= 0, "m >= 0")
     fermions = _checked(int, lambda v: v >= 0, "n >= 0")
     order = _checked(int, lambda v: v >= 2, "m >= 2")
@@ -428,7 +428,7 @@ def _flag_error(args: argparse.Namespace) -> str | None:
             return f"--chain {args.chain} takes no --{flag}"
         if not given and flag in uses:
             return f"--chain {args.chain} needs --{flag}"
-    if args.alpha is _SYMBOLIC and args.command != "spectrum":
+    if args.alpha == _SYMBOLIC and args.command != "spectrum":
         return f"{args.command} needs a numeric --alpha"
     return None
 

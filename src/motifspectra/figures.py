@@ -269,13 +269,12 @@ def degeneracy_growth(max_sites: int = 30) -> list[Series]:
 def supersymmetric_elliptic(max_sites: int = 14, ksq: float = 0.5) -> list[Series]:
     """su(1|1) elliptic average degeneracy against the translational floor.
 
-    The level count comes from the closed single-particle dispersion built
-    out of the coupling table, evaluated over all motifs.
+    The level count comes from the chain's closed single-particle
+    dispersion, `oracle.formula_dispersion`, evaluated over all motifs.
     """
 
     def average(N: int) -> float:
-        chain = oracle.ChainSpec("elliptic", N, 1, 1, ksq=ksq)
-        disp = spectrum.dispersion_from_coupling(oracle.coupling_table(chain))
+        disp = oracle.formula_dispersion(oracle.ChainSpec("elliptic", N, 1, 1, ksq=ksq))
         return 2**N / spectrum.level_count_by_enumeration(N, 1, 1, disp)
 
     sizes = range(4, max_sites + 1)

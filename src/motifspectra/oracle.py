@@ -512,7 +512,7 @@ def cluster_levels(values: np.ndarray) -> list[tuple[float, int]]:
 
 
 def formula_dispersion(chain: ChainSpec):
-    """Closed-form dispersion whose motif level set matches the chain."""
+    """Closed-form dispersion whose motif level set matches the chain; elliptic chains have one only for su(1|1)."""
     N = chain.sites
     if chain.kind == "hs":
         return spectrum.HSDispersion(N)
@@ -522,7 +522,7 @@ def formula_dispersion(chain: ChainSpec):
         return spectrum.FIDispersion(N, chain.alpha)
     if (chain.m, chain.n) == (1, 1):
         return spectrum.dispersion_from_coupling(coupling_table(chain))
-    raise ValueError("elliptic couplings have a closed dispersion only for (m, n) = (1, 1)")
+    return None
 
 
 @dataclass(frozen=True)
@@ -535,28 +535,27 @@ class CompareReport:
     mismatch: str | None = None
 
 
-def compare(chain: ChainSpec, disp=None) -> CompareReport:
+def compare(chain: ChainSpec) -> CompareReport:
     """Diagonalize the chain and match its levels against the motif formula.
 
     Energies agree when they differ by at most the round-off width that
-    clusters the eigenvalues.  An elliptic chain other than su(1|1) has no
-    formula level set: given no `disp`, it is checked against the motif
-    floor instead, and matches when its numerical average degeneracy lies
-    strictly below `fibnum.min_avg_degeneracy`, the split multiplets of a
-    chain without Yangian symmetry.  Such a report has no formula levels, a
-    nan energy error and no matched degeneracies.
+    clusters the eigenvalues.  A chain that `formula_dispersion` maps to None
+    is checked against the motif floor instead, and matches when its
+    numerical average degeneracy lies strictly below
+    `fibnum.min_avg_degeneracy`, the split multiplets of a chain without
+    Yangian symmetry.  Such a report has no formula levels, a nan energy
+    error and no matched degeneracies.
     """
     eigs = chain_eigenvalues(chain)
     numeric = tuple(cluster_levels(eigs))
-    if disp is None and chain.kind == "elliptic" and (chain.m, chain.n) != (1, 1):
+    disp = formula_dispersion(chain)
+    if disp is None:
         N, m, n = chain.sites, chain.m, chain.n
         avg, floor = Fraction((m + n) ** N, len(numeric)), fibnum.min_avg_degeneracy(N, m, n)
         mismatch = None
         if not avg < floor:
             mismatch = f"average degeneracy {float(avg):.6g} not below the motif floor {float(floor):.6g}"
         return CompareReport(mismatch is None, math.nan, False, numeric, (), mismatch)
-    if disp is None:
-        disp = formula_dispersion(chain)
     formula = tuple((float(e), d) for e, d in spectrum.level_set(chain.sites, chain.m, chain.n, disp))
     if len(numeric) != len(formula):
         mismatch = f"level count {len(numeric)} != {len(formula)}"
@@ -574,13 +573,12 @@ def compare(chain: ChainSpec, disp=None) -> CompareReport:
 def numeric_average_degeneracy(chain: ChainSpec) -> Fraction:
     """(m+n)^N over the number of distinct numerical levels.
 
-    For n = 0 the levels are counted in the most balanced occupation sector
-    alone, which holds every one of them (`build_hamiltonian`); its blocks
-    are solved in stacks of equal side, as in `chain_eigenvalues`.
+    The levels are clustered from the built blocks' spectra, each block once,
+    whose union holds every level; for n = 0 the most balanced occupation
+    sector alone is built (`build_hamiltonian`).  The blocks are solved in
+    stacks of equal side, as in `chain_eigenvalues`.
     """
-    if chain.n:
-        values = chain_eigenvalues(chain)
-    else:
-        values = np.concatenate([lam.ravel() for lam, _ in _block_spectra(build_hamiltonian(chain, _balanced=True))])
+    blocks = build_hamiltonian(chain, _balanced=not chain.n)
+    values = np.concatenate([lam.ravel() for lam, _ in _block_spectra(blocks)])
     count = len(cluster_levels(values))
     return Fraction((chain.m + chain.n) ** chain.sites, count)

@@ -3,10 +3,11 @@
 The partition functions come from the transfer-matrix kernel in `spectrum`
 with exact integer coefficients; rational couplings a/b are handled by
 scaling every exponent by the common denominator b, recorded in
-QPolynomial.scale.  A QPolynomial holds the kernel's two arrays as they
-are, int64 exponents and 64-bit coefficient limbs, so the level summary
-and the binary term dump read them with numpy and make no Python int per
-term; `terms` and `sorted_terms` fold the limbs to Python ints on request.
+QPolynomial.scale.  A QPolynomial is built only from the kernel's two
+arrays, or from those `load_terms` reads back, and holds them as they are:
+ascending exponents and 64-bit coefficient limbs.  The level summary and
+the binary term dump read them with numpy and make no Python int per term;
+`terms` and `sorted_terms` fold the limbs to Python ints on request.
 The tests check the kernel against an enumeration oracle that assembles
 the same polynomial term by term from motif energies and fiber dimensions.
 """
@@ -34,34 +35,21 @@ __all__ = [
 
 
 class QPolynomial:
-    """Sparse polynomial in q with positive integer coefficients, one array per part.
+    """Sparse polynomial in q with positive integer coefficients, held as the kernel's arrays.
 
-    `exponents` ascend: int64 where every exponent is an int that fits, and an
-    object array otherwise (exponents past int64, or the (E0, E1) pairs of
-    symbolic alpha).  Integer exponents are the exponent times `scale`.
-    `coefficients` is a (terms, limbs) uint64 array: row i holds the
-    coefficient of exponents[i] in little-endian 64-bit limbs, as few as the
-    largest coefficient needs.  The constructor takes {exponent: coefficient};
-    the kernel's arrays are taken as they are.  `terms` and `sorted_terms`
-    fold the limbs back to Python ints; the count, the largest coefficient
-    and the sum are read off the arrays.
+    `exponents` ascend, each the exponent times `scale`: int64, or an object
+    array of Python ints when they pass int64.  `coefficients` is a
+    (terms, limbs) uint64 array: row i holds the coefficient of exponents[i]
+    in little-endian 64-bit limbs, as few as the largest coefficient needs.
+    The constructor takes both arrays as they are, from
+    `spectrum._level_polynomial` or `load_terms`, and checks only the scale.
+    `terms` and `sorted_terms` fold the limbs back to Python ints; the count,
+    the largest coefficient and the sum are read off the arrays.
     """
 
     __slots__ = ("exponents", "coefficients", "scale")
 
-    def __init__(self, terms: dict, scale: int = 1) -> None:
-        if terms and min(terms.values()) <= 0:
-            e, c = next((e, c) for e, c in terms.items() if c <= 0)
-            raise ValueError(f"nonpositive coefficient {c} at exponent {e}")
-        self._set(*spectrum._term_arrays(terms), scale)
-
-    @classmethod
-    def _of(cls, exponents: np.ndarray, coefficients: np.ndarray, scale: int) -> QPolynomial:
-        qp = cls.__new__(cls)
-        qp._set(exponents, coefficients, scale)
-        return qp
-
-    def _set(self, exponents: np.ndarray, coefficients: np.ndarray, scale: int) -> None:
+    def __init__(self, exponents: np.ndarray, coefficients: np.ndarray, scale: int) -> None:
         if scale < 1:
             raise ValueError(f"need scale >= 1, got {scale}")
         self.exponents, self.coefficients, self.scale = exponents, coefficients, scale
@@ -112,7 +100,7 @@ class QPolynomial:
 
 def _su02_polynomial(disp) -> QPolynomial:
     band, scale, _ = spectrum._band(disp)
-    return QPolynomial._of(*spectrum._level_polynomial(disp.sites, 0, 2, band), scale)
+    return QPolynomial(*spectrum._level_polynomial(disp.sites, 0, 2, band), scale)
 
 
 def hs_partition(N: int) -> QPolynomial:
@@ -213,8 +201,6 @@ def dump_terms(qp: QPolynomial, fh: BinaryIO) -> None:
     exps = qp.exponents
     if exps.dtype == object:
         values = exps.tolist()
-        if not set(map(type, values)) <= {int}:
-            raise TypeError("only integer-exponent polynomials can be dumped")
         # the extreme exponents need the longest records
         e_bytes = max((values[0].bit_length() + 8) // 8, (values[-1].bit_length() + 8) // 8)
         e = spectrum._limbs(values, -(-e_bytes // 8), signed=True)
@@ -282,7 +268,10 @@ def load_terms(fh: BinaryIO) -> QPolynomial:
         exps = (_gathered_limbs(body, at[:, 0], sizes[:, 0])[:, 0].view("<i8") << shift) >> shift
     else:
         spans = zip(at[:, 0].tolist(), sizes[:, 0].tolist())
-        exps = spectrum._exponent_array([int.from_bytes(data[a : a + n], "little", signed=True) for a, n in spans])
+        values = [int.from_bytes(data[a : a + n], "little", signed=True) for a, n in spans]
+        # int64 when every one fits; the order is checked below
+        fits = _INT64_MIN <= min(values) and max(values) < -_INT64_MIN
+        exps = np.array(values, np.int64) if fits else np.fromiter(values, object, count)
     fall = np.flatnonzero(exps[1:] <= exps[:-1])
     if fall.size:
         raise ValueError(f"term dump exponents do not strictly ascend: {exps[fall[0] + 1]} after {exps[fall[0]]}")
@@ -290,4 +279,4 @@ def load_terms(fh: BinaryIO) -> QPolynomial:
     zero = np.flatnonzero(~coefficients.any(axis=1))
     if zero.size:
         raise ValueError(f"nonpositive coefficient 0 at exponent {exps[zero[0]]}")
-    return QPolynomial._of(exps, coefficients, scale)
+    return QPolynomial(exps, coefficients, scale)

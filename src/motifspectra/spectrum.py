@@ -18,10 +18,11 @@ bottom of the band instead of near its middle, and the border-strip duality
 E -> band sum - E reflects the result back.  The polynomial leaves the
 packed kernel as two arrays, never as one Python int per term: int64
 exponents and each coefficient as little-endian 64-bit limbs, read
-straight off the packed total.  A band too wide for packed rows goes through a sparse
-kernel that keeps only the energies that occur, in int64 counts while
-(m+n)^N fits and in Python ints past that; it and the fiber table keep the
-(m, n) orientation, as the independent cross-check.
+straight off the packed total.  A band too wide for packed rows goes
+through a sparse kernel that keeps only the energies that occur and
+returns them as ascending arrays too, exponents and totals, in int64
+while they fit and in Python ints past that; it and the fiber table keep
+the (m, n) orientation, as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -217,8 +218,8 @@ def _transfer_cuts(N: int, m: int, n: int) -> list[int]:
     return [t + (t >= n) for t in range(m + n)]
 
 
-def _sparse_level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> dict[int, int]:
-    """Exact sum over valid motifs of dim(V) q^E as {E: total dimension}.
+def _sparse_level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Exact sum over valid motifs of dim(V) q^E as (ascending exponents E, total dimensions).
 
     E sums the nonnegative integer band over the motif's rapidities.  Column
     i of `z` holds the exponent support[i], and row t the configurations of
@@ -226,9 +227,10 @@ def _sparse_level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> dic
     descent, and multiplies by q^eps, from every spin above t' and from t'
     itself when it is fermionic: the rule of tableau.motif_of_spins.  Only
     exponents that occur are kept, so the cost follows the number of
-    distinct partial energies, not the band's size.  The counts are int64
-    while (m+n)^N fits, since no count, prefix sum or total exceeds it, and
-    Python ints in object arrays past that.
+    distinct partial energies, not the band's size.  The exponents are int64
+    while the band sum fits and the counts while (m+n)^N fits, since no
+    count, prefix sum or total exceeds it; past either, that array holds
+    Python ints.
     """
     cut = _transfer_cuts(N, m, n)
     k = len(cut)
@@ -251,7 +253,7 @@ def _sparse_level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> dic
         occupied = (z != 0).any(axis=0)
         if not occupied.all():
             support, z = support[occupied], z[:, occupied]
-    return dict(zip(support.tolist(), z.sum(axis=0).tolist()))
+    return support, z.sum(axis=0)
 
 
 def _packed_rows(band: Sequence[int], cut: Sequence[int], width: int, op) -> int:
@@ -316,32 +318,12 @@ def _limb_ints(limbs: np.ndarray) -> list[int]:
     return ints
 
 
-def _exponent_array(exps: list) -> np.ndarray:
-    """Ascending exponents as int64 when every one is an int that fits, else as an object array."""
-    if set(map(type, exps)) <= {int} and (not exps or -_INT64_MAX - 1 <= exps[0] <= exps[-1] <= _INT64_MAX):
-        return np.array(exps, dtype=np.int64)
-    return np.fromiter(exps, object, len(exps))
-
-
 def _trimmed(limbs: np.ndarray) -> np.ndarray:
     """(terms, limbs) uint64 limbs without the top columns that are zero in every row, keeping one."""
     width = limbs.shape[1]
     while width > 1 and not limbs[:, width - 1].any():
         width -= 1
     return np.ascontiguousarray(limbs[:, :width])
-
-
-def _term_arrays(terms: dict) -> tuple[np.ndarray, np.ndarray]:
-    """{exponent: positive coefficient} as the arrays `_level_polynomial` returns.
-
-    The exponents ascend, by `_exponent_array`'s dtype rule (pairs, floats
-    and ints past int64 take an object array).  Each coefficient takes as
-    many limbs as the largest needs, and at least one.
-    """
-    exps = sorted(terms)
-    coeffs = list(map(terms.__getitem__, exps))
-    width = max(1, -(-max(coeffs, default=0).bit_length() // 64))
-    return _exponent_array(exps), _limbs(coeffs, width, signed=False)
 
 
 def _level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -361,14 +343,19 @@ def _level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> tuple[np.n
     back in reverse.  A (0, n) row enters at about half the band sum and
     carries that many empty low slots; its dual's rows carry none, so they
     are about half as wide.  Wider bands (an alpha with a large numerator or
-    denominator) go through `_sparse_level_polynomial`, whose dict is
-    converted by `_term_arrays`.
+    denominator) go through `_sparse_level_polynomial`, whose exponents are
+    kept as they are; its int64 totals are one limb each, and its Python-int
+    totals (past 2^63) are split into limbs.
     """
     cut = _transfer_cuts(N, m, n) if m else _transfer_cuts(N, n, 0)
     nbytes = _slot_bytes(N, m, n)
+    width = -(-nbytes // 8)
     slots = sum(band) + 1
     if slots * 8 * nbytes > _PACKED_BOUND:
-        return _term_arrays(_sparse_level_polynomial(N, m, n, band))
+        exponents, totals = _sparse_level_polynomial(N, m, n, band)
+        if totals.dtype == object:
+            return exponents, _trimmed(_limbs(totals.tolist(), width, signed=False))
+        return exponents, totals.view(np.uint64)[:, None]
     # glibc serves a block past its mmap threshold from fresh pages, and raises
     # the threshold to a freed mmapped block's size: one block of the final row
     # size, dropped at once, lets the growing rows reuse heap instead
@@ -381,7 +368,6 @@ def _level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> tuple[np.n
         raw = raw[::-1]  # slot E of the dual holds exponent sum(band) - E
     exponents = np.flatnonzero(raw.any(axis=1))
     # each nonzero slot padded to whole little-endian 64-bit limbs
-    width = -(-nbytes // 8)
     wide = np.zeros((exponents.size, 8 * width), dtype=np.uint8)
     wide[:, :nbytes] = raw[exponents]
     return exponents, _trimmed(wide.view("<u8"))
@@ -405,7 +391,7 @@ def level_count(N: int, m: int, n: int, disp) -> int:
     band, _, _ = _band(disp)
     cut = _transfer_cuts(N, m, n) if m else _transfer_cuts(N, n, 0)
     if sum(band) + 1 > _PACKED_BOUND:
-        return len(_sparse_level_polynomial(N, m, n, band))
+        return len(_sparse_level_polynomial(N, m, n, band)[0])
     return _packed_rows(band, cut, 1, operator.or_).bit_count()
 
 

@@ -61,13 +61,15 @@ def dual_spins(spins) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=16)
 def _fiber_cache(N: int, m: int, n: int) -> dict[int, int]:
+    """{motif word: fiber dimension}, words ascending: the sparse kernel's two arrays as one dict."""
     spectrum._transfer_cuts(N, m, n)  # bad context or N fails before the cap
     total = (m + n) ** N
     if total > FIBER_CAP:
         raise InfeasibleSizeError(f"(m+n)^N = {total} exceeds cap {FIBER_CAP}")
     # eps(j) = 2^(N-1-j) is rapidity j's bit in the word: a motif's energy is its word
     # sparse kernel: valid motifs occupy a vanishing share of the 2^(N-1) packed slots
-    return spectrum._sparse_level_polynomial(N, m, n, [1 << (N - 1 - j) for j in range(1, N)])
+    words, dims = spectrum._sparse_level_polynomial(N, m, n, [1 << (N - 1 - j) for j in range(1, N)])
+    return dict(zip(words.tolist(), dims.tolist()))
 
 
 def fiber_sizes(N: int, m: int, n: int) -> dict[int, int]:

@@ -4,10 +4,13 @@ Each one recomputes, by enumeration or element by element, what a fast path
 in `motifspectra` computes another way:
 
 * `enumerated_partition` assembles the level polynomial term by term from
-  motif energies and fiber dimensions, against the transfer-matrix kernel.
-  Its fiber dimensions come from the same kernel over a binary band, so the
-  descent rule itself is checked independently by the tests' count of spin
-  configurations;
+  motif energies and fiber dimensions, as {exponent: coefficient} and the
+  scale, against the transfer-matrix kernel.  Its fiber dimensions come
+  from the same kernel over a binary band, so the descent rule itself is
+  checked independently by the tests' count of spin configurations;
+* `polynomial` builds a `QPolynomial` from {exponent: coefficient},
+  splitting the Python-int coefficients into limbs: the tests' hand-made
+  polynomials, against the kernel's arrays and the term dump;
 * `level_count_by_enumeration` counts the distinct exact energies over every
   valid motif word, against `spectrum.level_count`;
 * `graded_permutation` applies one graded transposition to one basis state,
@@ -114,13 +117,24 @@ def ground_state_energy(disp) -> int | Fraction | float | tuple[int, int]:
     return energy(Motif((1 << (disp.sites - 1)) - 1, disp.sites), disp)
 
 
-def reflected(qp: QPolynomial, pivot) -> QPolynomial:
-    """Exponent reflection e -> pivot - e (pivot in scaled units)."""
-    if isinstance(pivot, tuple):
-        flipped = {tuple(p - x for p, x in zip(pivot, e)): c for e, c in qp.terms.items()}
-    else:
-        flipped = {pivot - e: c for e, c in qp.terms.items()}
-    return QPolynomial(flipped, qp.scale)
+def reflected(terms: dict, pivot: int) -> dict:
+    """Exponent reflection e -> pivot - e of {exponent: coefficient} (pivot in scaled units)."""
+    return {pivot - e: c for e, c in terms.items()}
+
+
+def polynomial(terms: dict, scale: int = 1) -> QPolynomial:
+    """The QPolynomial of {integer exponent: positive coefficient}.
+
+    Exponents are int64 when every one fits, as the kernel and `load_terms`
+    make them, and Python ints otherwise; each coefficient takes as many
+    64-bit limbs as the largest needs, and at least one.
+    """
+    exps = sorted(terms)
+    coeffs = [terms[e] for e in exps]
+    fits = all(-(2**63) <= e < 2**63 for e in exps)
+    width = max(1, -(-max(coeffs, default=0).bit_length() // 64))
+    exponents = np.array(exps, np.int64) if fits else np.array(exps, object)
+    return QPolynomial(exponents, spectrum._limbs(coeffs, width, signed=False), scale)
 
 
 def half(mot: Motif) -> tuple[int, ...]:
@@ -187,9 +201,10 @@ def translational_growth_ratio() -> float:
     return 2 / ((math.sqrt(5) - 1) * math.sqrt(tc.root))
 
 
-def enumerated_partition(N: int, m: int, n: int, disp) -> QPolynomial:
-    """Oracle assembly: sum of dim(V) q^E over the valid motifs.
+def enumerated_partition(N: int, m: int, n: int, disp) -> tuple[dict, int]:
+    """Oracle assembly: sum of dim(V) q^E over the valid motifs, as {E: coefficient} and the scale.
 
+    E is the energy times the scale, or the (E0, E1) pair of symbolic alpha.
     Works for any exact dispersion; float tables have no exact exponents and
     are rejected.
     """
@@ -211,7 +226,7 @@ def enumerated_partition(N: int, m: int, n: int, disp) -> QPolynomial:
                 scaled = scaled.numerator
             key = scaled
         terms[key] = terms.get(key, 0) + dim
-    return QPolynomial(terms, scale)
+    return terms, scale
 
 
 def level_count_by_enumeration(N: int, m: int, n: int, disp) -> int:
@@ -333,8 +348,6 @@ def su2_half_count_series(r_max: int) -> tuple[list[int], list[int]]:
 def dumped_terms(qp: QPolynomial) -> bytes:
     """The `partition.dump_terms` byte layout, one record at a time."""
     items = qp.sorted_terms()
-    if any(not isinstance(e, int) for e, _ in items):
-        raise TypeError("only integer-exponent polynomials can be dumped")
     out = bytearray(struct.pack("<4sBQQ", b"MSQP", 1, len(items), qp.scale))
     for e, c in items:
         el = (e.bit_length() + 8) // 8  # room for the sign bit: 0 takes one byte

@@ -57,6 +57,15 @@ def test_json_meta_echoes_config():
     assert doc["rows"][0]["count"] == 149
 
 
+def test_json_meta_echoes_symbolic_alpha():
+    argv = ("spectrum", "--chain", "fi", "--alpha", "irrational", "--sites", "4", "--levels")
+    code, out, _ = run_cli(*argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["meta"]["config"]["alpha"] == "irrational"
+    code, _, err = run_cli(*argv)
+    assert code == 0 and '"alpha": "irrational"' in err
+
+
 def test_motifs_brute_cross_check():
     code, out, _ = run_cli("motifs", "--sites", "10", "--m", "2", "--brute")
     assert code == 0
@@ -205,6 +214,20 @@ def test_partition_dump_round_trip(tmp_path):
     assert qp.terms == partition.hs_partition(12).terms
 
 
+def test_partition_dumps_exponents_past_int64(tmp_path):
+    target = tmp_path / "wide.bin"
+    alpha = 10**30
+    argv = ("partition", "--chain", "fi", "--alpha", str(alpha), "--sites", "3", "--dump-terms", str(target))
+    code, out, _ = run_cli(*argv)
+    assert code == 0
+    qp = partition.fi_partition(3, alpha)
+    assert sum(e >= 2**63 for e in qp.terms) == 3
+    assert out.splitlines()[1] == f"3,3,{target}"
+    assert target.read_bytes() == oracles.dumped_terms(qp)
+    with open(target, "rb") as fh:
+        assert partition.load_terms(fh) == qp
+
+
 def test_partition_rows_are_the_su02_level_set():
     # from N = 3 on, no (0, 2) motif is all 0s: only N <= 2 has the zero exponent
     for sites in (12, 9, 2):
@@ -236,7 +259,7 @@ def test_partition_levels_only():
 
 def test_partition_levels_only_checks_the_state_count(monkeypatch):
     # the summary's degeneracies must add up to the 2^N states
-    monkeypatch.setattr(partition, "hs_partition", lambda N: partition.QPolynomial({0: 2**N - 1, 3: 2}))
+    monkeypatch.setattr(partition, "hs_partition", lambda N: oracles.polynomial({0: 2**N - 1, 3: 2}))
     code, out, err = run_cli("partition", "--chain", "hs", "--sites", "6", "--levels-only")
     assert code == 1 and out == ""
     assert "level degeneracies sum to 65, expected 64" in err

@@ -6,7 +6,9 @@ through an import of it or an attribute of its module.  Reads made inside
 a public definition count only once that definition is used.  A public
 method or property of an exported class counts as used when some module
 of `src/` or `bench/` reads an attribute of that name.  A name that only
-the tests read belongs in `tests/oracles.py`, or nowhere.
+the tests read belongs in `tests/oracles.py`, or nowhere.  Likewise a
+defaulted parameter of a public function or method that `src/` or `bench/`
+calls must be passed at one of those calls, or only the tests vary it.
 """
 
 import ast
@@ -112,3 +114,66 @@ def test_every_public_method_has_a_caller_outside_the_tests():
     assert methods, "no public methods found: the parse is broken"
     unused = sorted(f"{module}.{owner}.{name}" for module, owner, name in methods if name not in read)
     assert not unused, f"public methods that only the tests use: {unused}"
+
+
+def _calls(modules: dict[str, ast.Module]) -> dict[tuple[str | None, str], list[ast.Call]]:
+    """Calls in `src/` and `bench/` by (module, function) called; a method call is keyed (None, name)."""
+    out: dict[tuple[str | None, str], list[ast.Call]] = {}
+    for module, tree in modules.items():
+        imported = {
+            alias.asname or alias.name: f"{_source(module, node)}.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name):
+                key = tuple(imported[f.id].rsplit(".", 1)) if f.id in imported else (module, f.id)
+            elif isinstance(f, ast.Attribute):
+                key = (imported.get(f.value.id) if isinstance(f.value, ast.Name) else None, f.attr)
+            else:
+                continue
+            out.setdefault(key, []).append(node)
+    return out
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]]:
+    """(name, position in a call) of each defaulted parameter; None for keyword-only ones."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    out = [(arg.arg, k - method) for k, arg in enumerate(positional) if k >= first]
+    return out + [(arg.arg, None) for arg, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and position < len(call.args)
+
+
+def test_every_default_is_passed_by_a_caller_outside_the_tests():
+    modules = _modules()
+    calls = _calls(modules)
+    checked, unpassed = [], []
+    for module, tree in modules.items():
+        if module.startswith("bench."):
+            continue
+        defs = [(None, node) for node in tree.body]
+        defs += [(node.name, item) for node in tree.body if isinstance(node, ast.ClassDef) for item in node.body]
+        for owner, fn in defs:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            # the figure builders are called through `figures.FIGURES` only: no static call site
+            sites = calls.get((module, fn.name) if owner is None else (None, fn.name), [])
+            for name, position in _defaulted(fn, owner is not None) if sites else ():
+                label = f"{module}.{f'{owner}.' if owner else ''}{fn.name}({name})"
+                checked.append(label)
+                if not any(_passes(call, name, position) for call in sites):
+                    unpassed.append(label)
+    assert "motifspectra.cli.main(argv)" in checked, "the call sites were not found: the parse is broken"
+    assert not unpassed, f"defaulted parameters that only the tests pass: {unpassed}"
