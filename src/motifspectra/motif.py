@@ -46,21 +46,34 @@ def _check_context(m: int, n: int) -> None:
         raise ValueError(f"need m, n >= 0 with m + n >= 1, got m={m}, n={n}")
 
 
-def is_valid_word(word, length: int, m: int, n: int):
+def is_valid_word(word, length: int, m: int, n: int, out=None):
     """Validity of a packed motif word of `length` bits in the (m, n) context.
 
     `word` is an int, giving a bool, or an unsigned integer array of words,
     giving a bool array; a mixed context admits every word and gives True.
     A word holds a run of r consecutive 1s iff AND-folding r shifted copies
     leaves a set bit; the fermionic rule is the bosonic one on the complement.
+    `out`, for an array of words, is a (fold, shifted, valid) triple of
+    arrays of its shape, two of its dtype and one bool: the fold runs in
+    them and `valid` is returned, so that a sweep which passes the same
+    triple for every block allocates nothing per block.
     """
     _check_context(m, n)
     if m and n:
         return True
-    w = word if m else ~word & ((1 << length) - 1)
+    mask = (1 << length) - 1
+    if out is None:
+        w = word if m else ~word & mask
+        for _ in range((m or n) - 1):
+            w = w & (w >> 1)
+        return w == 0
+    fold, shifted, valid = out
+    # a sweep's words are below 2^length, where the complement is an XOR
+    w = word if m else np.bitwise_xor(word, mask, out=fold)
     for _ in range((m or n) - 1):
-        w = w & (w >> 1)
-    return w == 0
+        np.right_shift(w, 1, out=shifted)
+        w = np.bitwise_and(w, shifted, out=fold)
+    return np.equal(w, 0, out=valid)
 
 
 @dataclass(frozen=True)
@@ -133,13 +146,24 @@ def _valid_word_blocks(N: int, m: int, n: int) -> Iterator[np.ndarray]:
     """Yield ascending uint32 arrays of the valid words, `_BLOCK` candidates at a time.
 
     Raises InfeasibleSizeError, before the first block, past 2^`_ENUM_BITS` candidates.
+    The candidates and the validity filter's temporaries live in buffers
+    made once per sweep, and each yielded array is the consumer's own:
+    quarter-megabyte temporaries freed at every block would go back to the
+    system and return as fresh pages.
     """
     length = _sweep_length(N, m, n)
     total = 1 << length
     offsets = np.arange(_BLOCK, dtype=np.uint32)
+    if m and n:
+        for lo in range(0, total, _BLOCK):
+            yield offsets[: total - lo] + lo
+        return
+    size = min(_BLOCK, total)
+    words, fold, shifted, valid = (np.empty(size, t) for t in (np.uint32, np.uint32, np.uint32, bool))
     for lo in range(0, total, _BLOCK):
-        words = offsets[: total - lo] + lo
-        yield words if m and n else words[is_valid_word(words, length, m, n)]
+        k = min(size, total - lo)
+        np.add(offsets[:k], lo, out=words[:k])
+        yield words[:k][is_valid_word(words[:k], length, m, n, out=(fold[:k], shifted[:k], valid[:k]))]
 
 
 def count_by_enumeration(N: int, m: int, n: int) -> int:

@@ -7,7 +7,7 @@ QPolynomial.scale.  A QPolynomial is built only from the kernel's two
 arrays, or from those `load_terms` reads back, and holds them as they are:
 ascending exponents and 64-bit coefficient limbs.  The level summary and
 the binary term dump read them with numpy and make no Python int per term;
-`terms` and `sorted_terms` fold the limbs to Python ints on request.
+`sorted_terms` folds the limbs to Python ints on request.
 The tests check the kernel against an enumeration oracle that assembles
 the same polynomial term by term from motif energies and fiber dimensions.
 """
@@ -42,9 +42,10 @@ class QPolynomial:
     (terms, limbs) uint64 array: row i holds the coefficient of exponents[i]
     in little-endian 64-bit limbs, as few as the largest coefficient needs.
     The constructor takes both arrays as they are, from
-    `spectrum._level_polynomial` or `load_terms`, and checks only the scale.
-    `terms` and `sorted_terms` fold the limbs back to Python ints; the count,
-    the largest coefficient and the sum are read off the arrays.
+    `spectrum._level_polynomial` or `load_terms`, and checks only the scale;
+    its repr shows the three.  `sorted_terms` folds the limbs back to Python
+    ints; the count, the largest coefficient and the sum are read off the
+    arrays.
     """
 
     __slots__ = ("exponents", "coefficients", "scale")
@@ -64,12 +65,7 @@ class QPolynomial:
         )
 
     def __repr__(self) -> str:
-        return f"QPolynomial({self.terms!r}, {self.scale!r})"
-
-    @property
-    def terms(self) -> dict:
-        """{exponent: coefficient} with Python-int coefficients, by ascending exponent."""
-        return dict(self.sorted_terms())
+        return f"QPolynomial({self.exponents!r}, {self.coefficients!r}, {self.scale!r})"
 
     def term_count(self) -> int:
         return len(self.exponents)

@@ -10,17 +10,20 @@ level when their gap is within the round-off of the computation.
 
 Every exact level polynomial, the sum over motifs of dim(V) q^E, comes from
 one transfer-matrix kernel over the spins of the chain, fed with the
-dispersion's band scaled to integers.  Each spin's row is one Python int
-with a fixed-width slot per scaled energy; level counts without
-degeneracies run the same loop with one-bit slots and OR.  A pure-fermionic
-context (0, n) runs as its bosonic dual (n, 0), whose rows start at the
-bottom of the band instead of near its middle, and the border-strip duality
-E -> band sum - E reflects the result back.  The polynomial leaves the
-packed kernel as two arrays, never as one Python int per term: int64
-exponents and each coefficient as little-endian 64-bit limbs, read
-straight off the packed total.  A band too wide for packed rows goes
-through a sparse kernel that keeps only the energies that occur and
-returns them as ascending arrays too, exponents and totals, in int64
+dispersion's band scaled to integers.  Each spin's row is a numpy array
+with one slot per scaled energy, updated in place: one lane of the
+narrowest unsigned dtype while the (m+n)^N configurations fit 64 bits, and
+past that several uint64 lanes of fewer bits, carried from lane to lane only
+when an exact bound says a lane could overflow.  Level counts without
+degeneracies run the same transfer on Python-int bitsets with OR.  A
+pure-fermionic context (0, n) runs as its bosonic dual (n, 0), whose rows
+start at the bottom of the band instead of near its middle, and the
+border-strip duality E -> band sum - E reflects the result back.  The
+polynomial leaves the kernel as two arrays, never as one Python int per
+term: int64 exponents and each coefficient as little-endian 64-bit limbs,
+gathered straight from the lanes of the total.  A band too wide for packed
+rows goes through a sparse kernel that keeps only the energies that occur
+and returns them as ascending arrays too, exponents and totals, in int64
 while they fit and in Python ints past that; it and the fiber table keep
 the (m, n) orientation, as the independent cross-check.
 """
@@ -61,6 +64,9 @@ _EVEN_TOL = 1e-12
 _PACKED_BOUND = 1 << 25
 _INT64_MAX = np.iinfo(np.int64).max
 _LIMB_MASK = (1 << 64) - 1
+# slots per in-place update of a bosonic row and per carry pass: a few
+# (lanes, _CHUNK) blocks stay in cache
+_CHUNK = 1 << 14
 
 
 def _check_rapidity(j: int, sites: int) -> None:
@@ -256,43 +262,151 @@ def _sparse_level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> tup
     return support, z.sum(axis=0)
 
 
-def _packed_rows(band: Sequence[int], cut: Sequence[int], width: int, op) -> int:
-    """The transfer matrix of `_sparse_level_polynomial` with packed rows, reduced by `op`.
+def _packed_rows(band: Sequence[int], cut: Sequence[int]) -> int:
+    """The energies that occur in the transfer matrix of `_sparse_level_polynomial`, as one bitset.
 
-    Row t is one Python int whose `width`-bit slot E holds the configurations
-    of the sites seen so far that end in spin t - n at scaled energy E.  The
-    rows entered without a descent are a prefix of the rows and those entered
-    through one are the matching suffix, shifted by the band entry's slots.
-    `op` is + (slots count configurations; no slot may reach 2^width) or |
-    (one-bit slots mark the energies that occur).
+    Row t is one Python int with bit E set when some configuration of the
+    sites seen so far ends in spin t - n at scaled energy E; the result is
+    the OR of the rows.  The rows entered without a descent are a prefix of
+    the rows and those entered through one are the matching suffix, shifted
+    by the band entry.
 
     Rows run to megabytes, so a step makes no pass over them that it can
-    skip: prefix sums run only up to the largest cut and suffix sums only
+    skip: prefix ORs run only up to the largest cut and suffix ORs only
     from the smallest, and a row entered from an empty prefix (cut 0) or an
-    empty suffix (cut = number of rows) is the other sum alone, with no
-    addition of 0.  A two-state context makes two `op` calls per site.
+    empty suffix (cut = number of rows) is the other one alone.  A
+    two-state context makes two ORs per site.
     """
     k = len(cut)
     lo, hi = min(cut), max(cut)
+    or_ = operator.or_
     z = [1] * k
     for e in band:
-        below = list(itertools.accumulate(z[:hi], op))  # below[c - 1]: rows 0..c-1
-        above = list(itertools.accumulate(reversed(z[lo:]), op))[::-1]  # above[c - lo]: rows c..k-1
-        shift = width * e
-        z = [
-            above[0] << shift if c == 0 else below[-1] if c == k else op(below[c - 1], above[c - lo] << shift)
-            for c in cut
-        ]
-    return functools.reduce(op, z)
+        below = list(itertools.accumulate(z[:hi], or_))  # below[c - 1]: rows 0..c-1
+        above = list(itertools.accumulate(reversed(z[lo:]), or_))[::-1]  # above[c - lo]: rows c..k-1
+        z = [above[0] << e if c == 0 else below[-1] if c == k else or_(below[c - 1], above[c - lo] << e) for c in cut]
+    return functools.reduce(or_, z)
 
 
 def _slot_bytes(N: int, m: int, n: int) -> int:
-    """Bytes per packed slot.
+    """Bytes of the largest count, (m+n)^N: the slot size that `_PACKED_BOUND` charges a polynomial row.
 
-    No slot of a row, or of the rows' prefix and suffix sums, counts more
-    than the (m+n)^N configurations, so none carries into the next.
+    No slot of a row, or of the rows' prefix sums, counts more than the
+    (m+n)^N configurations.
     """
     return (((m + n) ** N).bit_length() + 7) // 8
+
+
+def _lane_layout(count: int, rows: int) -> tuple[type, int, int]:
+    """(dtype, lanes L, bits per lane B) of transfer rows whose counts reach `count`.
+
+    While `count` fits 64 bits there is one lane, of the narrowest unsigned
+    dtype that holds it, and no carry; B is then 64, the whole lane.  Past
+    that there are L uint64 lanes of B bits, L = ceil(bits / (64 - h)) and
+    B = ceil(bits / L) for the count's bit length and h = max(4, bit length
+    of `rows`): a lane carried below 2^B takes at least one step, which
+    multiplies it by at most `rows`, before it nears 2^64.
+    """
+    bits = count.bit_length()
+    if bits <= 64:
+        return next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if bits <= 8 * t().itemsize), 1, 64
+    lanes = -(-bits // (64 - max(4, rows.bit_length())))
+    return np.uint64, lanes, -(-bits // lanes)
+
+
+def _carry(row: np.ndarray, top: int, lane_bits: int, scratch: np.ndarray) -> None:
+    """Carry each lane of `row`'s first `top` slots into the next, lowest first, leaving it below 2^lane_bits.
+
+    The top lane keeps what it gets: it holds the count shifted down by
+    every lower lane's bits, which the layout keeps below 2^lane_bits.
+    Runs `_CHUNK` slots at a time through `scratch`.
+    """
+    mask = (1 << lane_bits) - 1
+    for lo in range(0, top, _CHUNK):
+        block = row[:, lo : min(lo + _CHUNK, top)]
+        carry = scratch[0, : block.shape[1]]
+        for lane in range(len(row) - 1):
+            np.right_shift(block[lane], lane_bits, out=carry)
+            block[lane] &= mask
+            block[lane + 1] += carry
+
+
+def _transfer_lanes(band: Sequence[int], cut: Sequence[int], count: int) -> tuple[np.ndarray, int]:
+    """The transfer matrix of `_sparse_level_polynomial` on unsigned lanes: (total, bits per lane).
+
+    Each of the k spin rows is one (lanes, band sum + 1) array of the
+    `_lane_layout` for `count`, the number of configurations: slot E of
+    row t holds, split over its lanes, the configurations of the sites seen
+    so far that end in spin t - n at scaled energy E.  `cut` must end in k
+    (m >= 1), so that the last row is entered from every row without a
+    descent.  A step turns the rows into their prefix sums in place, T the
+    last one, and then, from the top row down, makes row t into
+    X + shift_e(T - X), with X the prefix sum ending at row cut[t] - 1.  A
+    bosonic row is its own X: it is updated in place `_CHUNK` slots at a
+    time, from the top chunk down, each chunk's T - X read before it is
+    written, so no write lands on a slot still to be read.  A fermionic row
+    takes the row below as X.  Only the slots that a nonzero count can
+    reach so far are touched.
+
+    No lane of a step exceeds k times the largest lane before it, since it
+    is a sum of at most k of them.  The kernel keeps that bound as an exact
+    Python int and runs one lane while it allows; before a step, or the
+    closing sum, that could take a lane, or a lane plus the carry it
+    receives, past 2^64 - 1, every row is carried (`_carry`) and the bound
+    drops to 2^B - 1.  The total comes back carried, every lane below 2^B.
+    """
+    k = len(cut)
+    dtype, lanes, lane_bits = _lane_layout(count, k)
+    z = [np.zeros((lanes, sum(band) + 1), dtype) for _ in range(k)]
+    for row in z:
+        row[0, 0] = 1
+    scratch = np.empty((lanes, _CHUNK), dtype)
+    used, top, bound = 1, 1, 1  # lanes in use, slots in use, bound on every lane
+
+    def grow() -> None:
+        # the bound after one more sum of k lanes, carried first when it would overflow
+        nonlocal used, bound
+        grown = bound * k
+        # a lane's carry in is at most (grown >> lane_bits) + 1: one more when
+        # the carry the lane below received rounds its own carry up
+        if grown + (grown >> lane_bits) >= _LIMB_MASK:
+            used = lanes
+            for row in z:
+                _carry(row, top, lane_bits, scratch)
+            grown = ((1 << lane_bits) - 1) * k
+        bound = grown
+
+    for e in band:
+        grow()
+        for below, row in itertools.pairwise(z):
+            row[:used, :top] += below[:used, :top]
+        total = z[-1][:used]
+        top += e
+        for t in range(k - 2, -1, -1):
+            row = z[t][:used]
+            if cut[t] == t + 1:
+                # row[E] += (T - row)[E - e], top chunk first
+                for hi in range(top, e, -_CHUNK):
+                    lo = max(e, hi - _CHUNK)
+                    gap = scratch[:used, : hi - lo]
+                    np.subtract(total[:, lo - e : hi - e], row[:, lo - e : hi - e], out=gap)
+                    row[:, lo:hi] += gap
+            elif t:
+                x = z[t - 1][:used]
+                row[:, :e] = x[:, :e]
+                np.subtract(total[:, : top - e], x[:, : top - e], out=row[:, e:top])
+                row[:, e:top] += x[:, e:top]
+            else:
+                row[:, :e] = 0
+                row[:, e:top] = total[:, : top - e]
+    grow()
+    total = z.pop()
+    for row in z:
+        total[:used] += row[:used]
+    z.clear()
+    if lanes > 1:
+        _carry(total, top, lane_bits, scratch)
+    return total, lane_bits
 
 
 def _limbs(values: list, width: int, signed: bool) -> np.ndarray:
@@ -334,52 +448,55 @@ def _level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> tuple[np.n
     coefficient of exponent i in little-endian 64-bit limbs, as few as the
     largest coefficient needs.  `_limb_ints` folds them to Python ints.
 
-    Rows of (band sum + 1) slots of `_slot_bytes` each run `_packed_rows`
-    with +, when they fit in `_PACKED_BOUND` bits, and the nonzero slots of
-    the total are read back as limbs, with no per-term Python object.  A
-    context with m = 0 runs with the cuts of (n, 0): complementing a motif's
-    bits maps the valid (0, n) motifs onto the valid (n, 0) ones, with the
-    same dimension and the energy band sum - E, so the dual's slots are read
-    back in reverse.  A (0, n) row enters at about half the band sum and
-    carries that many empty low slots; its dual's rows carry none, so they
-    are about half as wide.  Wider bands (an alpha with a large numerator or
-    denominator) go through `_sparse_level_polynomial`, whose exponents are
-    kept as they are; its int64 totals are one limb each, and its Python-int
-    totals (past 2^63) are split into limbs.
+    Rows of (band sum + 1) slots run `_transfer_lanes` when (band sum + 1)
+    slots of `_slot_bytes` fit in `_PACKED_BOUND` bits.  Every row but the
+    total is dropped before the read-back, which takes the slots where some
+    lane is nonzero and gathers their B-bit lanes straight into 64-bit limbs
+    (one lane is the one limb), with no per-term Python object.  A context
+    with m = 0 runs with the cuts of (n, 0): complementing a motif's bits
+    maps the valid (0, n) motifs onto the valid (n, 0) ones, with the same
+    dimension and the energy band sum - E, so the dual's slots are read back
+    in reverse.  A (0, n) row enters at about half the band sum; its dual's
+    rows start at the bottom, so a step touches about half as many slots.
+    Wider bands (an alpha with a large numerator or denominator) go through
+    `_sparse_level_polynomial`, whose exponents are kept as they are; its
+    int64 totals are one limb each, and its Python-int totals (past 2^63)
+    are split into limbs.
     """
     cut = _transfer_cuts(N, m, n) if m else _transfer_cuts(N, n, 0)
-    nbytes = _slot_bytes(N, m, n)
-    width = -(-nbytes // 8)
+    count = (m + n) ** N
     slots = sum(band) + 1
-    if slots * 8 * nbytes > _PACKED_BOUND:
+    if slots * 8 * _slot_bytes(N, m, n) > _PACKED_BOUND:
         exponents, totals = _sparse_level_polynomial(N, m, n, band)
         if totals.dtype == object:
-            return exponents, _trimmed(_limbs(totals.tolist(), width, signed=False))
+            return exponents, _trimmed(_limbs(totals.tolist(), -(-count.bit_length() // 64), signed=False))
         return exponents, totals.view(np.uint64)[:, None]
-    # glibc serves a block past its mmap threshold from fresh pages, and raises
-    # the threshold to a freed mmapped block's size: one block of the final row
-    # size, dropped at once, lets the growing rows reuse heap instead
-    bytes(slots * nbytes)
-    # only the bytes outlive this line: the megabyte-wide int, kept through the
-    # read-back, moved peak RSS by up to 4 MB with where the heap put it
-    total = _packed_rows(band, cut, 8 * nbytes, operator.add).to_bytes(slots * nbytes, "little")
-    raw = np.frombuffer(total, dtype=np.uint8).reshape(slots, nbytes)
+    total, lane_bits = _transfer_lanes(band, cut, count)
     if not m:
-        raw = raw[::-1]  # slot E of the dual holds exponent sum(band) - E
-    exponents = np.flatnonzero(raw.any(axis=1))
-    # each nonzero slot padded to whole little-endian 64-bit limbs
-    wide = np.zeros((exponents.size, 8 * width), dtype=np.uint8)
-    wide[:, :nbytes] = raw[exponents]
-    return exponents, _trimmed(wide.view("<u8"))
+        total = total[:, ::-1]  # slot E of the dual holds exponent sum(band) - E
+    if len(total) == 1:
+        exponents = np.flatnonzero(total[0])
+        return exponents, total[0, exponents].astype(np.uint64)[:, None]
+    exponents = np.flatnonzero(total.any(axis=0))
+    limbs = np.zeros((exponents.size, -(-lane_bits * len(total) // 64)), np.uint64)
+    for lane, values in enumerate(total[:, exponents]):
+        limb, shift = divmod(lane_bits * lane, 64)
+        limbs[:, limb] |= values << shift
+        if shift + lane_bits > 64:
+            limbs[:, limb + 1] |= values >> (64 - shift)
+    return exponents, _trimmed(limbs)
 
 
 def level_count(N: int, m: int, n: int, disp) -> int:
     """Number of distinct energies over the valid motifs of an exact dispersion.
 
-    `_packed_rows` over the Boolean semiring: row t is a Python-int bitset
-    with bit E set when some configuration of the sites seen so far ends in
-    spin t - n at scaled energy E, and the count is the popcount of their OR.
-    A context with m = 0 runs its dual (n, 0), as `_level_polynomial` does;
+    `_packed_rows` runs the transfer over the Boolean semiring: row t is a
+    Python-int bitset with bit E set when some configuration of the sites
+    seen so far ends in spin t - n at scaled energy E, and the count is the
+    popcount of their OR.  One bit per slot keeps these rows 8 to 64 times
+    narrower than the lanes of `_transfer_lanes`, and an OR of Python ints
+    runs a machine word per 64 slots, so the counts stay on bitsets.  A
+    context with m = 0 runs its dual (n, 0), as `_level_polynomial` does;
     reflecting the energies leaves their number unchanged.  A band whose
     one-bit rows pass `_PACKED_BOUND` (an alpha with a large numerator or
     denominator makes one) is counted as the term count of
@@ -392,7 +509,7 @@ def level_count(N: int, m: int, n: int, disp) -> int:
     cut = _transfer_cuts(N, m, n) if m else _transfer_cuts(N, n, 0)
     if sum(band) + 1 > _PACKED_BOUND:
         return len(_sparse_level_polynomial(N, m, n, band)[0])
-    return _packed_rows(band, cut, 1, operator.or_).bit_count()
+    return _packed_rows(band, cut).bit_count()
 
 
 def _word_energies(words: np.ndarray, N: int, table: Sequence[float]) -> np.ndarray:

@@ -10,14 +10,17 @@ in `motifspectra` computes another way:
   checked independently by the tests' count of spin configurations;
 * `polynomial` builds a `QPolynomial` from {exponent: coefficient},
   splitting the Python-int coefficients into limbs: the tests' hand-made
-  polynomials, against the kernel's arrays and the term dump;
+  polynomials, against the kernel's arrays and the term dump; `terms`
+  reads one back as {exponent: coefficient};
 * `level_count_by_enumeration` counts the distinct exact energies over every
   valid motif word, against `spectrum.level_count`;
 * `graded_permutation` applies one graded transposition to one basis state,
   against the vectorized Hamiltonian assembly;
-* `packed_rows` runs the packed transfer loop with full prefix and suffix
-  sums, every one started from 0, against `spectrum._packed_rows`, which
-  skips the passes whose result it already holds;
+* `packed_rows` runs the packed transfer loop on Python-int rows with full
+  prefix and suffix sums, every one started from 0: with + against the
+  in-place lane kernel `spectrum._transfer_lanes`, and with | against
+  `spectrum._packed_rows`, which skips the passes whose result it already
+  holds;
 * `profile_weight` sums the paper's multinomials over cluster-size profiles,
   against the run-length automaton of `anyon.motif_weights`;
 * `su2_half_count` and `su2_half_count_series` evaluate the paper's
@@ -135,6 +138,11 @@ def polynomial(terms: dict, scale: int = 1) -> QPolynomial:
     width = max(1, -(-max(coeffs, default=0).bit_length() // 64))
     exponents = np.array(exps, np.int64) if fits else np.array(exps, object)
     return QPolynomial(exponents, spectrum._limbs(coeffs, width, signed=False), scale)
+
+
+def terms(qp: QPolynomial) -> dict:
+    """{exponent: coefficient} of a QPolynomial, Python-int coefficients, by ascending exponent."""
+    return dict(qp.sorted_terms())
 
 
 def half(mot: Motif) -> tuple[int, ...]:

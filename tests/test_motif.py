@@ -1,8 +1,13 @@
 """Motif validity, enumeration, counting and half-motif reductions."""
 
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from itertools import product
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -32,8 +37,14 @@ def test_validity_examples():
 
 def test_validity_matches_word_form():
     words = np.arange(64, dtype=np.uint32)
-    for m, n in ((2, 0), (3, 0), (0, 2), (0, 4), (1, 1), (2, 1)):
+    buffers = (np.empty(64, np.uint32), np.empty(64, np.uint32), np.empty(64, bool))
+    for m, n in ((1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 4), (1, 1), (2, 1)):
         on_array = np.broadcast_to(motif.is_valid_word(words, 6, m, n), words.shape).tolist()
+        if not (m and n):
+            # the same checks in a sweep's buffers, left as they were by the last context
+            assert motif.is_valid_word(words, 6, m, n, out=buffers) is buffers[2]
+            assert buffers[2].tolist() == on_array
+            assert words.tolist() == list(range(64))
         for bits in product((0, 1), repeat=6):
             text = "".join(map(str, bits))
             # no run of m 1s, or of n 0s, in a pure context
@@ -235,6 +246,22 @@ def test_enumeration_blocks_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the faults come from glibc returning freed heap")
+def test_enumeration_sweep_reuses_its_buffers():
+    # a fresh interpreter: the fermionic filter's temporaries, freed at every
+    # block, faulted in about 49k fresh pages over the 2^25 candidates
+    code = (
+        "import resource\n"
+        "from motifspectra import motif\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "motif.count_by_enumeration(26, 0, 2)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert int(run.stdout) < 2000
 
 
 def test_every_enumeration_has_one_cap():

@@ -8,6 +8,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -430,8 +431,9 @@ def test_fermionic_context_runs_its_bosonic_dual(n, monkeypatch):
     N, disp = 9, HSDispersion(9)
     band, _, _ = spectrum._band(disp)
     calls = []
-    kernel = spectrum._packed_rows
-    monkeypatch.setattr(spectrum, "_packed_rows", lambda *a: calls.append(a[1]) or kernel(*a))
+    lanes, bits = spectrum._transfer_lanes, spectrum._packed_rows
+    monkeypatch.setattr(spectrum, "_transfer_lanes", lambda *a: calls.append(a[1]) or lanes(*a))
+    monkeypatch.setattr(spectrum, "_packed_rows", lambda *a: calls.append(a[1]) or bits(*a))
     spectrum._level_polynomial(N, 0, n, band)
     assert calls == [spectrum._transfer_cuts(N, n, 0)]
     calls.clear()
@@ -449,28 +451,138 @@ def test_fixed_examples_take_the_packed_path():
         assert (sum(band) + 1) * 8 * spectrum._slot_bytes(N, m, n) <= spectrum._PACKED_BOUND
 
 
+def kernel_cuts(N, m, n):
+    """The cuts the packed kernels run: those of (n, 0) for a context with m = 0."""
+    return spectrum._transfer_cuts(N, m, n) if m else spectrum._transfer_cuts(N, n, 0)
+
+
+def slot_values(total: int, width: int, slots: int) -> list[int]:
+    """The `width`-bit slots 0..slots-1 of a packed row, by whole bytes."""
+    size = -(-width // 8)
+    assert width == 8 * size
+    raw = total.to_bytes(slots * size, "little")
+    return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+
+
+def lane_values(total: np.ndarray, lane_bits: int) -> list[int]:
+    """Each slot's count from `_transfer_lanes`' lanes: lane l holds its bits from lane_bits * l up."""
+    values = [0] * total.shape[1]
+    for lane in total[::-1].tolist():
+        values = [(v << lane_bits) + x for v, x in zip(values, lane)]
+    return values
+
+
+def reference_terms(N, m, n, band) -> list[tuple]:
+    """(exponent, coefficient) pairs of the level polynomial from the `+` rows of `oracles.packed_rows`."""
+    width = 8 * spectrum._slot_bytes(N, m, n)
+    total = oracles.packed_rows(band, kernel_cuts(N, m, n), width, operator.add)
+    coefficients = slot_values(total, width, sum(band) + 1)
+    if not m:
+        coefficients.reverse()  # slot E of the dual holds exponent sum(band) - E
+    return [(e, c) for e, c in enumerate(coefficients) if c]
+
+
+@st.composite
+def lane_cases(draw):
+    """(N, m, n, band) over every context with m + n <= 5 and N <= 10, bands with zero entries."""
+    m = draw(st.integers(0, 5))
+    n = draw(st.integers(1 if m == 0 else 0, 5 - m))
+    N = draw(st.integers(1, 10))
+    return N, m, n, draw(st.lists(st.integers(0, 7), min_size=N - 1, max_size=N - 1))
+
+
+@given(lane_cases())
+@example((10, 5, 0, [0] * 9))
+@example((10, 0, 5, [7, 0, 7, 0, 7, 0, 7, 0, 7]))
+@example((10, 2, 3, [1, 0, 2, 0, 3, 0, 4, 0, 5]))
+def test_lane_kernel_matches_reference(case):
+    N, m, n, band = case
+    assert polynomial_terms(N, m, n, band) == reference_terms(N, m, n, band)
+
+
+@given(lane_cases())
+@example((10, 2, 0, [1, 0, 2, 6, 3, 0, 5, 7, 4]))  # 0 <= e < chunk, with rows of several chunks
+@example((10, 1, 2, [7, 7, 0, 1, 7, 7, 0, 1, 7]))
+@example((10, 0, 3, [0, 7, 7, 7, 0, 7, 7, 7, 0]))
+def test_lane_kernel_matches_reference_in_small_chunks(case):
+    N, m, n, band = case
+    # hypothesis runs many cases per fixture, so the patch is made here
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectrum, "_CHUNK", 7)
+        assert polynomial_terms(N, m, n, band) == reference_terms(N, m, n, band)
+
+
+LANE_EDGES = [
+    (63, 2, 0),  # 2^63: one uint64 lane
+    (64, 2, 0),  # 2^64: two lanes, the last sum the first past one lane
+    (65, 2, 0),
+    (32, 4, 0),  # 4^32 = 2^64
+    (64, 1, 1),  # a fermionic row on two lanes
+    (21, 8, 0),  # 8^21 = 2^63 with eight rows
+    (21, 3, 5),
+    (21, 0, 8),
+]
+
+
+@pytest.mark.parametrize(
+    "band_of", [lambda N: spectrum._band(HSDispersion(N))[0], lambda N: [0] * (N - 1)], ids=["hs", "zero"]
+)
+@pytest.mark.parametrize("N,m,n", LANE_EDGES)
+def test_lane_kernel_at_the_lane_edges(N, m, n, band_of):
+    band = band_of(N)
+    terms = polynomial_terms(N, m, n, band)
+    assert terms == reference_terms(N, m, n, band)
+    assert sum(c for _, c in terms) == (m + n) ** N
+
+
+def test_lane_kernel_carries_at_the_packed_edge():
+    # hs su(0|2) at N = 118, the last packed N: two 60-bit lanes from site 64 on, carried every four sites
+    band = spectrum._band(HSDispersion(118))[0]
+    assert spectrum._lane_layout(2**118, 2)[1:] == (2, 60)
+    assert polynomial_terms(118, 0, 2, band) == reference_terms(118, 0, 2, band)
+
+
+@pytest.mark.parametrize(
+    "count,rows,layout",
+    [
+        (2**8 - 1, 2, (np.uint8, 1, 64)),
+        (2**8, 2, (np.uint16, 1, 64)),
+        (2**63, 8, (np.uint64, 1, 64)),
+        (2**64, 4, (np.uint64, 2, 33)),
+        (2**118, 2, (np.uint64, 2, 60)),
+        (2**200, 2, (np.uint64, 4, 51)),
+        (32**40, 32, (np.uint64, 4, 51)),  # h = 6 bits of headroom for 32 rows
+    ],
+)
+def test_lane_layout(count, rows, layout):
+    assert spectrum._lane_layout(count, rows) == layout
+
+
 @st.composite
 def transfer_steps(draw):
-    """(band, cut, width, op) over every context with m + n <= 5 and N <= 10."""
+    """(band, cut, count) over every context with m + n <= 5 and N <= 10, as the packed kernels run it."""
     m = draw(st.integers(0, 5))
     n = draw(st.integers(1 if m == 0 else 0, 5 - m))
     N = draw(st.integers(1, 10))
     band = draw(st.lists(st.integers(0, 7), min_size=N - 1, max_size=N - 1))
-    width, op = draw(st.sampled_from(((8, operator.add), (16, operator.add), (1, operator.or_))))
-    return band, spectrum._transfer_cuts(N, m, n), width, op
+    return band, kernel_cuts(N, m, n), (m + n) ** N
 
 
 @given(transfer_steps())
-@example(([0, 0, 3], [0, 1], 8, operator.add))
-@example(([5, 0, 7, 0], [1, 2], 1, operator.or_))
+@example(([0, 0, 3], [1, 2], 8))
+@example(([5, 0, 7, 0], [1, 2, 3], 3**5))
 def test_packed_step_matches_reference(case):
-    band, cut, width, op = case
-    assert spectrum._packed_rows(band, cut, width, op) == oracles.packed_rows(band, cut, width, op)
+    band, cut, count = case
+    total, lane_bits = spectrum._transfer_lanes(band, cut, count)
+    width = 8 * ((count.bit_length() + 7) // 8)
+    reference = oracles.packed_rows(band, cut, width, operator.add)
+    assert lane_values(total, lane_bits) == slot_values(reference, width, sum(band) + 1)
+    assert spectrum._packed_rows(band, cut) == oracles.packed_rows(band, cut, 1, operator.or_)
 
 
 @pytest.mark.parametrize("m,n", [(0, 2), (2, 0)])
-@pytest.mark.parametrize("op", [operator.add, operator.or_])
-def test_packed_step_makes_two_op_calls_per_site(m, n, op):
+@pytest.mark.parametrize("op", [operator.or_])
+def test_packed_step_makes_two_op_calls_per_site(m, n, op, monkeypatch):
     N = 12
     band, _, _ = spectrum._band(HSDispersion(N))
     cut = spectrum._transfer_cuts(N, m, n)
@@ -480,10 +592,11 @@ def test_packed_step_makes_two_op_calls_per_site(m, n, op):
         calls.append(1)
         return op(a, b)
 
-    assert spectrum._packed_rows(band, cut, 8, counting) == oracles.packed_rows(band, cut, 8, op)
+    monkeypatch.setattr(spectrum, "operator", SimpleNamespace(or_=counting))
+    assert spectrum._packed_rows(band, cut) == oracles.packed_rows(band, cut, 1, op)
     assert len(calls) == 2 * (N - 1) + 1
     calls.clear()
-    oracles.packed_rows(band, cut, 8, counting)
+    oracles.packed_rows(band, cut, 1, counting)
     assert len(calls) == 6 * (N - 1) + 1
 
 
@@ -562,9 +675,10 @@ def test_sparse_kernel_at_the_int64_edge(N, m, n, band_of):
     assert {type(c) for c in totals.tolist()} == {int}
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the pre-sizing works through glibc's mmap threshold")
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the fault count is glibc's heap behaviour")
 def test_packed_kernel_reuses_heap_pages():
-    # a fresh interpreter, whose heap has never held a block of the rows' size
+    # a fresh interpreter, whose heap has never held a block of the rows'
+    # size: the lane rows are allocated once and updated in place (3.8k faults)
     code = (
         "import resource\n"
         "from motifspectra import spectrum\n"
@@ -576,3 +690,24 @@ def test_packed_kernel_reuses_heap_pages():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert int(run.stdout) < 6000
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts kB on Linux")
+def test_lane_kernel_keeps_narrow_rows_at_the_admission_edge():
+    # fi alpha 46000, su(0|2), N = 10: 2070241 slots, just inside the packed
+    # bound.  Counts up to 2^10 run on uint16 lanes, which add 7.9 MB to a fresh
+    # interpreter's peak RSS; the big-int rows before them added 13.1 MB, and
+    # uint64 lanes added 31.5 MB.  The bound is the big-int rows' figure, which
+    # leaves the narrow lanes a margin of 5 MB and catches uint64 lanes.
+    code = (
+        "import resource\n"
+        "from motifspectra import spectrum\n"
+        "band = spectrum._band(spectrum.FIDispersion(10, 46000))[0]\n"
+        "assert (sum(band) + 1) * 8 * spectrum._slot_bytes(10, 0, 2) <= spectrum._PACKED_BOUND\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "spectrum._level_polynomial(10, 0, 2, band)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert int(run.stdout) <= 13 * 1024
