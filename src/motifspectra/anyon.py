@@ -36,8 +36,6 @@ class IdentityError(AssertionError):
 class WeightTable:
     """Counts of valid motifs by number of ones, for one (sites, order)."""
 
-    sites: int
-    order: int
     weights: tuple[int, ...]
 
     def total(self) -> int:
@@ -72,7 +70,7 @@ def motif_weights(N: int, m: int) -> WeightTable:
     weights = _weight_polynomial(N - 1, m, (m - 1) * N // m)
     while len(weights) > 1 and weights[-1] == 0:
         weights.pop()
-    return WeightTable(N, m, tuple(weights))
+    return WeightTable(tuple(weights))
 
 
 def _diagonal_total(N: int, m: int, fact: list[int]) -> int:
@@ -116,7 +114,6 @@ def verify_identities(m: int, N: int) -> dict[str, int]:
 class FitResult:
     """Exclusion-statistics estimate from two orbital counts."""
 
-    k: int
     samples: tuple[tuple[int, Fraction], ...]
     g_infinity: Fraction
     g: Fraction
@@ -143,4 +140,4 @@ def statistics_fit(m: int, k: int, orbital_counts: tuple[int, int]) -> FitResult
         samples.append((orbitals, G))
     (a1, g1), (a2, g2) = samples
     g_inf = Fraction(a2 * g2 - a1 * g1, a2 - a1)
-    return FitResult(k, tuple(samples), g_inf, Fraction(1, 2) - g_inf)
+    return FitResult(tuple(samples), g_inf, Fraction(1, 2) - g_inf)

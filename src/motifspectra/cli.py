@@ -168,12 +168,11 @@ def _cmd_tableau(args: argparse.Namespace) -> _Table | None:
         row = (_joined(spins), str(mot), _joined(mot.rapidities()), _joined(tableau.dual_spins(spins)), dim)
         return ["spins", "bits", "rapidities", "dual_spins", "dimension"], [row]
     N = args.sites
-    table = tableau.fiber_sizes(N, m, n)
-    total = sum(table.values())
+    words, dims = tableau._fiber_cache(N, m, n).T.tolist()
+    total = sum(dims)
     if total != (m + n) ** N:
         raise AssertionError(f"fiber dimensions sum to {total}, expected {(m + n) ** N}")
-    words = sorted(table)
-    return ["bits", "dimension"], list(zip(motif.bit_strings(words, N - 1), map(table.__getitem__, words)))
+    return ["bits", "dimension"], list(zip(motif.bit_strings(words, N - 1), dims))
 
 
 def _cmd_fib(args: argparse.Namespace) -> _Table:

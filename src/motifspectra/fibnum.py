@@ -95,7 +95,6 @@ def dominant_root(m: int) -> float:
 class RootData:
     """Characteristic-root summary for one sequence order."""
 
-    order: int
     dominant: float
     gamma: float  # prefactor of the minimum-average-degeneracy asymptotics
     coefficient: float  # leading coefficient of the m-nacci growth
@@ -112,7 +111,7 @@ def characteristic_roots(m: int) -> RootData:
     roots = [complex(z) for z in np.roots([1.0] + [-1.0] * m)]
     roots.pop(min(range(m), key=lambda k: abs(roots[k] - lam)))
     kappa = -math.log(min(abs(z) for z in roots))
-    return RootData(m, lam, gamma, coeff, kappa, (*roots, complex(lam)))
+    return RootData(lam, gamma, coeff, kappa, (*roots, complex(lam)))
 
 
 def min_avg_degeneracy(N: int, m: int, n: int) -> Fraction:

@@ -1,4 +1,4 @@
-"""Run-length-constrained bit motifs: validation, enumeration, exact counts.
+"""Run-length-constrained bit motifs: the enumeration sweep and exact counts.
 
 A motif on N sites is a bit vector (d_1, ..., d_{N-1}).  In a mixed local
 context (m bosonic and n fermionic states, mn != 0) every bit vector occurs.
@@ -8,6 +8,8 @@ families, and counting either one yields shifted m-nacci numbers.
 
 Motifs are packed into plain integers with d_1 in the highest bit, so that
 ascending word order coincides with lexicographic order on the bit sequence.
+The run rule is checked in one place, the sweep, on whole blocks of
+candidate words.
 No floating point is used anywhere in this module.
 """
 
@@ -22,7 +24,6 @@ __all__ = [
     "InfeasibleSizeError",
     "Motif",
     "bit_strings",
-    "is_valid_word",
     "count",
     "count_by_enumeration",
     "count_half",
@@ -44,36 +45,6 @@ class InfeasibleSizeError(ValueError):
 def _check_context(m: int, n: int) -> None:
     if m < 0 or n < 0 or m + n < 1:
         raise ValueError(f"need m, n >= 0 with m + n >= 1, got m={m}, n={n}")
-
-
-def is_valid_word(word, length: int, m: int, n: int, out=None):
-    """Validity of a packed motif word of `length` bits in the (m, n) context.
-
-    `word` is an int, giving a bool, or an unsigned integer array of words,
-    giving a bool array; a mixed context admits every word and gives True.
-    A word holds a run of r consecutive 1s iff AND-folding r shifted copies
-    leaves a set bit; the fermionic rule is the bosonic one on the complement.
-    `out`, for an array of words, is a (fold, shifted, valid) triple of
-    arrays of its shape, two of its dtype and one bool: the fold runs in
-    them and `valid` is returned, so that a sweep which passes the same
-    triple for every block allocates nothing per block.
-    """
-    _check_context(m, n)
-    if m and n:
-        return True
-    mask = (1 << length) - 1
-    if out is None:
-        w = word if m else ~word & mask
-        for _ in range((m or n) - 1):
-            w = w & (w >> 1)
-        return w == 0
-    fold, shifted, valid = out
-    # a sweep's words are below 2^length, where the complement is an XOR
-    w = word if m else np.bitwise_xor(word, mask, out=fold)
-    for _ in range((m or n) - 1):
-        np.right_shift(w, 1, out=shifted)
-        w = np.bitwise_and(w, shifted, out=fold)
-    return np.equal(w, 0, out=valid)
 
 
 @dataclass(frozen=True)
@@ -146,10 +117,12 @@ def _valid_word_blocks(N: int, m: int, n: int) -> Iterator[np.ndarray]:
     """Yield ascending uint32 arrays of the valid words, `_BLOCK` candidates at a time.
 
     Raises InfeasibleSizeError, before the first block, past 2^`_ENUM_BITS` candidates.
-    The candidates and the validity filter's temporaries live in buffers
-    made once per sweep, and each yielded array is the consumer's own:
-    quarter-megabyte temporaries freed at every block would go back to the
-    system and return as fresh pages.
+    A word holds a run of r consecutive 1s iff AND-folding r shifted copies
+    leaves a set bit; the fermionic rule is the bosonic one on the
+    complement, which below 2^length is an XOR.  The candidates and the
+    fold run in buffers made once per sweep, and each yielded array is the
+    consumer's own: quarter-megabyte temporaries freed at every block would
+    go back to the system and return as fresh pages.
     """
     length = _sweep_length(N, m, n)
     total = 1 << length
@@ -163,7 +136,11 @@ def _valid_word_blocks(N: int, m: int, n: int) -> Iterator[np.ndarray]:
     for lo in range(0, total, _BLOCK):
         k = min(size, total - lo)
         np.add(offsets[:k], lo, out=words[:k])
-        yield words[:k][is_valid_word(words[:k], length, m, n, out=(fold[:k], shifted[:k], valid[:k]))]
+        w = words[:k] if m else np.bitwise_xor(words[:k], total - 1, out=fold[:k])
+        for _ in range((m or n) - 1):
+            np.right_shift(w, 1, out=shifted[:k])
+            w = np.bitwise_and(w, shifted[:k], out=fold[:k])
+        yield words[:k][np.equal(w, 0, out=valid[:k])]
 
 
 def count_by_enumeration(N: int, m: int, n: int) -> int:

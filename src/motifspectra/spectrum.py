@@ -528,8 +528,9 @@ def level_set(N: int, m: int, n: int, disp) -> list[tuple[int | Fraction | float
     """Sorted distinct energies with their total degeneracies, summing to (m+n)^N.
 
     Exact dispersions go through the transfer-matrix kernel, which never
-    lists spin configurations; float tables weight each motif's energy by
-    its fiber dimension and merge levels by the round-off rule of
+    lists spin configurations; float tables take the fiber table's two
+    columns as they are, the words for `_word_energies` and the dimensions
+    as weights, and merge levels by the round-off rule of
     `_merge_float_levels`.
     """
     if disp.sites != N:
@@ -538,9 +539,8 @@ def level_set(N: int, m: int, n: int, disp) -> list[tuple[int | Fraction | float
         band, _, decode = _band(disp)
         exponents, limbs = _level_polynomial(N, m, n, band)
         return [(decode(e), d) for e, d in zip(exponents.tolist(), _limb_ints(limbs))]
-    fibers = tableau._fiber_cache(N, m, n)
-    words = np.fromiter(fibers, dtype=np.int64, count=len(fibers))
-    return _merge_float_levels(_word_energies(words, N, disp.table), list(fibers.values()))
+    words, dims = tableau._fiber_cache(N, m, n).T
+    return _merge_float_levels(_word_energies(words, N, disp.table), dims)
 
 
 def level_count_by_enumeration(N: int, m: int, n: int, disp) -> int:

@@ -5,9 +5,12 @@ values are fermionic.  Its motif has d_i = 1 exactly when s_{i+1} < s_i or
 s_i = s_{i+1} < 0.  The number of configurations mapping onto a motif is the
 dimension of the degenerate multiplet attached to it, and summing those
 dimensions over all valid motifs recovers (m+n)^N.  The table of fiber
-dimensions is the level polynomial of `spectrum`'s transfer-matrix kernel
-over a binary band, whose energies are the motif words; no configuration is
-listed.  The tests check it against a count of configurations by descent.
+dimensions is the level polynomial of `spectrum`'s sparse transfer-matrix
+kernel over a binary band, whose energies are the motif words; no
+configuration is listed.  It stays one read-only int64 array of (word,
+dimension) rows, words ascending, and every reader takes its two columns
+as they are.  The tests check it against a count of configurations by
+descent.
 
 A configuration also fills a border strip, which `tableau_lines` draws:
 each descent starts a new column, read right to left, so the positions of
@@ -19,6 +22,8 @@ from __future__ import annotations
 import functools
 from itertools import pairwise
 
+import numpy as np
+
 from . import spectrum
 from .motif import InfeasibleSizeError, Motif, _check_context
 
@@ -27,7 +32,6 @@ __all__ = [
     "validate_spins",
     "motif_of_spins",
     "dual_spins",
-    "fiber_sizes",
     "module_dimension",
     "tableau_lines",
 ]
@@ -60,26 +64,28 @@ def dual_spins(spins) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=16)
-def _fiber_cache(N: int, m: int, n: int) -> dict[int, int]:
-    """{motif word: fiber dimension}, words ascending: the sparse kernel's two arrays as one dict."""
+def _fiber_cache(N: int, m: int, n: int) -> np.ndarray:
+    """The fiber table: a read-only (motifs, 2) int64 array of (word, dimension) rows, words ascending.
+
+    It is the transpose of the sparse kernel's two arrays stacked, so `.T`
+    unpacks it into a contiguous word column and dimension column.
+    """
     spectrum._transfer_cuts(N, m, n)  # bad context or N fails before the cap
     total = (m + n) ** N
     if total > FIBER_CAP:
         raise InfeasibleSizeError(f"(m+n)^N = {total} exceeds cap {FIBER_CAP}")
     # eps(j) = 2^(N-1-j) is rapidity j's bit in the word: a motif's energy is its word
     # sparse kernel: valid motifs occupy a vanishing share of the 2^(N-1) packed slots
-    words, dims = spectrum._sparse_level_polynomial(N, m, n, [1 << (N - 1 - j) for j in range(1, N)])
-    return dict(zip(words.tolist(), dims.tolist()))
-
-
-def fiber_sizes(N: int, m: int, n: int) -> dict[int, int]:
-    """Map from motif word to the number of spin configurations above it."""
-    return dict(_fiber_cache(N, m, n))
+    columns = np.stack(spectrum._sparse_level_polynomial(N, m, n, [1 << (N - 1 - j) for j in range(1, N)]))
+    columns.flags.writeable = False  # every caller shares the cached table
+    return columns.T
 
 
 def module_dimension(motif: Motif, m: int, n: int) -> int:
-    """Multiplet dimension of a motif; 0 when the motif is invalid for (m, n)."""
-    return _fiber_cache(motif.sites, m, n).get(motif.word, 0)
+    """Multiplet dimension of a motif, bisected from the table's words; 0 when the motif is invalid for (m, n)."""
+    words, dims = _fiber_cache(motif.sites, m, n).T
+    i = np.searchsorted(words, motif.word)
+    return int(dims[i]) if i < words.size and words[i] == motif.word else 0
 
 
 def tableau_lines(spins, m: int, n: int) -> list[str]:

@@ -30,8 +30,12 @@ in `motifspectra` computes another way:
   against the numpy record builder of `partition.dump_terms`;
 * `emitted_by_row` prints a CLI table one row at a time, and `json.dump`s
   it to the stream, against the block writer of `cli._emit`;
-* `fiber_rows` lists `tableau --sites` rows from each motif's bits,
-  against the rows formatted straight from the fiber-table words;
+* `fiber_table` reads the fiber table back as {word: dimension}, the
+  form the tests look dimensions up in, and `fiber_rows` lists
+  `tableau --sites` rows from it, sorted, and from each motif's bits,
+  against the rows formatted straight from the table's columns;
+* `valid_word` runs the run-length rule on one int word, against the
+  block fold of the enumeration sweep `motif._valid_word_blocks`;
 * `enumerate_motifs` builds one `Motif` per word of the enumeration sweep,
   and `listed_rows` the `motifs --list` rows from them, against the rows
   formatted straight from the sweep's words;
@@ -79,6 +83,25 @@ def enumerate_motifs(N: int, m: int, n: int) -> Iterator[Motif]:
     for block in _motif._valid_word_blocks(N, m, n):
         for word in block.tolist():
             yield Motif(word, N)
+
+
+def valid_word(word: int, length: int, m: int, n: int) -> bool:
+    """Validity of one packed motif word of `length` bits in the (m, n) context.
+
+    A word holds a run of r consecutive 1s iff AND-folding r shifted copies
+    leaves a set bit; the fermionic rule is the bosonic one on the complement.
+    """
+    if m and n:
+        return True
+    w = word if m else ~word & ((1 << length) - 1)
+    for _ in range((m or n) - 1):
+        w &= w >> 1
+    return w == 0
+
+
+def fiber_table(N: int, m: int, n: int) -> dict[int, int]:
+    """The fiber table as {motif word: fiber dimension}, from the cached table's rows."""
+    return dict(tableau._fiber_cache(N, m, n).tolist())
 
 
 def _bits(mot: Motif) -> tuple[int, ...]:
@@ -222,7 +245,7 @@ def enumerated_partition(N: int, m: int, n: int, disp) -> tuple[dict, int]:
         raise ValueError(f"dispersion is for {disp.sites} sites, not {N}")
     scale = disp.alpha.denominator if isinstance(disp, spectrum.FIDispersion) else 1
     terms: dict = {}
-    for word, dim in tableau._fiber_cache(N, m, n).items():
+    for word, dim in fiber_table(N, m, n).items():
         e = energy(Motif(word, N), disp)
         if isinstance(e, tuple):
             key: object = e
@@ -384,5 +407,5 @@ def emitted_by_row(args, columns: list[str], rows: list[tuple]) -> None:
 
 def fiber_rows(N: int, m: int, n: int) -> list[tuple[str, int]]:
     """`tableau --sites` rows: each motif's bits, one by one, and its fiber dimension."""
-    table = tableau.fiber_sizes(N, m, n)
+    table = fiber_table(N, m, n)
     return [("".join(map(str, _bits(Motif(w, N)))), table[w]) for w in sorted(table)]

@@ -20,7 +20,7 @@ from motifspectra import fibnum, motif, spectrum
 
 
 def _is_valid(bits, m, n):
-    return motif.is_valid_word(motif.Motif.from_bits(bits).word, len(bits), m, n)
+    return oracles.valid_word(motif.Motif.from_bits(bits).word, len(bits), m, n)
 
 
 def test_validity_examples():
@@ -36,21 +36,26 @@ def test_validity_examples():
 
 
 def test_validity_matches_word_form():
-    words = np.arange(64, dtype=np.uint32)
-    buffers = (np.empty(64, np.uint32), np.empty(64, np.uint32), np.empty(64, bool))
     for m, n in ((1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 4), (1, 1), (2, 1)):
-        on_array = np.broadcast_to(motif.is_valid_word(words, 6, m, n), words.shape).tolist()
-        if not (m and n):
-            # the same checks in a sweep's buffers, left as they were by the last context
-            assert motif.is_valid_word(words, 6, m, n, out=buffers) is buffers[2]
-            assert buffers[2].tolist() == on_array
-            assert words.tolist() == list(range(64))
+        # the sweep's block fold, in buffers reused across blocks of 8 candidates
+        with mock.patch.object(motif, "_BLOCK", 8):
+            swept = set(np.concatenate(list(motif._valid_word_blocks(7, m, n))).tolist())
         for bits in product((0, 1), repeat=6):
             text = "".join(map(str, bits))
             # no run of m 1s, or of n 0s, in a pure context
             want = bool(m and n) or ("1" * m not in text if m else "0" * n not in text)
             word = motif.Motif.from_bits(bits).word
-            assert motif.is_valid_word(word, 6, m, n) == on_array[word] == want, (text, m, n)
+            assert oracles.valid_word(word, 6, m, n) == (word in swept) == want, (text, m, n)
+
+
+@pytest.mark.parametrize("context", [(m, 0) for m in range(1, 5)] + [(0, n) for n in range(1, 5)])
+@pytest.mark.parametrize("block", [3, 1 << 16])
+def test_sweep_matches_valid_word(context, block):
+    m, n = context
+    with mock.patch.object(motif, "_BLOCK", block):
+        for length in range(13):
+            words = np.concatenate(list(motif._valid_word_blocks(length + 1, m, n))).tolist()
+            assert words == [w for w in range(1 << length) if oracles.valid_word(w, length, m, n)], length
 
 
 def test_motif_accessors():
@@ -77,7 +82,7 @@ def test_enumeration_is_lexicographic():
     assert words == sorted(words)
     bit_rows = [str(mt) for mt in mots]
     assert bit_rows == sorted(bit_rows)
-    assert all(motif.is_valid_word(mt.word, mt.length, 2, 0) for mt in mots)
+    assert all(oracles.valid_word(mt.word, mt.length, 2, 0) for mt in mots)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -234,7 +239,7 @@ def test_word_blocks_do_not_depend_on_block_size(context, N, block):
     assert all(b.dtype == np.uint32 for b in blocks)
     words = np.concatenate(blocks).tolist()
     assert words == sorted(words)
-    assert words == [w for w in range(1 << length) if motif.is_valid_word(w, length, m, n)]
+    assert words == [w for w in range(1 << length) if oracles.valid_word(w, length, m, n)]
     assert half_count == len({oracles.half(motif.Motif(w, N)) for w in words})
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from motifspectra import motif, oracle, spectrum, tableau
+from motifspectra import motif, oracle, spectrum
 from motifspectra.spectrum import (
     FIDispersion,
     HSDispersion,
@@ -369,7 +369,7 @@ def test_fi_band_is_scaled_dispersion(N, p, q):
 def fiber_level_set(N, m, n, disp):
     """Reference: every motif's energy weighted by its fiber dimension."""
     levels: dict = {}
-    for word, dim in tableau.fiber_sizes(N, m, n).items():
+    for word, dim in oracles.fiber_table(N, m, n).items():
         e = oracles.energy(motif.Motif(word, N), disp)
         levels[e] = levels.get(e, 0) + dim
     return sorted(levels.items())
@@ -692,22 +692,48 @@ def test_packed_kernel_reuses_heap_pages():
     assert int(run.stdout) < 6000
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts kB on Linux")
+# A fresh interpreter's own peak RSS in kB.  VmHWM, not ru_maxrss: a spawned
+# child's ru_maxrss starts at the spawning process's peak, so under pytest it
+# hid a call's whole growth.
+_PEAK_KB = (
+    "def peak_kb():\n"
+    "    return next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc")
 def test_lane_kernel_keeps_narrow_rows_at_the_admission_edge():
     # fi alpha 46000, su(0|2), N = 10: 2070241 slots, just inside the packed
     # bound.  Counts up to 2^10 run on uint16 lanes, which add 7.9 MB to a fresh
     # interpreter's peak RSS; the big-int rows before them added 13.1 MB, and
     # uint64 lanes added 31.5 MB.  The bound is the big-int rows' figure, which
     # leaves the narrow lanes a margin of 5 MB and catches uint64 lanes.
-    code = (
-        "import resource\n"
+    code = _PEAK_KB + (
         "from motifspectra import spectrum\n"
         "band = spectrum._band(spectrum.FIDispersion(10, 46000))[0]\n"
         "assert (sum(band) + 1) * 8 * spectrum._slot_bytes(10, 0, 2) <= spectrum._PACKED_BOUND\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "before = peak_kb()\n"
         "spectrum._level_polynomial(10, 0, 2, band)\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        "print(peak_kb() - before)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert int(run.stdout) <= 13 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc")
+def test_float_level_set_reads_the_fiber_table_as_arrays():
+    # elliptic su(1|1), ksq 0, N = 20: 2^19 motifs.  Reading the table's two
+    # int64 columns adds about 37 MB to a fresh interpreter's peak RSS; a
+    # {word: dim} dict of the table, turned back into arrays, added 73 MB
+    code = _PEAK_KB + (
+        "from motifspectra import oracle, spectrum\n"
+        "disp = oracle.formula_dispersion(oracle.ChainSpec('elliptic', 20, 1, 1, ksq=0.0))\n"
+        "before = peak_kb()\n"
+        "levels = spectrum.level_set(20, 1, 1, disp)\n"
+        "assert sum(d for _, d in levels) == 2**20\n"
+        "print(peak_kb() - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert int(run.stdout) <= 55 * 1024

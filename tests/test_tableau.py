@@ -86,8 +86,8 @@ def test_dual_spins_involution_conjugates_motif(case):
     mot = tableau.motif_of_spins(spins, m, n)
     assert tableau.motif_of_spins(dual, n, m) == oracles.complement(mot)
     length = len(spins) - 1
-    assert motif.is_valid_word(mot.word, length, m, n)
-    assert motif.is_valid_word(oracles.complement(mot).word, length, n, m)
+    assert oracles.valid_word(mot.word, length, m, n)
+    assert oracles.valid_word(oracles.complement(mot).word, length, n, m)
 
 
 def test_dual_spins_is_involution():
@@ -107,7 +107,7 @@ def test_dual_spins_dualizes_motif(m, n):
 @pytest.mark.parametrize("m,n", CONTEXTS)
 def test_fiber_dimensions_sum_to_state_count(m, n):
     for N in (2, 4, 6):
-        sizes = tableau.fiber_sizes(N, m, n)
+        sizes = oracles.fiber_table(N, m, n)
         assert sum(sizes.values()) == (m + n) ** N
         # `tableau --sites` lists the table in place of the valid motifs
         assert sorted(sizes) == [mot.word for mot in oracles.enumerate_motifs(N, m, n)]
@@ -123,12 +123,12 @@ def test_fiber_sizes_against_direct_count(m, n, N):
     for spins in product(range(-n, m), repeat=N):
         w = tableau.motif_of_spins(spins, m, n).word
         direct[w] = direct.get(w, 0) + 1
-    assert direct == tableau.fiber_sizes(N, m, n)
+    assert direct == oracles.fiber_table(N, m, n)
 
 
 def test_invalid_motif_has_empty_fiber():
     bad = motif.Motif.from_bits((1, 1, 0))
-    assert not motif.is_valid_word(bad.word, bad.length, 2, 0)
+    assert not oracles.valid_word(bad.word, bad.length, 2, 0)
     assert tableau.module_dimension(bad, 2, 0) == 0
 
 
@@ -141,21 +141,68 @@ def test_dimension_duality():
                 assert d1 == d2
 
 
+def test_fiber_table_is_read_only_and_shared():
+    table = tableau._fiber_cache(6, 2, 1)
+    assert table.shape == (motif.count(6, 2, 1), 2)
+    words, dims = table.T
+    for write in (
+        lambda: table.__setitem__((0, 1), 5),
+        lambda: dims.__setitem__(0, 5),
+        lambda: table[:, 0].__setitem__(0, 5),
+        lambda: table.T.__setitem__((1, 0), 5),
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            write()
+    assert tableau._fiber_cache(6, 2, 1) is table
+    assert oracles.fiber_table(6, 2, 1) == dict(zip(words.tolist(), dims.tolist()))
+
+
+@pytest.mark.parametrize("m,n", CONTEXTS + [(3, 2), (1, 0), (0, 1)])
+def test_fiber_table_has_one_row_per_motif(m, n):
+    for N in (1, 2, 5, 9):
+        assert len(tableau._fiber_cache(N, m, n)) == motif.count(N, m, n)
+
+
+@pytest.mark.parametrize("m,n", [(2, 0), (3, 0), (0, 2), (2, 1), (1, 1)])
+def test_module_dimension_at_the_table_edges(m, n):
+    N = 9
+    table = oracles.fiber_table(N, m, n)
+    words = sorted(table)
+    cases = [words[0], words[-1]]
+    # a word between two valid ones: invalid in a pure context, valid in a mixed one
+    cases += [w + 1 for w, v in zip(words, words[1:]) if v > w + 1][:1]
+    cases += [w for w in range(1 << (N - 1)) if w not in table][:3]
+    for w in cases:
+        assert tableau.module_dimension(motif.Motif(w, N), m, n) == table.get(w, 0), (w, m, n)
+    assert tableau.module_dimension(motif.Motif(0, 1), m, n) == oracles.fiber_table(1, m, n)[0] == m + n
+
+
+def test_module_dimension_of_invalid_motifs():
+    # su(0|2), N = 4: words 0 and 1 come before the first valid word, and 4 between 3 and 5
+    assert oracles.fiber_table(4, 0, 2) == {2: 1, 3: 3, 5: 4, 6: 3, 7: 5}
+    for w in (0, 1, 4):
+        assert tableau.module_dimension(motif.Motif(w, 4), 0, 2) == 0
+    # su(2|0): 3 lies between 2 and 4, and 6 and 7 past the last valid word
+    assert oracles.fiber_table(4, 2, 0) == {0: 5, 1: 3, 2: 4, 4: 3, 5: 1}
+    for w in (3, 6, 7):
+        assert tableau.module_dimension(motif.Motif(w, 4), 2, 0) == 0
+
+
 def test_fiber_cap_enforced():
     with pytest.raises(InfeasibleSizeError):
-        tableau.fiber_sizes(30, 2, 0)
+        tableau._fiber_cache(30, 2, 0)
 
 
 def test_fiber_cap_edge():
-    sizes = tableau.fiber_sizes(24, 2, 0)  # (m+n)^N = FIBER_CAP
+    sizes = oracles.fiber_table(24, 2, 0)  # (m+n)^N = FIBER_CAP
     assert len(sizes) == motif.count(24, 2, 0) == 75025
     assert sum(sizes.values()) == tableau.FIBER_CAP
     for N, m, n in ((25, 2, 0), (16, 3, 0)):
         with pytest.raises(InfeasibleSizeError, match="exceeds cap"):
-            tableau.fiber_sizes(N, m, n)
+            tableau._fiber_cache(N, m, n)
     # the context is checked before (m+n)^N = 2^30 meets the cap
     with pytest.raises(ValueError, match="need m, n >= 0") as exc:
-        tableau.fiber_sizes(30, -1, 3)
+        tableau._fiber_cache(30, -1, 3)
     assert not isinstance(exc.value, InfeasibleSizeError)
 
 
