@@ -207,19 +207,9 @@ def _cmd_table1(args: argparse.Namespace) -> _Table:
     return ["m", "lambda", "gamma", "coefficient", "kappa"], rows
 
 
-def _make_dispersion(chain: str, N: int, alpha):
-    if chain == "hs":
-        return spectrum.HSDispersion(N)
-    if chain == "pf":
-        return spectrum.PFDispersion(N)
-    if alpha == _SYMBOLIC:
-        return spectrum.SymbolicAlphaDispersion(N)
-    return spectrum.FIDispersion(N, alpha)
-
-
 def _cmd_spectrum(args: argparse.Namespace) -> _Table:
     N, m, n = args.sites, args.m, args.n
-    disp = _make_dispersion(args.chain, N, args.alpha)
+    disp = spectrum._exact_dispersion(args.chain, N, None if args.alpha == _SYMBOLIC else args.alpha)
     if args.bounds:
         return ["sites", "m", "n", "bound"], [(N, m, n, spectrum.level_bounds(disp, m, n))]
     if args.avg_deg:
@@ -235,7 +225,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> _Table:
 def _cmd_partition(args: argparse.Namespace) -> _Table:
     N = args.sites
     if not (args.dump_terms or args.levels_only):
-        levels = spectrum.level_set(N, 0, 2, _make_dispersion(args.chain, N, args.alpha))
+        levels = spectrum.level_set(N, 0, 2, spectrum._exact_dispersion(args.chain, N, args.alpha))
         return ["energy", "degeneracy"], [(str(e), d) for e, d in levels]
     qp = partition.hs_partition(N) if args.chain == "hs" else partition.fi_partition(N, args.alpha)
     if args.dump_terms:

@@ -8,8 +8,10 @@ families, and counting either one yields shifted m-nacci numbers.
 
 Motifs are packed into plain integers with d_1 in the highest bit, so that
 ascending word order coincides with lexicographic order on the bit sequence.
-The run rule is checked in one place, the sweep, on whole blocks of
-candidate words.
+The run rule is checked in one place, the sweep's AND-fold.  A pure
+context's sweep splits each word into low bits and a high prefix, folds the
+low words once and the prefixes once, and joins the runs that cross the
+split by their lengths, so it costs the valid words, not the candidates.
 No floating point is used anywhere in this module.
 """
 
@@ -30,9 +32,9 @@ __all__ = [
     "count_half_by_enumeration",
 ]
 
-# candidate words per block: the uint32 temporaries of a block stay in cache,
-# and far below the memory the exact kernels need; 2^18 was slower
-_BLOCK = 1 << 16
+# low bits per block of a sweep: a pure context folds the 2^16 low words
+# once, and a mixed one yields 2^16 words per block
+_BLOCK_BITS = 16
 # any enumeration sweeps at most 2^_ENUM_BITS candidate words; since
 # _ENUM_BITS < 32, every word and every half key of a sweep is exact in uint32
 _ENUM_BITS = 26
@@ -113,40 +115,67 @@ def _sweep_length(N: int, m: int, n: int) -> int:
     return length
 
 
+def _run_free(words: np.ndarray, order: int) -> np.ndarray:
+    """The words of `words` that hold no run of `order` consecutive 1s.
+
+    A word holds such a run iff AND-folding `order` shifted copies leaves a set bit.
+    """
+    fold = words.copy()
+    for _ in range(order - 1):
+        fold &= fold >> 1
+    return words[fold == 0]
+
+
 def _valid_word_blocks(N: int, m: int, n: int) -> Iterator[np.ndarray]:
-    """Yield ascending uint32 arrays of the valid words, `_BLOCK` candidates at a time.
+    """Yield ascending uint32 arrays of the valid words, in word order.
 
     Raises InfeasibleSizeError, before the first block, past 2^`_ENUM_BITS` candidates.
-    A word holds a run of r consecutive 1s iff AND-folding r shifted copies
-    leaves a set bit; the fermionic rule is the bosonic one on the
-    complement, which below 2^length is an XOR.  The candidates and the
-    fold run in buffers made once per sweep, and each yielded array is the
-    consumer's own: quarter-megabyte temporaries freed at every block would
-    go back to the system and return as fresh pages.
+    A mixed context yields every word, 2^`_BLOCK_BITS` at a time.  A pure
+    context splits each word into its high prefix and its s = min(length,
+    `_BLOCK_BITS`) low bits, and runs the fold once over the 2^s low words
+    and once over the high prefixes.  A run across the junction is a
+    prefix's trailing run of 1s joined to a low word's leading run, and the
+    valid lows with a leading run of at least c are a suffix of the
+    ascending valid lows, so each valid prefix yields its block as one add
+    to a prefix of them.  The fermionic rule is the bosonic one on the
+    complement, which reverses word order: prefixes are read from the top,
+    and each adds to a suffix of the complemented lows.
     """
     length = _sweep_length(N, m, n)
-    total = 1 << length
-    offsets = np.arange(_BLOCK, dtype=np.uint32)
     if m and n:
-        for lo in range(0, total, _BLOCK):
+        total = 1 << length
+        offsets = np.arange(min(total, 1 << _BLOCK_BITS), dtype=np.uint32)
+        for lo in range(0, total, offsets.size):
             yield offsets[: total - lo] + lo
         return
-    size = min(_BLOCK, total)
-    words, fold, shifted, valid = (np.empty(size, t) for t in (np.uint32, np.uint32, np.uint32, bool))
-    for lo in range(0, total, _BLOCK):
-        k = min(size, total - lo)
-        np.add(offsets[:k], lo, out=words[:k])
-        w = words[:k] if m else np.bitwise_xor(words[:k], total - 1, out=fold[:k])
-        for _ in range((m or n) - 1):
-            np.right_shift(w, 1, out=shifted[:k])
-            w = np.bitwise_and(w, shifted[:k], out=fold[:k])
-        yield words[:k][np.equal(w, 0, out=valid[:k])]
+    # no word of `length` bits holds a longer run, and every shift below stays under 32
+    order = min(m or n, length + 1)
+    low_bits = min(length, _BLOCK_BITS)
+    high_bits = length - low_bits
+    lows = _run_free(np.arange(1 << low_bits, dtype=np.uint32), order)
+    highs = _run_free(np.arange(1 << high_bits, dtype=np.uint32), order)
+    # a prefix ending in a run of t 1s, highs & ~(highs + 1) = 2^t - 1, takes
+    # the lows below the first one whose top order - t bits are all 1s:
+    # top - (top >> (order - t)) = top - ((2^t << low_bits) >> order), which
+    # takes every low when order - t > low_bits
+    top = 1 << low_bits
+    tails = (highs & ~(highs + 1)) + 1
+    sizes = np.searchsorted(lows, top - ((tails << low_bits) >> order)).tolist()
+    if m:
+        for high, size in zip(highs.tolist(), sizes):
+            yield lows[:size] + (high << low_bits)
+        return
+    flipped = (top - 1) - lows[::-1]
+    high_top = (1 << high_bits) - 1
+    for high, size in zip(reversed(highs.tolist()), reversed(sizes)):
+        yield flipped[flipped.size - size :] + ((high_top - high) << low_bits)
 
 
 def count_by_enumeration(N: int, m: int, n: int) -> int:
-    """Brute-force count by filtering all 2^(N-1) candidate words.
+    """Brute-force count of the words the enumeration sweep yields.
 
-    Oracle-grade cross-check for count().
+    Oracle-grade cross-check for count(): the sweep checks the run rule by
+    folding words, with no recursion.
     """
     return sum(arr.size for arr in _valid_word_blocks(N, m, n))
 

@@ -513,13 +513,8 @@ def cluster_levels(values: np.ndarray) -> list[tuple[float, int]]:
 
 def formula_dispersion(chain: ChainSpec):
     """Closed-form dispersion whose motif level set matches the chain; elliptic chains have one only for su(1|1)."""
-    N = chain.sites
-    if chain.kind == "hs":
-        return spectrum.HSDispersion(N)
-    if chain.kind == "pf":
-        return spectrum.PFDispersion(N)
-    if chain.kind == "fi":
-        return spectrum.FIDispersion(N, chain.alpha)
+    if chain.kind != "elliptic":
+        return spectrum._exact_dispersion(chain.kind, chain.sites, chain.alpha)
     if (chain.m, chain.n) == (1, 1):
         return spectrum.dispersion_from_coupling(coupling_table(chain))
     return None

@@ -147,6 +147,15 @@ class NumericDispersion:
         return self.table[j - 1]
 
 
+def _exact_dispersion(kind: str, N: int, alpha: Fraction | None):
+    """The exact dispersion of an hs, pf or fi chain on N sites; fi with no alpha keeps it symbolic."""
+    if kind == "hs":
+        return HSDispersion(N)
+    if kind == "pf":
+        return PFDispersion(N)
+    return SymbolicAlphaDispersion(N) if alpha is None else FIDispersion(N, alpha)
+
+
 def _level_width(values: np.ndarray) -> float:
     """Widest gap between float values that still counts as one level.
 

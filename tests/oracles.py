@@ -35,7 +35,8 @@ in `motifspectra` computes another way:
   `tableau --sites` rows from it, sorted, and from each motif's bits,
   against the rows formatted straight from the table's columns;
 * `valid_word` runs the run-length rule on one int word, against the
-  block fold of the enumeration sweep `motif._valid_word_blocks`;
+  enumeration sweep `motif._valid_word_blocks`, which folds low words and
+  high prefixes apart and joins the runs across the split;
 * `enumerate_motifs` builds one `Motif` per word of the enumeration sweep,
   and `listed_rows` the `motifs --list` rows from them, against the rows
   formatted straight from the sweep's words;

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from motifspectra import cli, fibnum, oracle, partition, spectrum, tableau
+from motifspectra import cli, fibnum, figures, motif, oracle, partition, spectrum, tableau
 from motifspectra.cli import main
 import oracles
 
@@ -547,6 +547,24 @@ def test_tracer_spans_exist():
     for module_name, attr, _ in tracer.SPANS:
         assert callable(getattr(importlib.import_module(f"motifspectra.{module_name}"), attr)), attr
     assert callable(tableau._fiber_cache.cache_info)
+
+
+def test_traced_brute_sweep_counts_every_valid_word(monkeypatch):
+    # `install` sets the attributes it wraps; setting each through monkeypatch first restores it afterwards
+    tracing = bench_module("tracer")
+    modules = {name: importlib.import_module(f"motifspectra.{name}") for name, _, _ in tracing.SPANS}
+    for module_name, attr, _ in tracing.SPANS:
+        monkeypatch.setattr(modules[module_name], attr, getattr(modules[module_name], attr))
+    monkeypatch.setattr(motif, "_valid_word_blocks", motif._valid_word_blocks)
+    for key, entry in figures.FIGURES.items():
+        monkeypatch.setitem(figures.FIGURES, key, entry)
+    tracer = tracing.Tracer()
+    tracing.install(tracer, modules)
+    code, out, _ = run_cli("motifs", "--sites", "26", "--m", "2", "--brute")
+    assert (code, out) == (0, "sites,m,n,count,enumerated\n26,2,0,196418,196418\n")
+    metrics = tracer.metrics()
+    assert metrics["motif.words"] == motif.count(26, 2, 0) == 196418
+    assert metrics["motif.count_by_enumeration.calls"] == 1
 
 
 def test_readme_examples_run_as_documented(tmp_path, monkeypatch):

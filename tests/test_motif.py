@@ -37,8 +37,8 @@ def test_validity_examples():
 
 def test_validity_matches_word_form():
     for m, n in ((1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 4), (1, 1), (2, 1)):
-        # the sweep's block fold, in buffers reused across blocks of 8 candidates
-        with mock.patch.object(motif, "_BLOCK", 8):
+        # 3 low bits: pure words of 6 bits cross the junction of low words and high prefixes
+        with mock.patch.object(motif, "_BLOCK_BITS", 3):
             swept = set(np.concatenate(list(motif._valid_word_blocks(7, m, n))).tolist())
         for bits in product((0, 1), repeat=6):
             text = "".join(map(str, bits))
@@ -49,10 +49,12 @@ def test_validity_matches_word_form():
 
 
 @pytest.mark.parametrize("context", [(m, 0) for m in range(1, 5)] + [(0, n) for n in range(1, 5)])
-@pytest.mark.parametrize("block", [3, 1 << 16])
-def test_sweep_matches_valid_word(context, block):
+# 0 low bits leave the whole word to the high prefixes; 2^16 low bits are a
+# split wider than any word, which leaves no high bits
+@pytest.mark.parametrize("low_bits", [0, 1, 2, 3, 1 << 16])
+def test_sweep_matches_valid_word(context, low_bits):
     m, n = context
-    with mock.patch.object(motif, "_BLOCK", block):
+    with mock.patch.object(motif, "_BLOCK_BITS", low_bits):
         for length in range(13):
             words = np.concatenate(list(motif._valid_word_blocks(length + 1, m, n))).tolist()
             assert words == [w for w in range(1 << length) if oracles.valid_word(w, length, m, n)], length
@@ -225,15 +227,15 @@ def test_half_count_order_one():
 @given(
     st.sampled_from([(m, n) for m in range(5) for n in range(5 - m) if m + n >= 1]),
     st.integers(1, 12),
-    st.sampled_from([1, 7, 1 << 16]),
+    st.sampled_from([0, 1, 2, 3, 16]),
 )
-@example((2, 0), 12, 1)
-@example((0, 3), 12, 7)
-@example((2, 1), 12, 1)
-def test_word_blocks_do_not_depend_on_block_size(context, N, block):
+@example((2, 0), 12, 0)
+@example((0, 3), 12, 2)
+@example((2, 1), 12, 0)
+def test_word_blocks_do_not_depend_on_block_size(context, N, low_bits):
     m, n = context
     length = N - 1
-    with mock.patch.object(motif, "_BLOCK", block):
+    with mock.patch.object(motif, "_BLOCK_BITS", low_bits):
         blocks = list(motif._valid_word_blocks(N, m, n))
         half_count = motif.count_half_by_enumeration(N, m, n)
     assert all(b.dtype == np.uint32 for b in blocks)
@@ -283,6 +285,49 @@ def test_every_enumeration_has_one_cap():
     ):
         with pytest.raises(motif.InfeasibleSizeError, match="exceed cap"):
             sweep()
+
+
+@pytest.mark.parametrize("context", [(2, 0), (0, 3)])
+def test_pure_sweep_folds_the_low_words_and_high_prefixes_once(context, monkeypatch):
+    # 25 bits: 16 low bits and 9 high ones, so 2^16 + 2^9 words are folded, not 2^25
+    m, n = context
+    folded = []
+    run_free = motif._run_free
+
+    def spy(words, order):
+        folded.append(words.size)
+        return run_free(words, order)
+
+    monkeypatch.setattr(motif, "_run_free", spy)
+    assert motif.count_by_enumeration(26, m, n) == motif.count(26, m, n)
+    assert sorted(folded) == [1 << 9, 1 << 16]
+
+
+def test_sweeps_at_the_cap_edge():
+    # N = 27, the largest chain admitted, against the closed forms
+    for r in range(1, 7):
+        for m, n in ((r, 0), (0, r)):
+            assert motif.count_by_enumeration(27, m, n) == motif.count(27, m, n), (m, n)
+            assert motif.count_half_by_enumeration(27, m, n) == motif.count_half(27, m, n), (m, n)
+    # N = 28 is refused before the first block
+    for m, n in ((2, 0), (0, 2), (1, 1)):
+        with pytest.raises(motif.InfeasibleSizeError, match=r"^2\^27 candidate words exceed cap 2\^26$"):
+            next(motif._valid_word_blocks(28, m, n))
+
+
+def test_sweep_takes_orders_past_the_word_length(monkeypatch):
+    # no word holds a run longer than itself, so every word is valid and the
+    # fold stops at length + 1 copies: an order of 10^9 would otherwise fold 10^9 times
+    run_free = motif._run_free
+
+    def spy(words, order):
+        assert order <= 20
+        return run_free(words, order)
+
+    monkeypatch.setattr(motif, "_run_free", spy)
+    for m, n in ((20, 0), (0, 33), (10**9, 0), (0, 10**9)):
+        assert motif.count_by_enumeration(20, m, n) == motif.count(20, m, n) == 1 << 19, (m, n)
+        assert motif.count_half_by_enumeration(20, m, n) == motif.count_half(20, m, n), (m, n)
 
 
 def test_half_count_refuses_past_the_cap_before_its_tables():
