@@ -269,13 +269,15 @@ def degeneracy_growth(max_sites: int = 30) -> list[Series]:
 def supersymmetric_elliptic(max_sites: int = 14, ksq: float = 0.5) -> list[Series]:
     """su(1|1) elliptic average degeneracy against the translational floor.
 
-    The level count comes from the chain's closed single-particle
-    dispersion, `oracle.formula_dispersion`, evaluated over all motifs.
+    The level count is the length of the float `spectrum.level_set` of the
+    chain's closed single-particle dispersion, `oracle.formula_dispersion`,
+    whose mirrored band the transfer kernel folds to the motifs' half
+    entries.
     """
 
     def average(N: int) -> float:
         disp = oracle.formula_dispersion(oracle.ChainSpec("elliptic", N, 1, 1, ksq=ksq))
-        return 2**N / spectrum.level_count_by_enumeration(N, 1, 1, disp)
+        return 2**N / len(spectrum.level_set(N, 1, 1, disp))
 
     sizes = range(4, max_sites + 1)
     return [

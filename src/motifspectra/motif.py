@@ -225,29 +225,36 @@ def count_half(N: int, m: int, n: int) -> int:
 def count_half_by_enumeration(N: int, m: int, n: int) -> int:
     """Distinct motif halves counted by enumerating the valid motifs.
 
-    With p = (N - 1)//2, a word's top p bits are d_1 .. d_p and its low p
-    bits d_{N-p} .. d_{N-1}.  Two tables of 2^p entries read them as base-3
-    digits, the low bits in reverse order, so their sum has the digit
-    d_i + d_{N-i} <= 2 at place p - i and no digit carries.  Even N doubles
-    the key and adds the middle bit d_{N/2}, which is bit p.  Each key marks
-    one entry of a bool array, and the marked entries are the count.
+    With p = (N - 1)//2, the key of a word reads its half entries
+    d_i + d_{N-i} <= 2 as base-3 digits, at place p - i, so no digit
+    carries; even N doubles the key and adds the middle bit d_{N/2}.  The
+    key is a sum of one weight per set bit.  Every block of the sweep
+    shares the word's bits above its s = min(length, `_BLOCK_BITS`) low
+    bits, so a block's keys are one table over the 2^s low values plus the
+    key of its high prefix.  Each key marks one entry of a bool array, and
+    the marked entries are the count.
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     length = _sweep_length(N, m, n)
     p = length // 2
-    first = last = np.zeros(1, dtype=np.uint32)
-    for k in range(p):
-        first = np.concatenate([first, first + 3**k])
-        last = np.concatenate([last, last + 3 ** (p - 1 - k)])
     even = N % 2 == 0
-    seen = np.zeros(3**p * (1 + even), dtype=bool)
-    low = (1 << p) - 1
+    # bit b is d_i with i = length - b, at digit place p - min(i, N - i); an
+    # even N's middle bit gets place -1 and weight 1, below the doubled digits
+    places = [p - min(length - b, b + 1) for b in range(length)]
+    weights = [1 if k < 0 else 3**k << even for k in places]
+    low_bits = min(length, _BLOCK_BITS)
+    lows = highs = np.zeros(1, dtype=np.intp)
+    for w in weights[:low_bits]:
+        lows = np.concatenate([lows, lows + w])
+    for w in weights[low_bits:]:
+        highs = np.concatenate([highs, highs + w])
+    seen = np.zeros(3**p << even, dtype=bool)
+    low, key = np.empty_like(lows), np.empty_like(lows)
     for words in _valid_word_blocks(N, m, n):
-        key = first[words >> (length - p)]
-        key += last[words & low]
-        if even:
-            key *= 2
-            key += (words >> p) & 1
-        seen[key] = True
+        size = words.size
+        np.bitwise_and(words, lows.size - 1, out=low[:size])
+        np.take(lows, low[:size], out=key[:size])
+        key[:size] += highs[words[0] >> low_bits]
+        seen[key[:size]] = True
     return int(np.count_nonzero(seen))

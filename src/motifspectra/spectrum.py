@@ -8,8 +8,8 @@ constant alpha, carried as an exact integer pair (E0, E1) = coefficients of
 numerically.  Exact energies hash and sort exactly; float energies are one
 level when their gap is within the round-off of the computation.
 
-Every exact level polynomial, the sum over motifs of dim(V) q^E, comes from
-one transfer-matrix kernel over the spins of the chain, fed with the
+Every level polynomial, the sum over motifs of dim(V) q^E, comes from one
+transfer-matrix kernel over the spins of the chain, fed with the
 dispersion's band scaled to integers.  Each spin's row is a numpy array
 with one slot per scaled energy, updated in place: one lane of the
 narrowest unsigned dtype while the (m+n)^N configurations fit 64 bits, and
@@ -26,6 +26,12 @@ rows goes through a sparse kernel that keeps only the energies that occur
 and returns them as ascending arrays too, exponents and totals, in int64
 while they fit and in Python ints past that; it and the fiber table keep
 the (m, n) orientation, as the independent cross-check.
+
+A float table runs on the same kernel over an integer band of keys: each
+motif's word, or, when the table is mirrored, eps(j) = eps(N - j) as the
+translational symmetry gives, its half entries d_i + d_(N-i) in base 3,
+so that the motifs sharing them are one term.  The keys decode to float
+energies, which merge into levels by round-off.
 """
 
 from __future__ import annotations
@@ -42,8 +48,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import motif as _motif
-from . import tableau
-from .motif import _check_context
+from .motif import InfeasibleSizeError, _check_context
 
 __all__ = [
     "HSDispersion",
@@ -53,7 +58,6 @@ __all__ = [
     "NumericDispersion",
     "level_set",
     "level_count",
-    "level_count_by_enumeration",
     "dispersion_from_coupling",
     "level_bounds",
 ]
@@ -67,6 +71,9 @@ _LIMB_MASK = (1 << 64) - 1
 # slots per in-place update of a bosonic row and per carry pass: a few
 # (lanes, _CHUNK) blocks stay in cache
 _CHUNK = 1 << 14
+# most rows a level table holds: the fiber table's (m+n)^N, and a float level
+# set's min(band sum + 1, motif count), what its kernel keeps of the band
+_TABLE_CAP = 1 << 24
 
 
 def _check_rapidity(j: int, sites: int) -> None:
@@ -156,24 +163,27 @@ def _exact_dispersion(kind: str, N: int, alpha: Fraction | None):
     return SymbolicAlphaDispersion(N) if alpha is None else FIDispersion(N, alpha)
 
 
-def _level_width(values: np.ndarray) -> float:
+def _level_width(values: np.ndarray, count: int | None = None) -> float:
     """Widest gap between float values that still counts as one level.
 
     32 eps times the bit length of the value count times the scale
     max(1, max |value|): a sum or an eigensolve over that many values moves
-    each by a few eps of the scale per halving of its reduction.
+    each by a few eps of the scale per halving of its reduction.  The count
+    is the size of `values` unless `count` gives the number of values they
+    stand for, such as the motifs behind the folded terms of a level set.
     """
     scale = max(1.0, float(np.abs(values).max(initial=0.0)))
-    return 32 * sys.float_info.epsilon * values.size.bit_length() * scale
+    return 32 * sys.float_info.epsilon * (values.size if count is None else count).bit_length() * scale
 
 
-def _merge_float_levels(values, weights) -> list[tuple[float, int]]:
+def _merge_float_levels(values, weights, count: int | None = None) -> list[tuple[float, int]]:
     """Group float values into ascending (level, total weight) pairs.
 
-    Sorted values whose gap is at most `_level_width` form one level, the
-    mean of its members.  A gap within a factor of 10 of the width, either
-    way, is neither round-off nor a resolved level and raises ValueError,
-    as does a nan or infinite value.
+    Sorted values whose gap is at most `_level_width` (of `count` values)
+    form one level, the mean of its members.  A gap within a factor of 10
+    of the width, either way, is neither round-off nor a resolved level and
+    raises ValueError, as does a nan or infinite value.  The weights sum in
+    their own dtype, so a total past int64 needs object weights.
     """
     order = np.argsort(values, kind="stable")
     vals = np.asarray(values, dtype=float)[order]
@@ -181,7 +191,7 @@ def _merge_float_levels(values, weights) -> list[tuple[float, int]]:
         return []
     if not np.isfinite(vals).all():
         raise ValueError("float levels must be finite")
-    thresh = _level_width(vals)
+    thresh = _level_width(vals, count)
     gaps = np.diff(vals) / thresh
     unclear = np.flatnonzero((gaps > 0.1) & (gaps <= 10))
     if unclear.size:
@@ -191,7 +201,7 @@ def _merge_float_levels(values, weights) -> list[tuple[float, int]]:
             f"the round-off width {thresh:.3g} apart: too close to tell one level from two"
         )
     starts = np.r_[0, np.flatnonzero(gaps > 1) + 1]
-    degs = np.add.reduceat(np.asarray(weights, dtype=np.int64)[order], starts).tolist()
+    degs = np.add.reduceat(np.asarray(weights)[order], starts).tolist()
     # one row sum per group of equal-size levels: numpy sums each row
     # pairwise, as mean() does, so each mean is the same double
     sizes = np.diff(np.r_[starts, vals.size])
@@ -202,16 +212,29 @@ def _merge_float_levels(values, weights) -> list[tuple[float, int]]:
     return list(zip(means.tolist(), degs))
 
 
-def _band(disp) -> tuple[list[int], int, Callable[[int], object]]:
-    """Integer band of an exact dispersion, its energy scale and exponent decoder.
+def _band(disp) -> tuple[list[int], int, Callable]:
+    """Integer band of a dispersion, its energy scale and exponent decoder.
 
     A motif's scaled energy is the sum of the band over its rapidities, and
     `decode` turns that sum back into the sum of eps over them.
     Rational alpha scales the band by its denominator; symbolic alpha packs
     (E0, E1) as E0 * K + E1, with K one above the largest E1.
+
+    A float table's band is a key, and its decoder takes an array of keys.
+    When the table equals its reverse, eps(j) = eps(N - j), a motif's energy
+    depends only on its half entries h_i = d_i + d_(N-i), i <= (N - 1)//2:
+    the band 3^(min(j, N - j) - 1) makes the key those entries in base 3,
+    with an even N's middle bit d_(N/2) on top, and `_half_energies` adds
+    h_i eps(i).  Any other table keys each motif by its word, the band
+    2^(N-1-j), which `_word_energies` decodes.
     """
     N = disp.sites
     js = range(1, N)
+    if isinstance(disp, NumericDispersion):
+        table = disp.table
+        if table == table[::-1]:
+            return [3 ** (min(j, N - j) - 1) for j in js], 1, lambda keys: _half_energies(keys, table)
+        return [1 << (N - 1 - j) for j in js], 1, lambda words: _word_energies(words, N, table)
     if isinstance(disp, (HSDispersion, PFDispersion)):
         return [disp.eps(j) for j in js], 1, int
     if isinstance(disp, FIDispersion):
@@ -514,6 +537,8 @@ def level_count(N: int, m: int, n: int, disp) -> int:
     """
     if disp.sites != N:
         raise ValueError(f"dispersion is for {disp.sites} sites, not {N}")
+    if not disp.exact:
+        raise TypeError(f"{type(disp).__name__} is a float table: its levels merge in level_set")
     band, _, _ = _band(disp)
     cut = _transfer_cuts(N, m, n) if m else _transfer_cuts(N, n, 0)
     if sum(band) + 1 > _PACKED_BOUND:
@@ -533,30 +558,60 @@ def _word_energies(words: np.ndarray, N: int, table: Sequence[float]) -> np.ndar
     return acc
 
 
+def _half_energies(keys: np.ndarray, table: Sequence[float]) -> np.ndarray:
+    """Float energies of an integer array of half keys of a mirrored N-site table.
+
+    Base-3 digit i - 1 of a key is the half entry h_i = d_i + d_(N-i), and an
+    even N's top digit is the middle bit d_(N/2); each digit adds h_i eps(i),
+    an exact zero when it is 0, in rapidity order.  Keys past int64 come as
+    an object array of Python ints.
+    """
+    acc = np.zeros(keys.shape)
+    for e in table[: (len(table) + 1) // 2]:
+        digit = keys % 3
+        keys = keys // 3
+        acc += np.array([0.0, e, e + e])[digit.astype(np.intp, copy=False)]
+    return acc
+
+
 def level_set(N: int, m: int, n: int, disp) -> list[tuple[int | Fraction | float | tuple[int, int], int]]:
     """Sorted distinct energies with their total degeneracies, summing to (m+n)^N.
 
-    Exact dispersions go through the transfer-matrix kernel, which never
-    lists spin configurations; float tables take the fiber table's two
-    columns as they are, the words for `_word_energies` and the dimensions
-    as weights, and merge levels by the round-off rule of
-    `_merge_float_levels`.
+    Every dispersion goes through the transfer-matrix kernel, which never
+    lists spin configurations, over the band of `_band`.  An exact band's
+    exponents decode to the exact energies.  A float table's exponents are
+    its keys: each motif's word, or for a mirrored table its half entries,
+    so that the motifs that share them are one term.  Their energies,
+    weighted by the coefficients, merge by the round-off rule of
+    `_merge_float_levels` at the width of the motif count, the values a
+    sum over every motif would merge.  A float table is refused, with
+    InfeasibleSizeError, when the terms the kernel could hold,
+    min(band sum + 1, motif count), pass `_TABLE_CAP`.
     """
     if disp.sites != N:
         raise ValueError(f"dispersion is for {disp.sites} sites, not {N}")
+    band, _, decode = _band(disp)
+    if not disp.exact:
+        motifs = _motif.count(N, m, n)
+        held = min(sum(band) + 1, motifs)
+        if held > _TABLE_CAP:
+            raise InfeasibleSizeError(f"min(band sum + 1, motifs) = {held} float terms exceed cap {_TABLE_CAP}")
+    exponents, limbs = _level_polynomial(N, m, n, band)
     if disp.exact:
-        band, _, decode = _band(disp)
-        exponents, limbs = _level_polynomial(N, m, n, band)
         return [(decode(e), d) for e, d in zip(exponents.tolist(), _limb_ints(limbs))]
-    words, dims = tableau._fiber_cache(N, m, n).T
-    return _merge_float_levels(_word_energies(words, N, disp.table), dims)
+    # one limb, and level totals in uint64, while (m+n)^N fits 64 bits
+    weights = limbs[:, 0] if (m + n) ** N <= _LIMB_MASK else np.array(_limb_ints(limbs), dtype=object)
+    return _merge_float_levels(decode(exponents), weights, motifs)
 
 
 def level_count_by_enumeration(N: int, m: int, n: int, disp) -> int:
-    """Number of distinct energies of a float table over the valid motifs.
+    """Number of distinct energies of a float table, summed over every valid motif word.
 
-    Levels merge by the round-off rule of `_merge_float_levels`.  Exact
-    dispersions are counted by `level_count`.
+    The sweep reference for the float `level_set`, which counts the same
+    levels on the transfer kernel: each word of the enumeration sweep gets
+    its `_word_energies` sum, and levels merge by the round-off rule of
+    `_merge_float_levels`.  Exact dispersions are counted by `level_count`.
+    No program path calls it; `bench/tracer.py` times it by name.
     """
     if disp.sites != N:
         raise ValueError(f"dispersion is for {disp.sites} sites, not {N}")
@@ -572,7 +627,9 @@ def dispersion_from_coupling(h: Sequence[float]) -> NumericDispersion:
     `h` has length N with h[l] the coupling at site distance l (entry 0 is
     unused); it must satisfy h[l] = h[N-l].  The band is the discrete cosine
     sum eps(j) = sum_l (1 - cos(2 pi j l / N)) h[l], which is symmetric about
-    the band center.
+    the band center.  Once that symmetry is checked to round-off, the table
+    is made exact by the mean of eps(j) and eps(N - j), so that `level_set`
+    folds it to the motifs' half entries.
     """
     table = [float(x) for x in h]
     N = len(table)
@@ -592,7 +649,8 @@ def dispersion_from_coupling(h: Sequence[float]) -> NumericDispersion:
         a, b = eps[j - 1], eps[N - j - 1]
         if abs(a - b) > 1e-9 * max(1.0, abs(a)):
             raise AssertionError(f"band not symmetric at j={j}: {a} vs {b}")
-    return NumericDispersion(N, tuple(eps))
+    # each entry and its mirror image become their mean, the same double both ways round
+    return NumericDispersion(N, tuple((a + b) / 2 for a, b in zip(eps, reversed(eps))))
 
 
 def level_bounds(disp, m: int, n: int) -> int:

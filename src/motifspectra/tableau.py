@@ -9,8 +9,9 @@ dimensions is the level polynomial of `spectrum`'s sparse transfer-matrix
 kernel over a binary band, whose energies are the motif words; no
 configuration is listed.  It stays one read-only int64 array of (word,
 dimension) rows, words ascending, and every reader takes its two columns
-as they are.  The tests check it against a count of configurations by
-descent.
+as they are: `module_dimension` and the CLI's table of every motif; level
+sets run the kernel themselves.  The tests check it against a count of
+configurations by descent.
 
 A configuration also fills a border strip, which `tableau_lines` draws:
 each descent starts a new column, read right to left, so the positions of
@@ -36,7 +37,7 @@ __all__ = [
     "tableau_lines",
 ]
 
-FIBER_CAP = 1 << 24
+FIBER_CAP = spectrum._TABLE_CAP  # bound on (m+n)^N, the configurations the table sums
 _CELL_WIDTH = 4  # characters per cell of tableau_lines
 
 

@@ -3,6 +3,7 @@
 import operator
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -211,43 +212,99 @@ def test_elliptic_susy_counts_past_twelve_sites(N, count):
 
 
 def test_unresolvable_float_levels_raise():
-    # two su(1|1) energies at ksq 0.1 and 13 sites lie 0.19 round-off widths (2e-14 of the scale) apart
-    disp = oracle.formula_dispersion(oracle.ChainSpec("elliptic", 13, 1, 1, ksq=0.1))
-    with pytest.raises(ValueError, match=r"[0-9.]+ times the round-off width"):
-        spectrum.level_count_by_enumeration(13, 1, 1, disp)
-    with pytest.raises(ValueError, match=r"[0-9.]+ times the round-off width"):
-        spectrum.level_set(13, 1, 1, disp)
+    # two su(1|1) energies at ksq 0.1 and 13 sites lie 0.19 round-off widths
+    # (2e-14 of the scale) apart; two at ksq 0.5 and 20 sites lie 9.7 widths
+    # of the 2^19 motifs apart, which would be 12 widths of the 2 * 3^9 half keys
+    for N, ksq in ((13, 0.1), (20, 0.5)):
+        disp = oracle.formula_dispersion(oracle.ChainSpec("elliptic", N, 1, 1, ksq=ksq))
+        with pytest.raises(ValueError, match=r"[0-9.]+ times the round-off width"):
+            spectrum.level_count_by_enumeration(N, 1, 1, disp)
+        with pytest.raises(ValueError, match=r"[0-9.]+ times the round-off width"):
+            spectrum.level_set(N, 1, 1, disp)
 
 
 @st.composite
 def float_cases(draw):
-    """(N, m, n, float dispersion) with m + n <= 4, N <= 10; tables hold zeros and negatives."""
+    """(N, m, n, float dispersion) with m + n <= 4, N <= 10; tables hold zeros and negatives, and some are mirrored."""
     m = draw(st.integers(0, 4))
     n = draw(st.integers(1 if m == 0 else 0, 4 - m))
     N = draw(st.integers(1, 10))
     entry = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-1e3, 1e3), st.floats(-1e-6, 1e-6))
-    return N, m, n, NumericDispersion(N, tuple(draw(st.lists(entry, min_size=N - 1, max_size=N - 1))))
+    table = draw(st.lists(entry, min_size=N - 1, max_size=N - 1))
+    if draw(st.booleans()):
+        # eps(N - j) = eps(j): level_set folds the motifs to their half entries
+        table = table[: N // 2] + table[: (N - 1) // 2][::-1]
+    return N, m, n, NumericDispersion(N, tuple(table))
 
 
 @given(float_cases())
 @example((10, 1, 1, NumericDispersion(10, (0.1, -0.2, 0.0, 0.3, -0.0, 1e-12, -1.5, 2.0, 0.1))))
 @example((3, 1, 1, NumericDispersion(3, (1.0, 1.0 + 1e-12))))
+@example((10, 1, 1, NumericDispersion(10, (0.1, -0.2, 0.0, 1e-12, 2.0, 1e-12, -0.0, -0.2, 0.1))))
 def test_word_energies_match_energy(case):
     N, m, n, disp = case
     words = np.concatenate(list(motif._valid_word_blocks(N, m, n)))
     got = spectrum._word_energies(words, N, disp.table).tolist()
     assert got == [oracles.energy(motif.Motif(w, N), disp) for w in words.tolist()]
 
-    def count(path):
-        # both paths give one count, or both find a gap they cannot resolve
+    def levels(path):
+        # both paths give one answer, or both find a gap they cannot resolve
         try:
             return path()
         except ValueError as exc:
             assert "round-off width" in str(exc)
             return None
 
-    by_fibers = count(lambda: len(spectrum.level_set(N, m, n, disp)))
-    assert by_fibers == count(lambda: spectrum.level_count_by_enumeration(N, m, n, disp))
+    by_kernel = levels(lambda: spectrum.level_set(N, m, n, disp))
+    by_sweep = levels(lambda: spectrum.level_count_by_enumeration(N, m, n, disp))
+    assert (None if by_kernel is None else len(by_kernel)) == by_sweep
+    if by_kernel is None:
+        return
+    # the fiber table's assembly: each motif's energy in rapidity order, weighted by its dimension
+    fibers = oracles.fiber_table(N, m, n)
+    energies = np.array([oracles.energy(motif.Motif(w, N), disp) for w in fibers])
+    want = spectrum._merge_float_levels(energies, np.array(list(fibers.values())))
+    assert [d for _, d in by_kernel] == [d for _, d in want]
+    width = spectrum._level_width(energies)
+    assert all(abs(e - f) <= width for (e, _), (f, _) in zip(by_kernel, want))
+
+
+MIRRORED = (1.0, 2.5, 4.0, 7.0, 4.0, 2.5, 1.0)
+
+
+@pytest.mark.parametrize(
+    "m,n,table,held",
+    [
+        (1, 1, MIRRORED, 2 * 3**3),  # half keys, fewer than the 2^7 motifs
+        (2, 0, MIRRORED, 34),  # motifs, fewer than the half keys
+        (2, 0, tuple(float(j) for j in range(1, 8)), 34),  # motifs, fewer than the 2^7 words
+        (1, 1, tuple(float(j) for j in range(1, 8)), 2**7),  # words, one per motif
+    ],
+)
+def test_float_cap_charges_what_the_kernel_holds(m, n, table, held, monkeypatch):
+    N, disp = 8, NumericDispersion(8, table)
+    band, _, _ = spectrum._band(disp)
+    assert min(sum(band) + 1, motif.count(N, m, n)) == held
+    monkeypatch.setattr(spectrum, "_TABLE_CAP", held)
+    assert sum(d for _, d in spectrum.level_set(N, m, n, disp)) == (m + n) ** N
+    monkeypatch.setattr(spectrum, "_TABLE_CAP", held - 1)
+    refusal = f"min(band sum + 1, motifs) = {held} float terms exceed cap {held - 1}"
+    with pytest.raises(motif.InfeasibleSizeError, match=re.escape(refusal)):
+        spectrum.level_set(N, m, n, disp)
+
+
+def test_float_cap_admits_a_wide_band_of_few_motifs():
+    # su(1|0) has one motif, the empty one, under a word band of 2^29 slots;
+    # the fiber table's cap on (m+n)^N = 1 admitted it too
+    N = 30
+    disp = NumericDispersion(N, tuple(float(j) for j in range(1, N)))
+    assert sum(spectrum._band(disp)[0]) + 1 > spectrum._TABLE_CAP
+    assert spectrum.level_set(N, 1, 0, disp) == [(0.0, 1)]
+    # at 100 sites both bands sum past int64, and su(0|1)'s one motif sets every bit
+    for table in (tuple(float(j) for j in range(1, 100)), tuple(float(min(j, 100 - j)) for j in range(1, 100))):
+        disp = NumericDispersion(100, table)
+        assert spectrum.level_set(100, 1, 0, disp) == [(0.0, 1)]
+        assert spectrum.level_set(100, 0, 1, disp) == [(sum(table), 1)]
 
 
 def test_level_bounds_examples():
@@ -723,9 +780,10 @@ def test_lane_kernel_keeps_narrow_rows_at_the_admission_edge():
 
 @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc")
 def test_float_level_set_reads_the_fiber_table_as_arrays():
-    # elliptic su(1|1), ksq 0, N = 20: 2^19 motifs.  Reading the table's two
-    # int64 columns adds about 37 MB to a fresh interpreter's peak RSS; a
-    # {word: dim} dict of the table, turned back into arrays, added 73 MB
+    # elliptic su(1|1), ksq 0, N = 20: 2^19 motifs.  Reading the fiber
+    # table's two int64 columns added about 37 MB to a fresh interpreter's
+    # peak RSS, and a {word: dim} dict of the table 73 MB; the kernel over the
+    # mirrored band holds 2 * 3^9 half keys and adds about 3 MB
     code = _PEAK_KB + (
         "from motifspectra import oracle, spectrum\n"
         "disp = oracle.formula_dispersion(oracle.ChainSpec('elliptic', 20, 1, 1, ksq=0.0))\n"
@@ -737,3 +795,30 @@ def test_float_level_set_reads_the_fiber_table_as_arrays():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert int(run.stdout) <= 55 * 1024
+
+
+def test_float_level_set_sums_degeneracies_past_64_bits():
+    # su(4|4) at 22 sites: 8^22 = 2^66 states over 2 * 3^10 half keys
+    N = 22
+    disp = NumericDispersion(N, tuple(min(j, N - j) ** 1.5 for j in range(1, N)))
+    levels = spectrum.level_set(N, 4, 4, disp)
+    assert sum(d for _, d in levels) == 8**N
+    assert {type(d) for _, d in levels} == {int}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc")
+def test_float_level_set_folds_its_mirrored_band():
+    # elliptic su(1|1), ksq 0, N = 24: the kernel folds the 2^23 motifs to
+    # 2 * 3^11 half keys and adds about 20 MB to a fresh interpreter's peak
+    # RSS; the fiber table's 2^23 rows added 561 MB
+    code = _PEAK_KB + (
+        "from motifspectra import oracle, spectrum\n"
+        "disp = oracle.formula_dispersion(oracle.ChainSpec('elliptic', 24, 1, 1, ksq=0.0))\n"
+        "before = peak_kb()\n"
+        "levels = spectrum.level_set(24, 1, 1, disp)\n"
+        "assert sum(d for _, d in levels) == 2**24\n"
+        "print(peak_kb() - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert int(run.stdout) <= 40 * 1024
