@@ -10,22 +10,25 @@ level when their gap is within the round-off of the computation.
 
 Every level polynomial, the sum over motifs of dim(V) q^E, comes from one
 transfer-matrix kernel over the spins of the chain, fed with the
-dispersion's band scaled to integers.  Each spin's row is a numpy array
-with one slot per scaled energy, updated in place: one lane of the
-narrowest unsigned dtype while the (m+n)^N configurations fit 64 bits, and
-past that several uint64 lanes of fewer bits, carried from lane to lane only
-when an exact bound says a lane could overflow.  Level counts without
-degeneracies run the same transfer on Python-int bitsets with OR.  A
-pure-fermionic context (0, n) runs as its bosonic dual (n, 0), whose rows
-start at the bottom of the band instead of near its middle, and the
-border-strip duality E -> band sum - E reflects the result back.  The
-polynomial leaves the kernel as two arrays, never as one Python int per
-term: int64 exponents and each coefficient as little-endian 64-bit limbs,
-gathered straight from the lanes of the total.  A band too wide for packed
-rows goes through a sparse kernel that keeps only the energies that occur
-and returns them as ascending arrays too, exponents and totals, in int64
-while they fit and in Python ints past that; it and the fiber table keep
-the (m, n) orientation, as the independent cross-check.
+dispersion's band scaled to integers.  Each spin's row is a numpy array with
+one slot per scaled energy up to the highest one a motif reaches, which the
+same transfer over the max-plus semiring finds first, and is updated in
+place: one lane of the narrowest unsigned dtype while the (m+n)^N
+configurations fit 64 bits, and past that several uint64 lanes of fewer
+bits, carried from lane to lane only when an exact bound says a lane could
+overflow.  Level counts without degeneracies run the same transfer on
+Python-int bitsets with OR.  A pure-fermionic context (0, n) runs as its
+bosonic dual (n, 0), whose rows start at the bottom of the band instead of
+near its middle, and the border-strip duality E -> band sum - E reflects the
+result back.  A pure context's motifs take no m consecutive rapidities, so
+its rows, and its dual's, stop well below the band sum: at about half of it
+for m = 2.  The polynomial leaves the kernel as two arrays, never as one
+Python int per term: int64 exponents and each coefficient as little-endian
+64-bit limbs, gathered straight from the lanes of the total.  A band too
+wide for packed rows goes through a sparse kernel that keeps only the
+energies that occur and returns them as ascending arrays too, exponents and
+totals, in int64 while they fit and in Python ints past that; it and the
+fiber table keep the (m, n) orientation, as the independent cross-check.
 
 A float table runs on the same kernel over an integer band of keys: each
 motif's word, or, when the table is mirrored, eps(j) = eps(N - j) as the
@@ -64,7 +67,8 @@ __all__ = [
 
 # relative mismatch h[l] vs h[N-l] that dispersion_from_coupling tolerates
 _EVEN_TOL = 1e-12
-# widest packed transfer row, in bits: (band sum + 1) slots of the slot width
+# widest packed transfer row, in bits: a level polynomial's (reach + 1) slots
+# of the slot width, a level count's (band sum + 1) one-bit slots
 _PACKED_BOUND = 1 << 25
 _INT64_MAX = np.iinfo(np.int64).max
 _LIMB_MASK = (1 << 64) - 1
@@ -320,6 +324,27 @@ def _packed_rows(band: Sequence[int], cut: Sequence[int]) -> int:
     return functools.reduce(or_, z)
 
 
+def _reaches(band: Sequence[int], cut: Sequence[int]) -> list[int]:
+    """The highest scaled energy that any row of the transfer matrix holds, from the start and after each site.
+
+    The transfer of `_sparse_level_polynomial` over the max-plus semiring:
+    row t's reach starts at 0 and becomes the larger of the reaches of the
+    rows below cut[t] and those of the rows from cut[t] up plus the band
+    entry.  Counts never cancel, so a reach is the top energy that occurs,
+    exactly: the m-nacci rule keeps a pure context's motifs, and its
+    dual's, well below the band sum, while a mixed context reaches it.
+    """
+    k = len(cut)
+    rows = [0] * k
+    reaches = [0]
+    for e in band:
+        below = [-math.inf, *itertools.accumulate(rows, max)]  # below[c]: rows 0..c-1
+        above = [*itertools.accumulate(reversed(rows), max)][::-1] + [-math.inf]  # above[c]: rows c..k-1
+        rows = [max(below[c], above[c] + e) for c in cut]
+        reaches.append(max(rows))
+    return reaches
+
+
 def _slot_bytes(N: int, m: int, n: int) -> int:
     """Bytes of the largest count, (m+n)^N: the slot size that `_PACKED_BOUND` charges a polynomial row.
 
@@ -363,22 +388,25 @@ def _carry(row: np.ndarray, top: int, lane_bits: int, scratch: np.ndarray) -> No
             block[lane + 1] += carry
 
 
-def _transfer_lanes(band: Sequence[int], cut: Sequence[int], count: int) -> tuple[np.ndarray, int]:
+def _transfer_lanes(
+    band: Sequence[int], cut: Sequence[int], count: int, reaches: Sequence[int]
+) -> tuple[np.ndarray, int]:
     """The transfer matrix of `_sparse_level_polynomial` on unsigned lanes: (total, bits per lane).
 
-    Each of the k spin rows is one (lanes, band sum + 1) array of the
-    `_lane_layout` for `count`, the number of configurations: slot E of
-    row t holds, split over its lanes, the configurations of the sites seen
-    so far that end in spin t - n at scaled energy E.  `cut` must end in k
-    (m >= 1), so that the last row is entered from every row without a
-    descent.  A step turns the rows into their prefix sums in place, T the
-    last one, and then, from the top row down, makes row t into
-    X + shift_e(T - X), with X the prefix sum ending at row cut[t] - 1.  A
-    bosonic row is its own X: it is updated in place `_CHUNK` slots at a
-    time, from the top chunk down, each chunk's T - X read before it is
-    written, so no write lands on a slot still to be read.  A fermionic row
-    takes the row below as X.  Only the slots that a nonzero count can
-    reach so far are touched.
+    Each of the k spin rows is one (lanes, R + 1) array of the `_lane_layout`
+    for `count`, the number of configurations, with R the last of
+    `reaches`, the `_reaches` of `band` and `cut`: slot E of row t holds,
+    split over its lanes, the configurations of the sites seen so far that
+    end in spin t - n at scaled energy E.  `cut` must end in k (m >= 1), so
+    that the last row is entered from every row without a descent.  A step
+    turns the rows into their prefix sums in place, T the last one, and
+    then, from the top row down, makes row t into X + shift_e(T - X), with X
+    the prefix sum ending at row cut[t] - 1.  A bosonic row is its own X: it
+    is updated in place `_CHUNK` slots at a time, from the top chunk down,
+    each chunk's T - X read before it is written, so no write lands on a
+    slot still to be read.  A fermionic row takes the row below as X.  Only
+    the slots up to the step's reach are touched: every slot above it is
+    zero in every row.
 
     No lane of a step exceeds k times the largest lane before it, since it
     is a sum of at most k of them.  The kernel keeps that bound as an exact
@@ -389,7 +417,7 @@ def _transfer_lanes(band: Sequence[int], cut: Sequence[int], count: int) -> tupl
     """
     k = len(cut)
     dtype, lanes, lane_bits = _lane_layout(count, k)
-    z = [np.zeros((lanes, sum(band) + 1), dtype) for _ in range(k)]
+    z = [np.zeros((lanes, reaches[-1] + 1), dtype) for _ in range(k)]
     for row in z:
         row[0, 0] = 1
     scratch = np.empty((lanes, _CHUNK), dtype)
@@ -408,12 +436,13 @@ def _transfer_lanes(band: Sequence[int], cut: Sequence[int], count: int) -> tupl
             grown = ((1 << lane_bits) - 1) * k
         bound = grown
 
-    for e in band:
+    for e, reach in zip(band, reaches[1:]):
         grow()
         for below, row in itertools.pairwise(z):
             row[:used, :top] += below[:used, :top]
         total = z[-1][:used]
-        top += e
+        # with k > 1, row 0 takes the rows from its cut up shifted by e, so e < top
+        top = reach + 1
         for t in range(k - 2, -1, -1):
             row = z[t][:used]
             if cut[t] == t + 1:
@@ -480,43 +509,52 @@ def _level_polynomial(N: int, m: int, n: int, band: Sequence[int]) -> tuple[np.n
     coefficient of exponent i in little-endian 64-bit limbs, as few as the
     largest coefficient needs.  `_limb_ints` folds them to Python ints.
 
-    Rows of (band sum + 1) slots run `_transfer_lanes` when (band sum + 1)
-    slots of `_slot_bytes` fit in `_PACKED_BOUND` bits.  Every row but the
-    total is dropped before the read-back, which takes the slots where some
-    lane is nonzero and gathers their B-bit lanes straight into 64-bit limbs
-    (one lane is the one limb), with no per-term Python object.  A context
-    with m = 0 runs with the cuts of (n, 0): complementing a motif's bits
-    maps the valid (0, n) motifs onto the valid (n, 0) ones, with the same
-    dimension and the energy band sum - E, so the dual's slots are read back
-    in reverse.  A (0, n) row enters at about half the band sum; its dual's
-    rows start at the bottom, so a step touches about half as many slots.
-    Wider bands (an alpha with a large numerator or denominator) go through
-    `_sparse_level_polynomial`, whose exponents are kept as they are; its
-    int64 totals are one limb each, and its Python-int totals (past 2^63)
-    are split into limbs.
+    Rows of R + 1 slots, with R the highest energy a motif reaches
+    (`_reaches`), run `_transfer_lanes` when R + 1 slots of `_slot_bytes`
+    fit in `_PACKED_BOUND` bits.  Every row but the total is dropped before
+    the read-back, which takes the slots where some lane is nonzero and
+    gathers their B-bit lanes straight into 64-bit limbs (one lane is the
+    one limb), with no per-term Python object.  A context with m = 0 runs
+    with the cuts of (n, 0): complementing a motif's bits maps the valid
+    (0, n) motifs onto the valid (n, 0) ones, with the same dimension and
+    the energy band sum - E, so the dual's slots are read back in reverse,
+    from the band sum - R up.  Both run the same cuts, so a context and its
+    dual are charged the same R.  A pure context's motifs take no m
+    consecutive rapidities, so R stays well below the band sum (about half
+    of it for m = 2), and a step touches only the slots up to the reach so
+    far; a mixed context reaches the band sum.  Wider bands (an alpha with
+    a large numerator or denominator), and a dual whose band sum passes
+    int64, go through `_sparse_level_polynomial`, whose exponents are kept
+    as they are; its int64 totals are one limb each, and its Python-int
+    totals (past 2^63) are split into limbs.
     """
     cut = _transfer_cuts(N, m, n) if m else _transfer_cuts(N, n, 0)
     count = (m + n) ** N
-    slots = sum(band) + 1
-    if slots * 8 * _slot_bytes(N, m, n) > _PACKED_BOUND:
+    reaches = _reaches(band, cut)
+    if sum(band) > _INT64_MAX or (reaches[-1] + 1) * 8 * _slot_bytes(N, m, n) > _PACKED_BOUND:
         exponents, totals = _sparse_level_polynomial(N, m, n, band)
         if totals.dtype == object:
             return exponents, _trimmed(_limbs(totals.tolist(), -(-count.bit_length() // 64), signed=False))
         return exponents, totals.view(np.uint64)[:, None]
-    total, lane_bits = _transfer_lanes(band, cut, count)
+    total, lane_bits = _transfer_lanes(band, cut, count, reaches)
+    offset = 0
     if not m:
-        total = total[:, ::-1]  # slot E of the dual holds exponent sum(band) - E
+        # slot E of the dual holds exponent sum(band) - E: reversed, slot i holds sum(band) - R + i
+        total, offset = total[:, ::-1], sum(band) - reaches[-1]
     if len(total) == 1:
         exponents = np.flatnonzero(total[0])
-        return exponents, total[0, exponents].astype(np.uint64)[:, None]
-    exponents = np.flatnonzero(total.any(axis=0))
-    limbs = np.zeros((exponents.size, -(-lane_bits * len(total) // 64)), np.uint64)
-    for lane, values in enumerate(total[:, exponents]):
-        limb, shift = divmod(lane_bits * lane, 64)
-        limbs[:, limb] |= values << shift
-        if shift + lane_bits > 64:
-            limbs[:, limb + 1] |= values >> (64 - shift)
-    return exponents, _trimmed(limbs)
+        limbs = total[0, exponents].astype(np.uint64)[:, None]
+    else:
+        exponents = np.flatnonzero(total.any(axis=0))
+        limbs = np.zeros((exponents.size, -(-lane_bits * len(total) // 64)), np.uint64)
+        for lane, values in enumerate(total[:, exponents]):
+            limb, shift = divmod(lane_bits * lane, 64)
+            limbs[:, limb] |= values << shift
+            if shift + lane_bits > 64:
+                limbs[:, limb + 1] |= values >> (64 - shift)
+        limbs = _trimmed(limbs)
+    exponents += offset
+    return exponents, limbs
 
 
 def level_count(N: int, m: int, n: int, disp) -> int:

@@ -569,6 +569,27 @@ def test_lane_kernel_matches_reference_in_small_chunks(case):
         assert polynomial_terms(N, m, n, band) == reference_terms(N, m, n, band)
 
 
+@given(lane_cases())
+@example((10, 1, 0, [7] * 9))  # one row: the empty motif alone, reach 0
+@example((10, 0, 1, [7] * 9))  # its dual: the full motif, at the band sum
+@example((10, 3, 0, [0] * 9))
+@example((10, 0, 2, [7, 0, 7, 0, 7, 0, 7, 0, 7]))
+@example((10, 2, 3, [1, 0, 2, 0, 3, 0, 4, 0, 5]))  # mixed: the band sum
+def test_reach_is_the_highest_motif_energy(case):
+    N, m, n, band = case
+    cut = kernel_cuts(N, m, n)
+    reach = spectrum._reaches(band, cut)[-1]
+    assert reach == spectrum._packed_rows(band, cut).bit_length() - 1
+    disp = SimpleNamespace(sites=N, eps=lambda j: band[j - 1])
+    # the kernel's context: (n, 0) for m = 0, whose motifs are the complements of (0, n)'s
+    kernel = (m, n) if m else (n, 0)
+    assert reach == max(oracles.energy(mt, disp) for mt in oracles.enumerate_motifs(N, *kernel))
+    # the polynomial spans the context's own energies, read back from the reach
+    energies = [oracles.energy(mt, disp) for mt in oracles.enumerate_motifs(N, m, n)]
+    exponents = [e for e, _ in polynomial_terms(N, m, n, band)]
+    assert (exponents[0], exponents[-1]) == (min(energies), max(energies))
+
+
 LANE_EDGES = [
     (63, 2, 0),  # 2^63: one uint64 lane
     (64, 2, 0),  # 2^64: two lanes, the last sum the first past one lane
@@ -593,7 +614,7 @@ def test_lane_kernel_at_the_lane_edges(N, m, n, band_of):
 
 
 def test_lane_kernel_carries_at_the_packed_edge():
-    # hs su(0|2) at N = 118, the last packed N: two 60-bit lanes from site 64 on, carried every four sites
+    # hs su(0|2) at N = 118: two 60-bit lanes from site 64 on, carried every four sites
     band = spectrum._band(HSDispersion(118))[0]
     assert spectrum._lane_layout(2**118, 2)[1:] == (2, 60)
     assert polynomial_terms(118, 0, 2, band) == reference_terms(118, 0, 2, band)
@@ -630,10 +651,15 @@ def transfer_steps(draw):
 @example(([5, 0, 7, 0], [1, 2, 3], 3**5))
 def test_packed_step_matches_reference(case):
     band, cut, count = case
-    total, lane_bits = spectrum._transfer_lanes(band, cut, count)
+    reaches = spectrum._reaches(band, cut)
+    total, lane_bits = spectrum._transfer_lanes(band, cut, count, reaches)
     width = 8 * ((count.bit_length() + 7) // 8)
-    reference = oracles.packed_rows(band, cut, width, operator.add)
-    assert lane_values(total, lane_bits) == slot_values(reference, width, sum(band) + 1)
+    reference = slot_values(oracles.packed_rows(band, cut, width, operator.add), width, sum(band) + 1)
+    # the lanes hold the slots up to the reach, and every reference slot past it is empty
+    slots = reaches[-1] + 1
+    assert total.shape[1] == slots
+    assert lane_values(total, lane_bits) == reference[:slots]
+    assert not any(reference[slots:])
     assert spectrum._packed_rows(band, cut) == oracles.packed_rows(band, cut, 1, operator.or_)
 
 
@@ -699,6 +725,45 @@ def test_packed_bound_edge(sparse_calls, monkeypatch):
     assert poly_at == poly_past == oracles.enumerated_partition(N, m, n, disp)[0]
 
 
+def reach_charge(N, m, n, band) -> int:
+    """The bits `_PACKED_BOUND` charges a polynomial's rows: reach + 1 slots of `_slot_bytes`."""
+    return (spectrum._reaches(band, kernel_cuts(N, m, n))[-1] + 1) * 8 * spectrum._slot_bytes(N, m, n)
+
+
+@pytest.mark.parametrize("m,n,last", [(2, 0, 140), (0, 2, 140), (3, 0, 116), (0, 3, 116)])
+def test_packed_edge_of_pure_contexts(m, n, last):
+    # arithmetic only: past the edge the sparse kernel takes seconds.  The band
+    # sum's charge stopped hs su(2) at N = 118 and su(3) at N = 105
+    band_of = lambda N: spectrum._band(HSDispersion(N))[0]
+    assert reach_charge(last, m, n, band_of(last)) <= spectrum._PACKED_BOUND
+    assert reach_charge(last + 1, m, n, band_of(last + 1)) > spectrum._PACKED_BOUND
+
+
+@pytest.mark.parametrize("m,n", [(2, 0), (0, 2), (3, 0), (0, 3)])
+def test_packed_bound_charges_the_reach(m, n, sparse_calls, monkeypatch):
+    N, disp = 12, HSDispersion(12)
+    band, _, _ = spectrum._band(disp)
+    charge = reach_charge(N, m, n, band)
+    assert charge < (sum(band) + 1) * 8 * spectrum._slot_bytes(N, m, n)
+    monkeypatch.setattr(spectrum, "_PACKED_BOUND", charge)
+    at = polynomial_terms(N, m, n, band)
+    assert sparse_calls == []
+    monkeypatch.setattr(spectrum, "_PACKED_BOUND", charge - 1)
+    past = polynomial_terms(N, m, n, band)
+    assert len(sparse_calls) == 1
+    assert dict(at) == dict(past) == oracles.enumerated_partition(N, m, n, disp)[0]
+
+
+@pytest.mark.parametrize("entry", [2**61, 2**62])
+def test_dual_exponents_past_int64_take_the_sparse_kernel(entry, sparse_calls):
+    # su(0|1)'s one motif takes every rapidity: its dual reaches 0, and the
+    # read-back puts the band sum, 3 * entry, on the int64 edge
+    exponents, limbs = spectrum._level_polynomial(4, 0, 1, [entry] * 3)
+    assert exponents.tolist() == [3 * entry]
+    assert spectrum._limb_ints(limbs) == [1]
+    assert len(sparse_calls) == (3 * entry > 2**63 - 1)
+
+
 def test_symbolic_count_past_old_bitset_bound_stays_packed(sparse_calls):
     t0 = time.monotonic()
     assert spectrum.level_count(41, 2, 0, SymbolicAlphaDispersion(41)) == 380814
@@ -760,15 +825,19 @@ _PEAK_KB = (
 
 @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc")
 def test_lane_kernel_keeps_narrow_rows_at_the_admission_edge():
-    # fi alpha 46000, su(0|2), N = 10: 2070241 slots, just inside the packed
-    # bound.  Counts up to 2^10 run on uint16 lanes, which add 7.9 MB to a fresh
-    # interpreter's peak RSS; the big-int rows before them added 13.1 MB, and
-    # uint64 lanes added 31.5 MB.  The bound is the big-int rows' figure, which
+    # fi alpha 83880, su(0|2), N = 10: the dual reaches 2097140, so its rows
+    # hold 2097141 slots, just inside the packed bound (alpha 83881 is past
+    # it).  Counts up to 2^10 run on uint16 lanes, which add 7.9 MB to a fresh
+    # interpreter's peak RSS; uint64 lanes add 31.7 MB.  The bound, 13 MB,
     # leaves the narrow lanes a margin of 5 MB and catches uint64 lanes.
     code = _PEAK_KB + (
         "from motifspectra import spectrum\n"
-        "band = spectrum._band(spectrum.FIDispersion(10, 46000))[0]\n"
-        "assert (sum(band) + 1) * 8 * spectrum._slot_bytes(10, 0, 2) <= spectrum._PACKED_BOUND\n"
+        "def reach(alpha):\n"
+        "    band = spectrum._band(spectrum.FIDispersion(10, alpha))[0]\n"
+        "    return spectrum._reaches(band, spectrum._transfer_cuts(10, 2, 0))[-1]\n"
+        "slot_bits = 8 * spectrum._slot_bytes(10, 0, 2)\n"
+        "assert (reach(83880) + 1) * slot_bits <= spectrum._PACKED_BOUND < (reach(83881) + 1) * slot_bits\n"
+        "band = spectrum._band(spectrum.FIDispersion(10, 83880))[0]\n"
         "before = peak_kb()\n"
         "spectrum._level_polynomial(10, 0, 2, band)\n"
         "print(peak_kb() - before)\n"
